@@ -1,6 +1,7 @@
 #include "opt/cfg.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace nsc::opt {
 
@@ -67,25 +68,52 @@ Cfg Cfg::build(const Program& p) {
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
     for (std::size_t s : cfg.blocks[b].succs) cfg.blocks[s].preds.push_back(b);
   }
+
+  // Reverse postorder of the blocks reachable from the entry.
+  const std::size_t nb = cfg.blocks.size();
+  cfg.rpo_num.assign(nb, kNoBlock);
+  std::vector<bool> seen(nb, false);
+  struct Frame {
+    std::size_t block;
+    std::size_t next_succ;
+  };
+  std::vector<Frame> stack{{0, 0}};
+  seen[0] = true;
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    const auto& succs = cfg.blocks[f.block].succs;
+    if (f.next_succ < succs.size()) {
+      const std::size_t s = succs[f.next_succ++];
+      if (!seen[s]) {
+        seen[s] = true;
+        stack.push_back({s, 0});
+      }
+    } else {
+      cfg.rpo.push_back(f.block);  // postorder for now
+      stack.pop_back();
+    }
+  }
+  std::reverse(cfg.rpo.begin(), cfg.rpo.end());
+  for (std::size_t i = 0; i < cfg.rpo.size(); ++i) cfg.rpo_num[cfg.rpo[i]] = i;
   return cfg;
 }
 
-std::vector<bool> Cfg::reachable() const {
-  std::vector<bool> seen(blocks.size(), false);
-  if (blocks.empty()) return seen;
-  std::vector<std::size_t> stack{0};
-  seen[0] = true;
-  while (!stack.empty()) {
-    const std::size_t b = stack.back();
-    stack.pop_back();
-    for (std::size_t s : blocks[b].succs) {
-      if (!seen[s]) {
-        seen[s] = true;
-        stack.push_back(s);
-      }
-    }
-  }
-  return seen;
+OrderedWorklist::OrderedWorklist(const std::vector<std::size_t>& order,
+                                 std::size_t num_blocks)
+    : order_(order),
+      pos_(num_blocks, kNoBlock),
+      queued_((order.size() + 63) / 64, 0) {
+  for (std::size_t i = 0; i < order.size(); ++i) pos_[order[i]] = i;
+}
+
+std::size_t OrderedWorklist::pop() {
+  while (low_ < queued_.size() && queued_[low_] == 0) ++low_;
+  if (low_ == queued_.size()) return kNoBlock;
+  std::uint64_t& word = queued_[low_];
+  const std::size_t i =
+      (low_ << 6) + static_cast<std::size_t>(std::countr_zero(word));
+  word &= word - 1;  // clear the lowest set bit
+  return order_[i];
 }
 
 DomTree DomTree::build(const Cfg& cfg) {
@@ -97,37 +125,9 @@ DomTree DomTree::build(const Cfg& cfg) {
   dt.post.assign(nb, 0);
   if (nb == 0) return dt;
 
-  // Reverse postorder over the CFG from the entry block.
-  std::vector<std::size_t> rpo_num(nb, kNoBlock);
-  std::vector<std::size_t> order;  // postorder
-  {
-    std::vector<bool> seen(nb, false);
-    struct Frame {
-      std::size_t block;
-      std::size_t next_succ;
-    };
-    std::vector<Frame> stack{{0, 0}};
-    seen[0] = true;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const auto& succs = cfg.blocks[f.block].succs;
-      if (f.next_succ < succs.size()) {
-        const std::size_t s = succs[f.next_succ++];
-        if (!seen[s]) {
-          seen[s] = true;
-          stack.push_back({s, 0});
-        }
-      } else {
-        order.push_back(f.block);
-        stack.pop_back();
-      }
-    }
-  }
-  std::reverse(order.begin(), order.end());  // now reverse postorder
-  for (std::size_t i = 0; i < order.size(); ++i) rpo_num[order[i]] = i;
-
   // Cooper–Harvey–Kennedy: intersect walks both fingers up to the common
   // dominator, comparing RPO numbers.
+  const std::vector<std::size_t>& rpo_num = cfg.rpo_num;
   auto intersect = [&](std::size_t a, std::size_t b) {
     while (a != b) {
       while (rpo_num[a] > rpo_num[b]) a = dt.idom[a];
@@ -139,8 +139,8 @@ DomTree DomTree::build(const Cfg& cfg) {
   bool changed = true;
   while (changed) {
     changed = false;
-    for (std::size_t i = 1; i < order.size(); ++i) {
-      const std::size_t b = order[i];
+    for (std::size_t i = 1; i < cfg.rpo.size(); ++i) {
+      const std::size_t b = cfg.rpo[i];
       std::size_t new_idom = kNoBlock;
       for (std::size_t p : cfg.blocks[b].preds) {
         if (dt.idom[p] == kNoBlock) continue;  // not processed yet
@@ -153,8 +153,8 @@ DomTree DomTree::build(const Cfg& cfg) {
     }
   }
 
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const std::size_t b = order[i];
+  for (std::size_t i = 1; i < cfg.rpo.size(); ++i) {
+    const std::size_t b = cfg.rpo[i];
     if (dt.idom[b] != kNoBlock) dt.children[dt.idom[b]].push_back(b);
   }
 

@@ -28,11 +28,51 @@ struct Block {
 struct Cfg {
   std::vector<Block> blocks;           // blocks[0] is the entry block
   std::vector<std::size_t> block_of;   // instruction index -> block id
+  /// The blocks reachable from the entry, in reverse postorder of a
+  /// depth-first walk from block 0: every block precedes its successors
+  /// except along back edges.  Computed once here; the dataflow
+  /// worklists and the dominator tree all visit blocks in this order.
+  std::vector<std::size_t> rpo;
+  std::vector<std::size_t> rpo_num;    // block id -> index in rpo, or kNoBlock
 
   static Cfg build(const bvram::Program& p);
 
-  /// Block ids reachable from the entry block.
-  std::vector<bool> reachable() const;
+  /// Block b is reachable from the entry block.
+  bool reached(std::size_t b) const { return rpo_num[b] != kNoBlock; }
+};
+
+/// The worklist of every dataflow analysis here: it always hands out the
+/// queued block that comes first in a fixed visit order -- reverse
+/// postorder for forward problems, postorder for backward ones -- so
+/// values flow along every forward edge before any block is revisited,
+/// and only a changed back edge makes a block run again.  (A LIFO stack
+/// instead chases each change around a loop before its body settles,
+/// revisiting the blocks of a deep nest hundreds of times.)  Queued
+/// blocks are bits over positions in the order, popped lowest first.
+class OrderedWorklist {
+ public:
+  /// `order` lists the blocks that may ever be queued, first-visited
+  /// first; each of the `num_blocks` block ids appears at most once.  It
+  /// is borrowed, not copied, so it must outlive the worklist.
+  OrderedWorklist(const std::vector<std::size_t>& order,
+                  std::size_t num_blocks);
+  OrderedWorklist(std::vector<std::size_t>&&, std::size_t) = delete;
+
+  /// Queue block b, which must appear in the order (no-op if queued).
+  void push(std::size_t b) {
+    const std::size_t i = pos_[b];
+    queued_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    if ((i >> 6) < low_) low_ = i >> 6;
+  }
+
+  /// Dequeue the earliest queued block in the order; kNoBlock if none.
+  std::size_t pop();
+
+ private:
+  const std::vector<std::size_t>& order_;
+  std::vector<std::size_t> pos_;       // block id -> index in order_
+  std::vector<std::uint64_t> queued_;  // bit i: order_[i] is queued
+  std::size_t low_ = 0;                // no queued bit in a word below
 };
 
 /// Drop the instructions with keep[i] == false, remapping every jump
@@ -56,8 +96,8 @@ bool insert_before(bvram::Program& p,
                    const std::vector<bool>& land_after,
                    std::vector<std::size_t>* new_index = nullptr);
 
-/// Dominator tree (iterative Cooper–Harvey–Kennedy over a reverse
-/// postorder of the CFG).  Blocks unreachable from the entry have
+/// Dominator tree (iterative Cooper–Harvey–Kennedy over the CFG's
+/// reverse postorder).  Blocks unreachable from the entry have
 /// idom == kNoBlock and do not appear in the tree.
 struct DomTree {
   std::vector<std::size_t> idom;  ///< immediate dominator; entry -> itself
@@ -104,10 +144,13 @@ struct LoopForest {
   }
 };
 
-/// Generic forward dataflow fixpoint over the CFG, shared by copy-prop
-/// and the peephole constant analysis.  Block out-states start at TOP
-/// ("uncomputed", the identity of the meet), so must-problems converge
-/// to their maximal fixpoint on loops.
+/// Generic forward dataflow fixpoint over the CFG, shared by copy-prop,
+/// gvn and the peephole constant analysis.  Block out-states start at
+/// TOP ("uncomputed", the identity of the meet), so must-problems
+/// converge to their maximal fixpoint on loops.  Blocks are visited in
+/// reverse postorder (OrderedWorklist): the first pass reaches each block
+/// after all its forward-edge predecessors, and later passes only
+/// re-run blocks whose input a back edge changed.
 ///
 /// `Domain` provides:
 ///   State entry() const;                        // in-state of block 0
@@ -135,13 +178,9 @@ class ForwardDataflow {
         out_(cfg.blocks.size()),
         have_out_(cfg.blocks.size(), false) {
     if (cfg.blocks.empty()) return;
-    std::vector<bool> queued(cfg.blocks.size(), false);
-    std::vector<std::size_t> worklist{0};
-    queued[0] = true;
-    while (!worklist.empty()) {
-      const std::size_t b = worklist.back();
-      worklist.pop_back();
-      queued[b] = false;
+    OrderedWorklist work(cfg.rpo, cfg.blocks.size());
+    work.push(0);
+    for (std::size_t b = work.pop(); b != kNoBlock; b = work.pop()) {
       State s = in_state_of(b);
       for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
         dom_.transfer(p.code[i], s);
@@ -149,12 +188,7 @@ class ForwardDataflow {
       if (!have_out_[b] || s != out_[b]) {
         out_[b] = std::move(s);
         have_out_[b] = true;
-        for (std::size_t succ : cfg.blocks[b].succs) {
-          if (!queued[succ]) {
-            queued[succ] = true;
-            worklist.push_back(succ);
-          }
-        }
+        for (std::size_t succ : cfg.blocks[b].succs) work.push(succ);
       }
     }
   }

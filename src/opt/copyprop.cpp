@@ -9,6 +9,19 @@
 // verbatim copy of (resolved to the ultimate source, so move chains
 // collapse in one rewrite), or NONE.  Meet is elementwise agreement.
 //
+// The fixpoint depends on visit order, because the Move transfer is not
+// monotone: `d <- s` records d = s when s carries no fact, but d = s'
+// when s is known to copy s' -- a different fact, not a weaker one.  A
+// block first visited with a fact that holds on only one of its paths
+// can thus push a fact into a loop that later meets the loop-entry fact
+// at the header, and the loop then holds itself at NONE.  Every
+// fixpoint is sound (each fact survives every edge into its block);
+// they differ only in which copies they keep.  The shared worklist
+// visits blocks in reverse postorder, so a join is first reached with
+// all of its forward predecessors computed and a loop header first sees
+// exactly its entry facts; it keeps every loop-entry copy that the
+// back edges preserve.
+//
 // Rewriting a use of a copy to its original register never changes any
 // executed value or length, so T, W, and trap behavior are untouched;
 // the payoff is that the compiler's staging moves lose their last use
@@ -34,6 +47,9 @@ using State = std::vector<std::uint32_t>;  // slot -> copy-of reg, or kNone
 
 struct CopyDomain {
   const std::vector<std::uint32_t>* slot_of = nullptr;
+  /// reg -> it is the source of some Move.  Facts are resolved Move
+  /// sources, so these are the only registers a fact can name.
+  const std::vector<bool>* is_move_src = nullptr;
   std::uint32_t num_slots = 0;
 
   State entry() const { return State(num_slots, kNone); }
@@ -66,8 +82,10 @@ struct CopyDomain {
 
   /// Invalidate every fact involving register `r` (it is being redefined).
   void kill(State& s, std::uint32_t r) const {
-    for (auto& e : s) {
-      if (e == r) e = kNone;
+    if ((*is_move_src)[r]) {
+      for (auto& e : s) {
+        if (e == r) e = kNone;
+      }
     }
     const std::uint32_t slot = (*slot_of)[r];
     if (slot != kNoSlot) s[slot] = kNone;
@@ -83,12 +101,14 @@ class CopyProp final : public Pass {
 
     // Slot assignment: one dataflow cell per Move destination.
     std::vector<std::uint32_t> slot_of(p.num_regs, kNoSlot);
+    std::vector<bool> is_move_src(p.num_regs, false);
     CopyDomain dom;
     dom.slot_of = &slot_of;
+    dom.is_move_src = &is_move_src;
     for (const Instr& in : p.code) {
-      if (in.op == Op::Move && slot_of[in.dst] == kNoSlot) {
-        slot_of[in.dst] = dom.num_slots++;
-      }
+      if (in.op != Op::Move) continue;
+      if (slot_of[in.dst] == kNoSlot) slot_of[in.dst] = dom.num_slots++;
+      is_move_src[in.a] = true;
     }
     if (dom.num_slots == 0) return false;
 

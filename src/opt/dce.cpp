@@ -31,7 +31,6 @@ class Dce final : public Pass {
     if (p.code.empty()) return false;
     const Cfg cfg = Cfg::build(p);
     const std::size_t nb = cfg.blocks.size();
-    const std::vector<bool> reachable = cfg.reachable();
     const Liveness lv = Liveness::compute(p, cfg);
 
     // Removal walk: backward per block with the precise local live set
@@ -40,23 +39,23 @@ class Dce final : public Pass {
     std::vector<bool> keep(p.code.size(), true);
     bool changed = false;
     for (std::size_t b = 0; b < nb; ++b) {
-      if (!reachable[b]) {
+      if (!cfg.reached(b)) {
         for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
           keep[i] = false;
           changed = true;
         }
         continue;
       }
-      std::vector<bool> live = lv.live_out_of(p, cfg, b);
+      RegSet live = lv.live_out_of(p, cfg, b);
       for (std::size_t i = cfg.blocks[b].end; i-- > cfg.blocks[b].begin;) {
         const Instr& in = p.code[i];
-        if (in.has_dst() && !live[in.dst] && !in.can_trap()) {
+        if (in.has_dst() && !live.test(in.dst) && !in.can_trap()) {
           keep[i] = false;
           changed = true;
           continue;
         }
-        if (in.has_dst()) live[in.dst] = false;
-        for (std::uint32_t r : in.srcs()) live[r] = true;
+        if (in.has_dst()) live.reset(in.dst);
+        for (std::uint32_t r : in.srcs()) live.set(r);
       }
     }
 

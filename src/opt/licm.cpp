@@ -304,7 +304,7 @@ class Licm final : public Pass {
           continue;
         }
         if (defs_in_loop[in.dst] != 1) continue;
-        if (lv.live_in[loop.header][in.dst]) continue;
+        if (lv.live_in[loop.header].test(in.dst)) continue;
         bool src_ok = true;
         for (std::uint32_t r : in.srcs()) {
           if (defs_in_loop[r] != 0) src_ok = false;

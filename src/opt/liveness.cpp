@@ -1,5 +1,7 @@
 #include "opt/liveness.hpp"
 
+#include <algorithm>
+
 namespace nsc::opt {
 
 using bvram::Instr;
@@ -8,51 +10,42 @@ using bvram::Program;
 Liveness Liveness::compute(const Program& p, const Cfg& cfg) {
   const std::size_t nb = cfg.blocks.size();
   Liveness lv;
-  lv.live_in.assign(nb, std::vector<bool>(p.num_regs, false));
+  lv.live_in.assign(nb, RegSet(p.num_regs));
 
-  auto transfer_block = [&](std::size_t b, std::vector<bool> live) {
+  // Postorder of the reachable blocks, then the unreachable ones (their
+  // live sets never flow into reachable code, but live_in covers every
+  // block).
+  std::vector<std::size_t> order(cfg.rpo.rbegin(), cfg.rpo.rend());
+  for (std::size_t b = nb; b-- > 0;) {
+    if (!cfg.reached(b)) order.push_back(b);
+  }
+  OrderedWorklist work(order, nb);
+  for (std::size_t b : order) work.push(b);
+  for (std::size_t b = work.pop(); b != kNoBlock; b = work.pop()) {
+    RegSet live = lv.live_out_of(p, cfg, b);
     for (std::size_t i = cfg.blocks[b].end; i-- > cfg.blocks[b].begin;) {
       const Instr& in = p.code[i];
-      if (in.has_dst()) live[in.dst] = false;
-      for (std::uint32_t r : in.srcs()) live[r] = true;
+      if (in.has_dst()) live.reset(in.dst);
+      for (std::uint32_t r : in.srcs()) live.set(r);
     }
-    return live;
-  };
-
-  std::vector<bool> in_worklist(nb, true);
-  std::vector<std::size_t> worklist;
-  for (std::size_t b = 0; b < nb; ++b) worklist.push_back(b);
-  while (!worklist.empty()) {
-    const std::size_t b = worklist.back();
-    worklist.pop_back();
-    in_worklist[b] = false;
-    auto li = transfer_block(b, lv.live_out_of(p, cfg, b));
-    if (li != lv.live_in[b]) {
-      lv.live_in[b] = std::move(li);
-      for (std::size_t pred : cfg.blocks[b].preds) {
-        if (!in_worklist[pred]) {
-          in_worklist[pred] = true;
-          worklist.push_back(pred);
-        }
-      }
+    if (live != lv.live_in[b]) {
+      lv.live_in[b] = std::move(live);
+      for (std::size_t pred : cfg.blocks[b].preds) work.push(pred);
     }
   }
   return lv;
 }
 
-std::vector<bool> Liveness::live_out_of(const Program& p, const Cfg& cfg,
-                                        std::size_t b) const {
-  std::vector<bool> live(p.num_regs, false);
+RegSet Liveness::live_out_of(const Program& p, const Cfg& cfg,
+                             std::size_t b) const {
+  RegSet live(p.num_regs);
   if (cfg.blocks[b].falls_to_exit) {
-    for (std::size_t r = 0; r < p.num_outputs && r < p.num_regs; ++r) {
-      live[r] = true;
+    const std::size_t outs = std::min(p.num_outputs, p.num_regs);
+    for (std::size_t r = 0; r < outs; ++r) {
+      live.set(static_cast<std::uint32_t>(r));
     }
   }
-  for (std::size_t succ : cfg.blocks[b].succs) {
-    for (std::size_t r = 0; r < p.num_regs; ++r) {
-      if (live_in[succ][r]) live[r] = true;
-    }
-  }
+  for (std::size_t succ : cfg.blocks[b].succs) live |= live_in[succ];
   return live;
 }
 
@@ -61,11 +54,10 @@ std::vector<std::uint8_t> compute_last_use(const Program& p) {
   if (p.code.empty() || p.num_regs == 0) return mask;
   const Cfg cfg = Cfg::build(p);
   const Liveness lv = Liveness::compute(p, cfg);
-  const std::vector<bool> reachable = cfg.reachable();
 
   for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-    if (!reachable[b]) continue;  // never executed; leave all-clear
-    std::vector<bool> live = lv.live_out_of(p, cfg, b);
+    if (!cfg.reached(b)) continue;  // never executed; leave all-clear
+    RegSet live = lv.live_out_of(p, cfg, b);
     for (std::size_t i = cfg.blocks[b].end; i-- > cfg.blocks[b].begin;) {
       const Instr& in = p.code[i];
       // `live` is the live-after set of instruction i.  A source register
@@ -74,11 +66,11 @@ std::vector<std::uint8_t> compute_last_use(const Program& p) {
       const auto srcs = in.srcs();
       std::uint8_t m = 0;
       for (std::size_t k = 0; k < srcs.n; ++k) {
-        if (!live[srcs.regs[k]]) m |= static_cast<std::uint8_t>(1u << k);
+        if (!live.test(srcs.regs[k])) m |= static_cast<std::uint8_t>(1u << k);
       }
       mask[i] = m;
-      if (in.has_dst()) live[in.dst] = false;
-      for (std::uint32_t r : in.srcs()) live[r] = true;
+      if (in.has_dst()) live.reset(in.dst);
+      for (std::uint32_t r : in.srcs()) live.set(r);
     }
   }
   return mask;

@@ -1,5 +1,6 @@
 // Backward liveness over the fixed BVRAM register file, shared by
-// dead-code elimination and the execution engine's last-use export.
+// dead-code elimination, loop-invariant code motion and the execution
+// engine's last-use export.
 //
 // The boundary condition is the machine's I/O convention: registers
 // V_0 .. V_{num_outputs-1} are live wherever control can leave the
@@ -14,17 +15,42 @@
 
 namespace nsc::opt {
 
-struct Liveness {
-  /// live_in[b][r]: r may be read before being written on some path from
-  /// the top of block b.
-  std::vector<std::vector<bool>> live_in;
+/// A set of registers stored as 64-bit words, so the union over a
+/// block's successors and the change test cost a word per 64 registers.
+class RegSet {
+ public:
+  explicit RegSet(std::size_t num_regs) : words_((num_regs + 63) / 64, 0) {}
 
+  bool test(std::uint32_t r) const { return (words_[r >> 6] >> (r & 63)) & 1u; }
+  void set(std::uint32_t r) { words_[r >> 6] |= std::uint64_t{1} << (r & 63); }
+  void reset(std::uint32_t r) {
+    words_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+  }
+  RegSet& operator|=(const RegSet& o) {
+    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= o.words_[i];
+    return *this;
+  }
+  bool operator==(const RegSet&) const = default;
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+struct Liveness {
+  /// live_in[b] holds r iff r may be read before being written on some
+  /// path from the top of block b.
+  std::vector<RegSet> live_in;
+
+  /// The least fixpoint, found with the shared OrderedWorklist in
+  /// postorder (reachable blocks first, then the unreachable ones): a
+  /// block is visited after all of its successors but the targets of
+  /// back edges.
   static Liveness compute(const bvram::Program& p, const Cfg& cfg);
 
-  /// Registers live at the bottom of block b (the meet over successors
+  /// Registers live at the bottom of block b (the union over successors
   /// plus the output registers when control can exit here).
-  std::vector<bool> live_out_of(const bvram::Program& p, const Cfg& cfg,
-                                std::size_t b) const;
+  RegSet live_out_of(const bvram::Program& p, const Cfg& cfg,
+                     std::size_t b) const;
 };
 
 /// Per-instruction source-operand death masks for the execution engine

@@ -86,6 +86,13 @@ class Compiler {
   };
   // ---------------------------------------------------------------------
   // small emission helpers
+  //
+  // C++ leaves the evaluation order of a call's arguments unspecified, so
+  // no argument list below holds two calls that allocate a register or
+  // emit an instruction: each such call is a statement of its own, and
+  // the emitted code does not depend on the compiler.  Where a helper
+  // emits its right operand first, that order is the one pinned by the
+  // emitted-code digests in tests/test_corpus.cpp.
   // ---------------------------------------------------------------------
   R fresh() { return a_.reg(); }
 
@@ -144,8 +151,9 @@ class Compiler {
 
   /// Elementwise x == y as 0/1 bits: 1 - ((x-y) + (y-x)) under monus.
   R eq_bits(R x, R y) {
-    R d = arith(ArithOp::Add, arith(ArithOp::Monus, x, y),
-                arith(ArithOp::Monus, y, x));
+    R yx = arith(ArithOp::Monus, y, x);
+    R xy = arith(ArithOp::Monus, x, y);
+    R d = arith(ArithOp::Add, xy, yx);
     return arith(ArithOp::Monus, ones_like(x), d);
   }
 
@@ -162,7 +170,7 @@ class Compiler {
   void trap_if_nonempty(R reg) {
     auto ok = a_.fresh_label();
     a_.jump_if_empty(reg, ok);
-    a_.arith(fresh(), ArithOp::Add, konst(1), emptyreg());  // length trap
+    emit_unconditional_trap();
     a_.bind(ok);
   }
 
@@ -173,8 +181,11 @@ class Compiler {
     trap_if_nonempty(sel);
   }
 
+  /// [1] + [] is a length mismatch, which the machine traps on.
   void emit_unconditional_trap() {
-    a_.arith(fresh(), ArithOp::Add, konst(1), emptyreg());
+    R empty = emptyreg();
+    R one = konst(1);
+    a_.arith(fresh(), ArithOp::Add, one, empty);
   }
 
   /// [sum v] as a singleton register.
@@ -186,17 +197,23 @@ class Compiler {
     return pack_vec(sc, eq_bits(e, pos));
   }
 
+  /// [len v - 1] (monus: [0] when v is empty).
+  R last_index(R v) {
+    R one = konst(1);
+    return arith(ArithOp::Monus, len_of(v), one);
+  }
+
   /// Remove the last element of v.
   R drop_last(R v) {
     R e = enum_of(v);
-    R last = broadcast(arith(ArithOp::Monus, len_of(v), konst(1)), v);
+    R last = broadcast(last_index(v), v);
     return pack_vec(v, inv_bits(eq_bits(e, last)));
   }
 
   /// [v[len-1]] as a singleton (empty when v is empty).
   R last_of(R v) {
     R e = enum_of(v);
-    R last = broadcast(arith(ArithOp::Monus, len_of(v), konst(1)), v);
+    R last = broadcast(last_index(v), v);
     return pack_vec(v, eq_bits(e, last));
   }
 
@@ -233,7 +250,8 @@ class Compiler {
     R n = len_of(V);
     R k = len_of(P);
     R ztk = append(enum_of(P), k);
-    R dI = arith(ArithOp::Monus, append(P, n), append(konst(0), P));
+    R zP = append(konst(0), P);
+    R dI = arith(ArithOp::Monus, append(P, n), zP);
     R Pv = fresh();
     a_.bm_route(Pv, V, dI, ztk);  // rank of each slot among P
     R shifted = drop_last(append(konst(0), Pv));
@@ -248,8 +266,9 @@ class Compiler {
     R starts = scan(lens);
     R ends = arith(ArithOp::Add, starts, lens);
     R ext = scan(append(w, konst(0)));
-    return arith(ArithOp::Monus, gather_sorted(ext, ends),
-                 gather_sorted(ext, starts));
+    R at_starts = gather_sorted(ext, starts);
+    R at_ends = gather_sorted(ext, ends);
+    return arith(ArithOp::Monus, at_ends, at_starts);
   }
 
   /// Replicate v[i] lens[i] times; probe_inner has the output length.
@@ -306,8 +325,9 @@ class Compiler {
       a_.bm_route(xx, bits, gap_counts(posA), A);
       R yy = fresh();
       a_.bm_route(yy, bits, gap_counts(posB), B);
-      R mixed = arith(ArithOp::Add, arith(ArithOp::Mul, xx, bits),
-                      arith(ArithOp::Mul, yy, inv));
+      R ys = arith(ArithOp::Mul, yy, inv);
+      R xs = arith(ArithOp::Mul, xx, bits);
+      R mixed = arith(ArithOp::Add, xs, ys);
       a_.move(out, mixed);
     }
     a_.bind(join);
@@ -565,8 +585,11 @@ class Compiler {
         return emit0(f->g(), emit0(f->f(), in));
       case NsaKind::Bang:
         return {};
-      case NsaKind::PairF:
-        return concat(emit0(f->f(), in), emit0(f->g(), in));
+      case NsaKind::PairF: {
+        Regs r = emit0(f->g(), in);
+        Regs l = emit0(f->f(), in);
+        return concat(std::move(l), r);
+      }
       case NsaKind::Pi1:
         return slice(in, 0, rep_width(*f->cod()));
       case NsaKind::Pi2:
@@ -668,8 +691,9 @@ class Compiler {
         const std::size_t lw = seqrep_width(*f->dom()->left()->elem());
         Regs aregs = slice(in, 0, lw);
         Regs bregs = slice(in, lw, in.size() - lw);
-        trap_if_any(
-            inv_bits(eq_bits(len_of(probe(aregs)), len_of(probe(bregs)))));
+        R nb = len_of(probe(bregs));
+        R na = len_of(probe(aregs));
+        trap_if_any(inv_bits(eq_bits(na, nb)));
         return concat(std::move(aregs), bregs);
       }
       case NsaKind::EnumerateF:
@@ -678,8 +702,8 @@ class Compiler {
         const std::size_t tw = seqrep_width(*f->dom()->left()->elem());
         Regs data = slice(in, 0, tw);
         R sizes = in[tw];
-        trap_if_any(inv_bits(
-            eq_bits(vec_total(sizes), len_of(probe(data)))));
+        R n = len_of(probe(data));
+        trap_if_any(inv_bits(eq_bits(vec_total(sizes), n)));
         return concat({sizes}, data);
       }
       case NsaKind::P2: {
@@ -726,8 +750,11 @@ class Compiler {
         return emitL(f->g(), emitL(f->f(), in));
       case NsaKind::Bang:
         return {zeros_like(probe(in))};
-      case NsaKind::PairF:
-        return concat(emitL(f->f(), in), emitL(f->g(), in));
+      case NsaKind::PairF: {
+        Regs r = emitL(f->g(), in);
+        Regs l = emitL(f->f(), in);
+        return concat(std::move(l), r);
+      }
       case NsaKind::Pi1:
         return slice(in, 0, seqrep_width(*f->cod()));
       case NsaKind::Pi2:
@@ -921,11 +948,12 @@ class Compiler {
     a_.jump_if_empty(nsel, small);
     {
       // ceil_log2(n) = log2(n-1) + 1 for n >= 2 (machine log2 = floor).
-      R lg = arith(ArithOp::Add, arith(ArithOp::Log2, nm1, nm1), konst(1));
+      R one = konst(1);
+      R lg = arith(ArithOp::Add, arith(ArithOp::Log2, nm1, nm1), one);
       R num = konst(eps.num);
       R den = konst(eps.den);
-      R up = arith(ArithOp::Add, arith(ArithOp::Mul, lg, num),
-                   arith(ArithOp::Monus, den, konst(1)));
+      R den_m1 = arith(ArithOp::Monus, den, konst(1));
+      R up = arith(ArithOp::Add, arith(ArithOp::Mul, lg, num), den_m1);
       a_.move(e, arith(ArithOp::Div, up, den));
       a_.jump(have_e);
     }

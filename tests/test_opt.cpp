@@ -5,6 +5,11 @@
 // ones.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "corpus_files.hpp"
+#include "front/front.hpp"
 #include "nsc/build.hpp"
 #include "nsc/eval.hpp"
 #include "nsc/maprec.hpp"
@@ -13,6 +18,7 @@
 #include "object/random.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
+#include "opt/valuetable.hpp"
 #include "sa/compile.hpp"
 #include "support/prng.hpp"
 
@@ -946,6 +952,132 @@ TEST(Licm, UnprovableRouteCertificateStays) {
   EXPECT_EQ(executed_ops(after, Op::BmRoute), 2u);  // per header visit
   // The mismatch case still traps identically.
   EXPECT_THROW(bvram::run(p, {{4, 4}, {9}, {1}}), MachineError);
+}
+
+// ---------------------------------------------------------------------------
+// dataflow visit order (OrderedWorklist)
+// ---------------------------------------------------------------------------
+
+/// Every corpus program's naive (O0) emission, unit and lifted, under
+/// each WhileSchedule: the optimizer's real inputs.
+struct NaiveCompile {
+  std::string label;
+  bool naive_sched = false;
+  Program p;
+};
+
+std::vector<NaiveCompile> naive_corpus() {
+  std::vector<NaiveCompile> out;
+  for (const auto& path : nsc::testing::corpus_files()) {
+    const front::ResolvedModule mod =
+        front::compile_file(front::load_file(path));
+    const L::FuncRef& fn = mod.main().fn;
+    for (const bool lifted : {false, true}) {
+      for (const auto& s : nsc::testing::kSchedules) {
+        out.push_back({path + (lifted ? " lifted " : " unit ") + s.name,
+                       std::string(s.name) == "naive",
+                       sa::compile_nsc(lifted ? L::map_f(fn) : fn,
+                                       OptLevel::O0, s.sched)});
+      }
+    }
+  }
+  return out;
+}
+
+/// AvDomain plus a count of visits per block (a visit transfers the
+/// block's first instruction once).
+struct CountingAv {
+  AvDomain inner;
+  const Cfg* cfg = nullptr;
+  std::vector<std::size_t>* visits = nullptr;
+
+  AvState entry() const { return inner.entry(); }
+  AvState unreached() const { return inner.unreached(); }
+  void meet_into(AvState& a, const AvState& b) const { inner.meet_into(a, b); }
+  void transfer(const bvram::Instr& in, AvState& s) const {
+    const auto i = static_cast<std::size_t>(&in - inner.p->code.data());
+    const std::size_t b = cfg->block_of[i];
+    if (cfg->blocks[b].begin == i) ++(*visits)[b];
+    inner.transfer(in, s);
+  }
+  bool edge_refines(const Program& p, const Cfg& c, std::size_t pred,
+                    std::size_t succ) const {
+    return inner.edge_refines(p, c, pred, succ);
+  }
+  void edge_refine(const Program& p, const Cfg& c, std::size_t pred,
+                   std::size_t succ, AvState& s) const {
+    inner.edge_refine(p, c, pred, succ, s);
+  }
+};
+
+TEST(Dataflow, ReversePostorderBoundsBlockVisits) {
+  // The abstract-value analysis that gvn and peephole run every round.
+  // Visited in reverse postorder, a block runs once on the first pass
+  // and again only when a back edge changes its input (at most 10 times
+  // on this corpus, twice under the naive schedule); a LIFO worklist
+  // re-runs single blocks of the same programs up to 402 times.
+  std::size_t worst = 0, worst_naive = 0;
+  std::string worst_at;
+  for (const NaiveCompile& c : naive_corpus()) {
+    const Cfg cfg = Cfg::build(c.p);
+    const SlotMap m = build_av_slots(c.p);
+    std::vector<std::size_t> visits(cfg.blocks.size(), 0);
+    const CountingAv dom{AvDomain{&c.p, &m}, &cfg, &visits};
+    const ForwardDataflow<AvState, CountingAv> flow(c.p, cfg, dom);
+    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
+      EXPECT_EQ(visits[b] > 0, cfg.reached(b)) << c.label << " block " << b;
+    }
+    const std::size_t most = *std::max_element(visits.begin(), visits.end());
+    if (most > worst) {
+      worst = most;
+      worst_at = c.label;
+    }
+    if (c.naive_sched) worst_naive = std::max(worst_naive, most);
+  }
+  EXPECT_LE(worst, 12u) << "most visits of one block, in " << worst_at;
+  EXPECT_LE(worst_naive, 2u) << "most visits of one block, naive schedule";
+}
+
+TEST(Dataflow, LivenessMatchesRoundRobinReference) {
+  // The ordered worklist must reach the same least fixpoint as the
+  // textbook iteration: sweep every block, last to first, until no live
+  // set changes.
+  for (const NaiveCompile& c : naive_corpus()) {
+    const Program& p = c.p;
+    const Cfg cfg = Cfg::build(p);
+    const std::size_t nb = cfg.blocks.size();
+    std::vector<std::vector<bool>> ref(nb, std::vector<bool>(p.num_regs));
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (std::size_t b = nb; b-- > 0;) {
+        std::vector<bool> live(p.num_regs, false);
+        if (cfg.blocks[b].falls_to_exit) {
+          for (std::size_t r = 0; r < p.num_outputs; ++r) live[r] = true;
+        }
+        for (std::size_t succ : cfg.blocks[b].succs) {
+          for (std::size_t r = 0; r < p.num_regs; ++r) {
+            if (ref[succ][r]) live[r] = true;
+          }
+        }
+        for (std::size_t i = cfg.blocks[b].end; i-- > cfg.blocks[b].begin;) {
+          if (p.code[i].has_dst()) live[p.code[i].dst] = false;
+          for (std::uint32_t r : p.code[i].srcs()) live[r] = true;
+        }
+        if (live != ref[b]) {
+          ref[b] = std::move(live);
+          changed = true;
+        }
+      }
+    }
+    const Liveness lv = Liveness::compute(p, cfg);
+    ASSERT_EQ(lv.live_in.size(), nb) << c.label;
+    for (std::size_t b = 0; b < nb; ++b) {
+      for (std::uint32_t r = 0; r < p.num_regs; ++r) {
+        ASSERT_EQ(lv.live_in[b].test(r), ref[b][r])
+            << c.label << " block " << b << " V" << r;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

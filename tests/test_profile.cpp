@@ -42,6 +42,7 @@ namespace L = nsc::lang;
 namespace P = nsc::lang::prelude;
 using Vec = std::vector<std::uint64_t>;
 using nsc::testing::corpus_files;
+using nsc::testing::kSchedules;
 
 struct Outcome {
   bool trapped = false;
@@ -141,16 +142,8 @@ std::vector<CorpusProgram> compiled_corpus(opt::OptLevel level,
 TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
   const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O1,
                                   opt::OptLevel::O2};
-  const struct {
-    const char* name;
-    opt::WhileSchedule sched;
-  } scheds[] = {
-      {"naive", opt::WhileSchedule::naive()},
-      {"eager", opt::WhileSchedule::eager()},
-      {"staged(1/2)", opt::WhileSchedule::staged({1, 2})},
-  };
   for (const auto level : levels) {
-    for (const auto& s : scheds) {
+    for (const auto& s : kSchedules) {
       SCOPED_TRACE(std::string("opt ") + std::to_string(int(level)) +
                    " sched " + s.name);
       for (const auto& cp : compiled_corpus(level, s.sched)) {
