@@ -1,26 +1,24 @@
 // The execution-engine benchmark harness: runs the compiled example
-// corpus plus adversarial route/scan microbenchmarks under all six
+// corpus plus adversarial route/scan microbenchmarks on run() in four
 // configurations --
 //
-//     v1  = run_reference (allocate-per-instruction interpreter)
-//     v2  = run            (pooled register file, in-place kernels)
-//     v2f = run + fusion   (elementwise groups as single-pass kernels)
-//     x  serial | parallel backend
+//     serial | parallel backend  x  fusion plan cleared | attached
 //
-// -- verifies that outputs, T, and W agree bit-for-bit across every
-// configuration (exit code 1 on any mismatch: the CI perf-smoke gate),
-// and writes the wall-clock trajectory to a JSON file so future PRs can
-// compare machine-readable numbers instead of prose.  The fused
-// configurations also report the engine's fused-group counters (groups
-// executed, instructions covered, buffers elided, fallbacks), taken
-// from an untimed profiled run.
+// -- verifies that outputs, T, and W agree bit-for-bit with the untimed
+// run_reference oracle in every configuration (exit code 1 on any
+// mismatch: the CI perf-smoke gate), and writes each configuration's
+// median and quartiles over the interleaved reps to a JSON file so future
+// changes can compare machine-readable numbers instead of prose.  The
+// fused serial configuration also reports the engine's fused-group
+// counters (groups executed, instructions covered, buffers elided,
+// fallbacks), taken from an untimed profiled run.
 //
 //   bench_machine [--json PATH] [--reps K] [--scale N] [--full]
 //
 // --full adds n = 10^7 to the default {10^5, 10^6} sweep; --scale N
 // replaces the sweep with the single size N.  Timing rows are never
 // part of the failure criterion (shared runners are noisy); only
-// cross-configuration output/cost mismatches fail.
+// mismatches against the oracle fail.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -61,17 +59,33 @@ using nsc::lang::ArithOp;
 
 struct Case {
   std::string name;
-  Program program;  // annotated (v1 ignores the annotation)
+  Program program;  // annotated with last-use masks and a fusion plan
   std::vector<Vec> inputs;
+};
+
+/// Wall-clock milliseconds over the reps: median and quartiles (linear
+/// interpolation between order statistics).
+struct Quartiles {
+  double p25 = 0, median = 0, p75 = 0;
+
+  static Quartiles of(std::vector<double> ms) {
+    std::sort(ms.begin(), ms.end());
+    const auto at = [&](double q) {
+      const double pos = q * static_cast<double>(ms.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, ms.size() - 1);
+      return ms[lo] + (pos - static_cast<double>(lo)) * (ms[hi] - ms[lo]);
+    };
+    return {at(0.25), at(0.5), at(0.75)};
+  }
 };
 
 struct Entry {
   std::string bench;
   std::size_t n;
-  const char* engine;
   const char* backend;
-  bool fuse = false;
-  double ms = 0;
+  bool fusion = false;
+  Quartiles ms;
   std::uint64_t time = 0;
   std::uint64_t work = 0;
   std::uint64_t checksum = 0;
@@ -104,7 +118,7 @@ Vec iota_mod(std::size_t n, std::uint64_t mod) {
 
 Case make_move_chain(std::size_t n) {
   // 24 Moves cycling 4 temporaries: with last-use annotation every one is
-  // an O(1) buffer swap; v1 copies 24n words through 24 fresh allocations.
+  // an O(1) buffer swap instead of a copy of n words.
   Assembler a;
   a.reserve_regs(1);
   std::uint32_t t[4];
@@ -355,18 +369,22 @@ Case make_corpus_nested_query(std::size_t n) {
 // ---------------------------------------------------------------------------
 
 double wall_ms_once(const Program& p, const std::vector<Vec>& in,
-                    const RunConfig& cfg, bool v2) {
+                    const RunConfig& cfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  RunResult res = v2 ? nsc::bvram::run(p, in, cfg)
-                     : nsc::bvram::run_reference(p, in, cfg);
+  RunResult res = nsc::bvram::run(p, in, cfg);
   const auto t1 = std::chrono::steady_clock::now();
   (void)res;
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
+std::string cell(const Quartiles& q) {
+  return Table::fixed(q.median, 2) + " [" + Table::fixed(q.p25, 2) + "-" +
+         Table::fixed(q.p75, 2) + "]";
+}
+
 struct Options {
   std::string json_path = "BENCH_machine.json";
-  int reps = 3;
+  int reps = 5;
   std::size_t scale = 0;  // 0 = default sweep
   bool full = false;
 };
@@ -376,30 +394,29 @@ int run_bench(const Options& opt) {
   if (opt.full) sizes.push_back(10000000);
   if (opt.scale != 0) sizes = {opt.scale};
 
-  // The six configurations.  v1 ignores cfg.fuse (the reference
-  // interpreter has no fusion), so the v1 rows double as the oracle the
-  // fused rows must match bit-for-bit.
+  // The four configurations; "fused" runs the program with its fusion
+  // plan attached (as sa::compile_nsc emits it), the others on a copy
+  // with the plan cleared.
   struct Config {
-    const char* engine;
     const char* backend;
-    bool v2, par, fuse;
+    bool par, fused;
   };
-  constexpr std::size_t kConfigs = 6;
+  constexpr std::size_t kConfigs = 4;
+  constexpr std::size_t kSerial = 0, kPar = 1, kFusedSerial = 2,
+                        kFusedPar = 3;
   const Config cfgs[kConfigs] = {
-      {"v1", "serial", false, false, false},
-      {"v1", "parallel", false, true, false},
-      {"v2", "serial", true, false, false},
-      {"v2", "parallel", true, true, false},
-      {"v2", "serial", true, false, true},
-      {"v2", "parallel", true, true, true},
+      {"serial", false, false},
+      {"parallel", true, false},
+      {"serial", false, true},
+      {"parallel", true, true},
   };
 
   std::vector<Entry> entries;
   struct Summary {
     std::string bench;
     std::size_t n;
-    double ms[kConfigs] = {};
-    // Fused-group counters from the fused/serial configuration's
+    Quartiles ms[kConfigs];
+    // Fused-group counters from the fused serial configuration's
     // profiled validation run.
     std::uint64_t groups = 0, instrs = 0, elided = 0, fallbacks = 0;
   };
@@ -415,32 +432,31 @@ int run_bench(const Options& opt) {
       make_corpus_quickstart, make_corpus_nested_query,
   };
 
-  Table t({"bench", "n", "v1 serial", "v2 serial", "v2f serial", "v2f par",
-           "fuse serial", "v2f/v1 serial"});
+  Table t({"bench", "n", "serial", "parallel", "fused serial",
+           "fused parallel"});
   for (std::size_t n : sizes) {
     for (auto make : makers) {
       Case c = make(n);
+      Program unfused = c.program;
+      unfused.fusion.clear();
+      const RunResult ref = nsc::bvram::run_reference(c.program, c.inputs);
+      const std::uint64_t ref_sum = checksum(ref);
       Summary s;
       s.bench = c.name;
       s.n = n;
-      Entry base;
       RunConfig run_cfgs[kConfigs];
+      const Program* progs[kConfigs];
       for (std::size_t ci = 0; ci < kConfigs; ++ci) {
+        progs[ci] = cfgs[ci].fused ? &c.program : &unfused;
         RunConfig cfg;
         cfg.parallel_backend = cfgs[ci].par;
-        cfg.fuse = cfgs[ci].fuse;
         // Untimed validation run: outputs + costs feed the checksum, and
-        // -- for the fused/serial configuration -- a profiled pass
+        // -- for the fused serial configuration -- a profiled pass
         // collects the engine's fused-group counters (profiling changes
         // no output or cost, only wall-clock bookkeeping).
-        const bool v2 = cfgs[ci].v2;
-        const bool want_counters =
-            cfgs[ci].fuse && !cfgs[ci].par;
-        cfg.profile = want_counters;
-        RunResult r = v2 ? nsc::bvram::run(c.program, c.inputs, cfg)
-                         : nsc::bvram::run_reference(c.program, c.inputs,
-                                                     cfg);
-        if (want_counters) {
+        cfg.profile = ci == kFusedSerial;
+        RunResult r = nsc::bvram::run(*progs[ci], c.inputs, cfg);
+        if (cfg.profile) {
           s.groups = r.engine.fused_groups;
           s.instrs = r.engine.fused_instrs;
           s.elided = r.engine.fused_elided;
@@ -451,111 +467,113 @@ int run_bench(const Options& opt) {
         Entry e;
         e.bench = c.name;
         e.n = n;
-        e.engine = cfgs[ci].engine;
         e.backend = cfgs[ci].backend;
-        e.fuse = cfgs[ci].fuse;
+        e.fusion = cfgs[ci].fused;
         e.time = r.cost.time;
         e.work = r.cost.work;
         e.checksum = checksum(r);
-        if (ci == 0) base = e;
-        if (e.checksum != base.checksum || e.time != base.time ||
-            e.work != base.work) {
+        if (e.checksum != ref_sum || e.time != ref.cost.time ||
+            e.work != ref.cost.work) {
           std::fprintf(stderr,
-                       "MISMATCH: %s n=%zu %s/%s%s disagrees with v1/serial "
+                       "MISMATCH: %s n=%zu %s%s disagrees with run_reference "
                        "(checksum %016llx vs %016llx, T %llu vs %llu, W "
                        "%llu vs %llu)\n",
-                       c.name.c_str(), n, e.engine, e.backend,
-                       e.fuse ? "/fused" : "",
+                       c.name.c_str(), n, e.backend,
+                       e.fusion ? "/fused" : "",
                        static_cast<unsigned long long>(e.checksum),
-                       static_cast<unsigned long long>(base.checksum),
+                       static_cast<unsigned long long>(ref_sum),
                        static_cast<unsigned long long>(e.time),
-                       static_cast<unsigned long long>(base.time),
+                       static_cast<unsigned long long>(ref.cost.time),
                        static_cast<unsigned long long>(e.work),
-                       static_cast<unsigned long long>(base.work));
+                       static_cast<unsigned long long>(ref.cost.work));
           mismatch = true;
         }
         entries.push_back(std::move(e));
       }
       // Timing rounds are interleaved across configurations (rep-major,
-      // best-of-reps) so slow clock drift or a noisy co-tenant biases
-      // every configuration equally instead of whichever ran last.
-      for (std::size_t ci = 0; ci < kConfigs; ++ci) s.ms[ci] = 1e300;
+      // with the starting configuration rotating each rep) so slow clock
+      // drift or a noisy co-tenant biases every configuration equally
+      // instead of whichever ran last.
+      std::vector<double> ms[kConfigs];
       for (int rep = 0; rep < opt.reps; ++rep) {
-        for (std::size_t ci = 0; ci < kConfigs; ++ci) {
-          s.ms[ci] = std::min(
-              s.ms[ci], wall_ms_once(c.program, c.inputs, run_cfgs[ci],
-                                     cfgs[ci].v2));
+        for (std::size_t k = 0; k < kConfigs; ++k) {
+          const std::size_t ci = (static_cast<std::size_t>(rep) + k) % kConfigs;
+          ms[ci].push_back(wall_ms_once(*progs[ci], c.inputs, run_cfgs[ci]));
         }
       }
       for (std::size_t ci = 0; ci < kConfigs; ++ci) {
+        s.ms[ci] = Quartiles::of(ms[ci]);
         entries[entries.size() - kConfigs + ci].ms = s.ms[ci];
       }
       summaries.push_back(s);
-      t.row({c.name, std::to_string(n), Table::fixed(s.ms[0], 2),
-             Table::fixed(s.ms[2], 2), Table::fixed(s.ms[4], 2),
-             Table::fixed(s.ms[5], 2), Table::fixed(s.ms[2] / s.ms[4], 2),
-             Table::fixed(s.ms[0] / s.ms[4], 2)});
+      t.row({c.name, std::to_string(n), cell(s.ms[kSerial]),
+             cell(s.ms[kPar]), cell(s.ms[kFusedSerial]),
+             cell(s.ms[kFusedPar])});
     }
   }
   t.print();
-  // Geometric-mean speedups over the compiled example corpus at the
-  // largest measured n (the acceptance-criterion aggregate).  "v2" here
-  // is the engine's default configuration, which now includes fusion.
+  // Geometric means of the median ratios over the compiled example corpus
+  // at the largest measured n, for the configuration compile_nsc emits
+  // (plan attached): the parallel backend over serial, and the plan over
+  // no plan (serial).
   const std::size_t n_max = sizes.back();
-  double log_serial = 0, log_par = 0;
+  double log_par = 0, log_fused = 0;
   std::size_t corpus_count = 0;
   for (const auto& s : summaries) {
     if (s.n != n_max || s.bench.rfind("compiled:", 0) != 0) continue;
-    log_serial += std::log(s.ms[0] / s.ms[4]);
-    log_par += std::log(s.ms[0] / s.ms[5]);
+    log_par += std::log(s.ms[kFusedSerial].median / s.ms[kFusedPar].median);
+    log_fused += std::log(s.ms[kSerial].median / s.ms[kFusedSerial].median);
     ++corpus_count;
   }
-  const double geo_serial =
-      corpus_count > 0 ? std::exp(log_serial / corpus_count) : 0;
-  const double geo_par = corpus_count > 0 ? std::exp(log_par / corpus_count) : 0;
+  const double geo_par =
+      corpus_count > 0 ? std::exp(log_par / corpus_count) : 0;
+  const double geo_fused =
+      corpus_count > 0 ? std::exp(log_fused / corpus_count) : 0;
   std::printf(
-      "\ncompiled corpus at n=%zu: geomean serial v2/v1 = %.2fx, "
-      "parallel v2/v1-serial = %.2fx\n",
-      n_max, geo_serial, geo_par);
-  std::printf("\nfusion at n=%zu (serial, unfused -> fused):\n", n_max);
+      "\ncompiled corpus at n=%zu (geomean of median ratios): parallel "
+      "over serial = %.2fx, fused over unfused (serial) = %.2fx\n",
+      n_max, geo_par, geo_fused);
+  std::printf("\nfusion at n=%zu (serial medians, unfused -> fused):\n",
+              n_max);
   for (const auto& s : summaries) {
     if (s.n != n_max || s.groups == 0) continue;
     std::printf(
         "  %-24s %7.2f -> %7.2f ms  (%.2fx; %llu groups / %llu instrs, "
         "%llu buffers elided, %llu fallbacks)\n",
-        s.bench.c_str(), s.ms[2], s.ms[4], s.ms[2] / s.ms[4],
+        s.bench.c_str(), s.ms[kSerial].median, s.ms[kFusedSerial].median,
+        s.ms[kSerial].median / s.ms[kFusedSerial].median,
         static_cast<unsigned long long>(s.groups),
         static_cast<unsigned long long>(s.instrs),
         static_cast<unsigned long long>(s.elided),
         static_cast<unsigned long long>(s.fallbacks));
   }
   std::printf(
-      "\nreading: 'fuse serial' is the fusion win over the already-pooled\n"
-      "v2 engine; 'v2f/v1 serial' is the cumulative win over the\n"
-      "reference interpreter (%zu workers for the parallel rows).\n"
-      "All six configurations produced bit-identical outputs, T, and W.\n",
-      nsc::parallel_workers());
+      "\nreading: each cell is the median [p25-p75] ms over %d interleaved\n"
+      "reps (%zu workers for the parallel columns).  All four configurations\n"
+      "matched run_reference's outputs, T, and W.\n",
+      opt.reps, nsc::parallel_workers());
 
   // ---- JSON ----
-  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v3");
+  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v4");
   if (!report.ok()) return 1;
   std::FILE* f = report.out();
   std::fprintf(f, "  \"workers\": %zu,\n  \"reps\": %d,\n",
                nsc::parallel_workers(), opt.reps);
   std::fprintf(f,
                "  \"corpus_n\": %zu,\n"
-               "  \"corpus_geomean_serial_speedup\": %.2f,\n"
-               "  \"corpus_geomean_parallel_speedup\": %.2f,\n",
-               n_max, geo_serial, geo_par);
+               "  \"corpus_geomean_parallel_speedup\": %.2f,\n"
+               "  \"corpus_geomean_fused_speedup\": %.2f,\n",
+               n_max, geo_par, geo_fused);
   std::fprintf(f, "  \"entries\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
-                 "    {\"bench\": \"%s\", \"n\": %zu, \"engine\": \"%s\", "
-                 "\"backend\": \"%s\", \"fuse\": %s, \"ms\": %.3f, "
-                 "\"T\": %llu, \"W\": %llu, \"checksum\": \"%016llx\"}%s\n",
-                 e.bench.c_str(), e.n, e.engine, e.backend,
-                 e.fuse ? "true" : "false", e.ms,
+                 "    {\"bench\": \"%s\", \"n\": %zu, \"backend\": \"%s\", "
+                 "\"fusion\": %s, \"ms_median\": %.3f, \"ms_p25\": %.3f, "
+                 "\"ms_p75\": %.3f, \"T\": %llu, \"W\": %llu, "
+                 "\"checksum\": \"%016llx\"}%s\n",
+                 e.bench.c_str(), e.n, e.backend,
+                 e.fusion ? "true" : "false", e.ms.median, e.ms.p25, e.ms.p75,
                  static_cast<unsigned long long>(e.time),
                  static_cast<unsigned long long>(e.work),
                  static_cast<unsigned long long>(e.checksum),
@@ -566,16 +584,17 @@ int run_bench(const Options& opt) {
     const auto& s = summaries[i];
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, "
-                 "\"v1_serial_ms\": %.3f, \"v2_serial_ms\": %.3f, "
-                 "\"v2_fused_serial_ms\": %.3f, "
-                 "\"v1_parallel_ms\": %.3f, \"v2_parallel_ms\": %.3f, "
-                 "\"v2_fused_parallel_ms\": %.3f, "
-                 "\"v2_serial_speedup\": %.2f, "
+                 "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
+                 "\"fused_serial_ms\": %.3f, \"fused_parallel_ms\": %.3f, "
+                 "\"parallel_speedup\": %.2f, "
                  "\"fused_serial_speedup\": %.2f, "
                  "\"fused_groups\": %llu, \"fused_instrs\": %llu, "
                  "\"fused_elided\": %llu, \"fused_fallbacks\": %llu}%s\n",
-                 s.bench.c_str(), s.n, s.ms[0], s.ms[2], s.ms[4], s.ms[1],
-                 s.ms[3], s.ms[5], s.ms[0] / s.ms[2], s.ms[2] / s.ms[4],
+                 s.bench.c_str(), s.n, s.ms[kSerial].median,
+                 s.ms[kPar].median, s.ms[kFusedSerial].median,
+                 s.ms[kFusedPar].median,
+                 s.ms[kFusedSerial].median / s.ms[kFusedPar].median,
+                 s.ms[kSerial].median / s.ms[kFusedSerial].median,
                  static_cast<unsigned long long>(s.groups),
                  static_cast<unsigned long long>(s.instrs),
                  static_cast<unsigned long long>(s.elided),
@@ -611,9 +630,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "bench_machine: BVRAM execution engine v1 (reference) vs v2, with\n"
-      "and without fused elementwise groups; wall-clock best of %d,\n"
-      "outputs/T/W cross-checked across all six configurations.\n\n",
+      "bench_machine: the BVRAM execution engine, serial and parallel, with\n"
+      "and without fused elementwise groups; wall-clock median and\n"
+      "quartiles of %d reps, outputs/T/W checked against run_reference.\n\n",
       opt.reps);
   return run_bench(opt);
 }

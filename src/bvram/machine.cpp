@@ -314,7 +314,7 @@ class Engine {
     if (!p_.code.empty() && p_.last_use.size() == p_.code.size()) {
       last_use_ = p_.last_use.data();
     }
-    if (cfg.fuse && !p_.fusion.empty() && fusion_plan_valid(p_)) {
+    if (!p_.fusion.empty() && fusion_plan_valid(p_)) {
       group_at_.assign(p_.code.size(), -1);
       for (std::size_t i = 0; i < p_.fusion.size(); ++i) {
         group_at_[p_.fusion[i].begin] = static_cast<std::int32_t>(i);
@@ -446,7 +446,7 @@ class Engine {
   void recycle(Buf&& b) { pool_->recycle(std::move(b)); }
 
   /// Install `out` as dst's new contents, recycling the displaced buffer.
-  /// Validates dst *after* the kernel ran, mirroring the v1 interpreter's
+  /// Validates dst *after* the kernel ran, mirroring run_reference's
   /// error precedence (a trapping kernel beats a bad dst register).
   void set_reg(std::uint32_t dst, Buf&& out, const Instr& instr) {
     Buf& d = reg_of(dst, instr);
@@ -478,7 +478,7 @@ class Engine {
   std::vector<Buf> regs_;
   const std::uint8_t* last_use_ = nullptr;
   /// group_at_[pc] = index into p_.fusion of the group starting at pc,
-  /// -1 otherwise; empty when fusion is off or the plan didn't validate.
+  /// -1 otherwise; empty when there is no plan or it didn't validate.
   std::vector<std::int32_t> group_at_;
   // Allocator/kernel event counters, maintained unconditionally (a handful
   // of O(1) increments per instruction, lost in the noise of the kernels
@@ -1351,12 +1351,11 @@ RunResult run(const Program& program, const std::vector<Vec>& inputs,
 }
 
 // ---------------------------------------------------------------------------
-// The v1 reference interpreter
+// The reference interpreter
 // ---------------------------------------------------------------------------
-// Kept verbatim (fresh output vector per instruction, deep-copying Move,
-// serial kernels for everything but Arith/Enumerate) as the differential
-// baseline: tests assert run() produces bit-identical outputs, traps, T,
-// W, and traces; bench_machine measures the v1 -> v2 speedup.
+// Section 2 read literally: one serial loop, a fresh output vector per
+// instruction, a deep-copying Move.  Tests assert run() produces
+// bit-identical outputs, traps, T, W, and traces.
 
 RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
                         const RunConfig& cfg) {
@@ -1372,15 +1371,6 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
   RunResult result;
   std::size_t pc = 0;
   std::uint64_t executed = 0;
-  const bool prof = cfg.profile;
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point run_start;
-  ParallelCounters par_before;
-  if (prof) {
-    result.profile.assign(program.code.size(), InstrProfile{});
-    par_before = parallel_counters();
-    run_start = Clock::now();
-  }
 
   while (pc < program.code.size()) {
     const Instr& instr = program.code[pc];
@@ -1396,12 +1386,6 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
       if (v.size() > max_len) max_len = v.size();
     };
     std::size_t next = pc + 1;
-    std::uint64_t chunks_before = 0;
-    Clock::time_point instr_start;
-    if (prof) {
-      chunks_before = parallel_chunk_count();
-      instr_start = Clock::now();
-    }
 
     switch (instr.op) {
       case Op::Move: {
@@ -1416,16 +1400,8 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
         const Vec& b = reg_of(instr.b, instr);
         if (a.size() != b.size()) fail(instr, "length mismatch");
         Vec out(a.size());
-        const auto op = instr.aop;
-        auto body = [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            out[i] = lang::arith_apply(op, a[i], b[i]);
-          }
-        };
-        if (cfg.parallel_backend) {
-          parallel_for(a.size(), body);
-        } else {
-          body(0, a.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+          out[i] = lang::arith_apply(instr.aop, a[i], b[i]);
         }
         charge(a);
         charge(b);
@@ -1467,14 +1443,7 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
       case Op::Enumerate: {
         const Vec& a = reg_of(instr.a, instr);
         Vec out(a.size());
-        auto body = [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) out[i] = i;
-        };
-        if (cfg.parallel_backend) {
-          parallel_for(a.size(), body);
-        } else {
-          body(0, a.size());
-        }
+        for (std::size_t i = 0; i < a.size(); ++i) out[i] = i;
         charge(a);
         charge(out);
         reg_of(instr.dst, instr) = std::move(out);
@@ -1581,17 +1550,6 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
 
     result.cost.time = sat_add(result.cost.time, 1);
     result.cost.work = sat_add(result.cost.work, work);
-    if (prof) {
-      InstrProfile& ip = result.profile[pc];
-      ip.count += 1;
-      ip.wall_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               instr_start)
-              .count());
-      ip.work = sat_add(ip.work, work);
-      ip.bytes = sat_add(ip.bytes, sat_mul(work, 8));
-      ip.chunks += parallel_chunk_count() - chunks_before;
-    }
     if (cfg.record_trace) {
       result.trace.push_back(
           {instr.op, work, max_len, static_cast<std::uint64_t>(pc)});
@@ -1600,18 +1558,6 @@ RunResult run_reference(const Program& program, const std::vector<Vec>& inputs,
   }
 
   result.outputs.assign(regs.begin(), regs.begin() + program.num_outputs);
-  if (prof) {
-    // The reference interpreter has no buffer pool or in-place paths, so
-    // only the wall clock and the parallel-dispatch deltas are meaningful.
-    result.engine.wall_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             run_start)
-            .count());
-    const ParallelCounters after = parallel_counters();
-    result.engine.par_kernels = after.calls - par_before.calls;
-    result.engine.par_chunks = after.chunks - par_before.chunks;
-    result.engine.par_serial = after.serial_calls - par_before.serial_calls;
-  }
   return result;
 }
 

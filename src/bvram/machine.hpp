@@ -256,9 +256,10 @@ struct Program {
 
   /// Optional fusion plan, produced by opt::annotate_fusion (attached by
   /// sa::compile_nsa / compile_nsc right after the last-use masks).  Pure
-  /// annotation consumed by run() when RunConfig::fuse allows; empty means
-  /// "no fusion", which is always safe.  Invalidated by any mutation of
-  /// `code`, exactly like last_use.
+  /// annotation consumed by run(); empty means "no fusion", which is
+  /// always safe, so clearing it is how a caller runs a program strictly
+  /// per-instruction.  Invalidated by any mutation of `code`, exactly
+  /// like last_use.
   std::vector<FusedGroup> fusion;
 
   /// Interned debug sites referenced by Instr::dbg.  sa::compile_nsa /
@@ -288,9 +289,10 @@ struct TraceEntry {
 };
 
 /// Accumulated profile for one instruction *slot* (indexed by position in
-/// Program::code), collected only under RunConfig::profile.  `wall_ns` is
-/// host time and varies run to run; everything else is deterministic and
-/// bit-identical across engines and backends (the test_profile gate).
+/// Program::code), collected by run() only under RunConfig::profile.
+/// `wall_ns` and `chunks` vary run to run; count, work, and bytes are
+/// deterministic: they equal the totals of the slot's TraceEntry records,
+/// on every backend and annotation (the test_profile gate).
 struct InstrProfile {
   std::uint64_t count = 0;    ///< times this slot executed
   std::uint64_t wall_ns = 0;  ///< accumulated wall-clock nanoseconds
@@ -299,10 +301,9 @@ struct InstrProfile {
   std::uint64_t chunks = 0;   ///< parallel chunks dispatched by its kernels
 };
 
-/// Engine-level counters, collected only under RunConfig::profile.  The
-/// pool/in-place counters are v2-only (run_reference allocates per
-/// instruction by design, so it reports zeros); the par_* counters are
-/// deltas of the process-wide support/parallel statistics.
+/// Engine-level counters, collected by run() only under RunConfig::profile.
+/// The par_* counters are deltas of the process-wide support/parallel
+/// statistics.
 struct EngineProfile {
   std::uint64_t wall_ns = 0;        ///< whole-run wall clock
   std::uint64_t pool_hits = 0;      ///< acquire() served from a pooled buffer
@@ -312,8 +313,8 @@ struct EngineProfile {
   std::uint64_t par_kernels = 0;    ///< kernel invocations split into chunks
   std::uint64_t par_chunks = 0;     ///< total chunks dispatched to the pool
   std::uint64_t par_serial = 0;     ///< kernel invocations run single-chunk
-  // Fused-group counters (v2-only, dynamic: counted per group *execution*,
-  // so a group inside a loop counts once per trip).
+  // Fused-group counters (dynamic: counted per group *execution*, so a
+  // group inside a loop counts once per trip).
   std::uint64_t fused_groups = 0;     ///< groups executed via the fused path
   std::uint64_t fused_instrs = 0;     ///< instructions covered by those groups
   std::uint64_t fused_elided = 0;     ///< intermediate buffers never built
@@ -326,9 +327,10 @@ struct RunResult {
   std::vector<std::vector<std::uint64_t>> outputs;
   Cost cost;
   std::vector<TraceEntry> trace;  // only if RunConfig::record_trace
-  /// Per-slot samples (size == code.size()), only if RunConfig::profile.
+  /// Per-slot samples (size == code.size()), only from run() under
+  /// RunConfig::profile.
   std::vector<InstrProfile> profile;
-  EngineProfile engine;  // only meaningful if RunConfig::profile
+  EngineProfile engine;  // only meaningful if run() with RunConfig::profile
 };
 
 struct RunConfig {
@@ -351,16 +353,6 @@ struct RunConfig {
   /// and traces are bit-identical either way (profiling never touches
   /// the machine state -- the differential test in test_profile.cpp).
   bool profile = false;
-  /// Execute Program::fusion groups as single-pass super-instructions
-  /// (when a plan is attached; programs without one run unchanged).  Like
-  /// the pool and the in-place kernels this is invisible to the paper's
-  /// semantics: outputs, traps, T, W, and traces are bit-identical to the
-  /// unfused engine and to run_reference -- the fused executor synthesizes
-  /// the per-instruction charges from the group extent and falls back to
-  /// per-instruction execution whenever it could not reproduce them
-  /// exactly (see FusedGroup).  Off switches the engine back to strictly
-  /// per-instruction execution, the differential baseline.
-  bool fuse = true;
   /// Optional cross-run register-file arena (non-owning).  When set, the
   /// engine draws every buffer -- input registers included -- from this
   /// pool instead of a private per-run one, and parks the whole register
@@ -402,8 +394,7 @@ struct RunConfig {
 //
 // The machine therefore runs at hardware speed (no per-instruction
 // allocation, no deep copies) while reporting costs bit-identical to
-// run_reference(), the original allocate-per-instruction interpreter kept
-// below for differential testing and benchmarking.
+// run_reference(), the section-2 specification kept below as the oracle.
 
 /// Execute a program.  Throws MachineError on ill-formed programs
 /// (register/length/jump violations) and FuelExhausted past the budget.
@@ -411,11 +402,12 @@ RunResult run(const Program& program,
               const std::vector<std::vector<std::uint64_t>>& inputs,
               const RunConfig& cfg = {});
 
-/// The v1 interpreter: a fresh heap-allocated output vector per
-/// instruction, deep-copying Move, serial route/scan/select kernels.
-/// Semantically identical to run() (outputs, traps, T, W, trace); kept as
-/// the differential-testing baseline and the "v1" column of
-/// bench/bench_machine.cpp.
+/// The reference interpreter: section 2's instructions and charges,
+/// executed serially with a fresh output vector per instruction.  It reads
+/// only RunConfig::max_instructions and record_trace, and ignores
+/// Program::last_use and Program::fusion.  Semantically identical to run()
+/// (outputs, traps, T, W, trace); kept as the oracle that tests and
+/// bench/bench_machine.cpp check run() against.
 RunResult run_reference(const Program& program,
                         const std::vector<std::vector<std::uint64_t>>& inputs,
                         const RunConfig& cfg = {});

@@ -1,6 +1,7 @@
 #include "obs/benchjson.hpp"
 
 #include "obs/provenance.hpp"
+#include "support/json.hpp"
 
 namespace nsc::obs {
 
@@ -11,7 +12,8 @@ BenchReport::BenchReport(const std::string& path, const std::string& schema)
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f_, "{\n  \"schema\": \"%s\",\n", escape(schema).c_str());
+  std::fprintf(f_, "{\n  \"schema\": \"%s\",\n",
+               json::escape(schema).c_str());
   std::fprintf(f_, "  \"provenance\": %s,\n",
                Provenance::collect().to_json().c_str());
 }
@@ -24,22 +26,6 @@ void BenchReport::close() {
   std::fclose(f_);
   f_ = nullptr;
   std::printf("wrote %s\n", path_.c_str());
-}
-
-std::string BenchReport::escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace nsc::obs

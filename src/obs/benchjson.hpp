@@ -46,11 +46,6 @@ class BenchReport {
   /// Idempotent; the destructor calls it.
   void close();
 
-  /// Escape a string for embedding inside a JSON string literal
-  /// (backslash, quote; newlines become \n; other control bytes are
-  /// dropped).
-  static std::string escape(const std::string& s);
-
  private:
   std::FILE* f_ = nullptr;
   std::string path_;

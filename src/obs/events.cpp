@@ -1,8 +1,9 @@
 #include "obs/events.hpp"
 
 #include <chrono>
-#include <cstdio>
 #include <ostream>
+
+#include "support/json.hpp"
 
 namespace nsc::obs {
 
@@ -81,28 +82,6 @@ EventLogStats EventLog::stats() const {
   return s;
 }
 
-std::string EventLog::json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void EventLog::write_header(std::ostream& out) const {
   std::uint64_t dropped;
   {
@@ -115,15 +94,15 @@ void EventLog::write_header(std::ostream& out) const {
 }
 
 void EventLog::write_event(std::ostream& out, const Event& e) {
-  out << "{\"event\":\"" << json_escape(e.name) << "\",\"sev\":\""
+  out << "{\"event\":\"" << json::escape(e.name) << "\",\"sev\":\""
       << severity_name(e.sev) << "\",\"mono_ns\":" << e.mono_ns
       << ",\"wall_us\":" << e.wall_us;
   for (const Event::Field& f : e.fields) {
-    out << ",\"" << json_escape(f.key) << "\":";
+    out << ",\"" << json::escape(f.key) << "\":";
     if (f.raw) {
       out << f.value;
     } else {
-      out << "\"" << json_escape(f.value) << "\"";
+      out << "\"" << json::escape(f.value) << "\"";
     }
   }
   out << "}\n";

@@ -97,10 +97,6 @@ class EventLog {
   /// One event as a single JSONL line, newline-terminated.
   static void write_event(std::ostream& out, const Event& e);
 
-  /// JSON string escaping shared by the event and span writers
-  /// (backslash, quote, \n, \t, control bytes as \u00xx).
-  static std::string json_escape(const std::string& s);
-
  private:
   const std::size_t capacity_;
   const std::uint64_t mono_origin_ns_;  ///< steady_clock at construction

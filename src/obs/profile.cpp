@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <iomanip>
 #include <map>
 #include <ostream>
@@ -11,6 +10,7 @@
 
 #include "obs/provenance.hpp"
 #include "support/checked.hpp"
+#include "support/json.hpp"
 
 namespace nsc::obs {
 
@@ -66,36 +66,6 @@ std::string render_rows(const char* key_header,
         << "\n";
   }
   return out.str();
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// Label for an instruction on the timeline: "arith (map@12:7)" when
@@ -220,7 +190,7 @@ void write_chrome_trace(std::ostream& out, const bvram::Program& p,
                         double dur_us, const std::string& args) {
     if (!first) out << ",";
     first = false;
-    out << "{\"name\":\"" << json_escape(name)
+    out << "{\"name\":\"" << json::escape(name)
         << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"ts\":"
         << std::fixed << std::setprecision(3) << ts_us << ",\"dur\":"
         << dur_us << ",\"args\":{" << args << "}}";
@@ -330,7 +300,7 @@ void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
   const auto thread_name = [&](std::size_t tid, const std::string& name) {
     comma();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << json_escape(name) << "\"}}";
+        << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
   };
   thread_name(0, "queue");
   for (std::size_t w = 1; w <= workers; ++w) {
@@ -370,7 +340,7 @@ void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
     }
     if (!s.note.empty()) {
       if (!args.empty()) args += ",";
-      args += "\"note\":\"" + json_escape(s.note) + "\"";
+      args += "\"note\":\"" + json::escape(s.note) + "\"";
     }
     return args;
   };
@@ -408,7 +378,7 @@ void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
       continue;
     }
     comma();
-    out << "{\"name\":\"" << json_escape(s.phase)
+    out << "{\"name\":\"" << json::escape(s.phase)
         << "\",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.worker
         << ",\"ts\":" << t0_us << ",\"dur\":" << dur_us << ",\"args\":{"
         << span_args(s) << "}}";

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 
 namespace nsc::obs {
@@ -50,20 +51,6 @@ std::string git_head_sha() {
 #endif
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) >= 0x20) {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 Provenance Provenance::collect() {
@@ -89,9 +76,9 @@ Provenance Provenance::collect() {
 std::string Provenance::to_json() const {
   std::ostringstream out;
   out << "{\"host_cores\":" << host_cores << ",\"workers\":" << workers
-      << ",\"workers_env\":\"" << json_escape(workers_env)
-      << "\",\"compiler\":\"" << json_escape(compiler) << "\",\"git_sha\":\""
-      << json_escape(git_sha) << "\"}";
+      << ",\"workers_env\":\"" << json::escape(workers_env)
+      << "\",\"compiler\":\"" << json::escape(compiler) << "\",\"git_sha\":\""
+      << json::escape(git_sha) << "\"}";
   return out.str();
 }
 

@@ -35,7 +35,6 @@ std::size_t CacheKeyHash::operator()(const CacheKey& k) const {
   mix(static_cast<std::uint64_t>(k.sched));
   mix(k.eps_num);
   mix(k.eps_den);
-  mix(k.fuse ? 1u : 0u);
   return static_cast<std::size_t>(h);
 }
 

@@ -4,8 +4,8 @@
 // every invocation; for the small requests a service handles, that
 // compile dwarfs the execution the engine work made fast.  The cache
 // turns compiled bvram::Programs into immutable, shareable artifacts:
-// keyed on (source hash, OptLevel, WhileSchedule, fuse) -- everything
-// that affects the emitted code -- and handed out as
+// keyed on (source hash, OptLevel, WhileSchedule) -- everything that
+// affects the emitted code -- and handed out as
 // shared_ptr<const CompiledProgram>, so a hit costs one hash lookup and
 // the artifact stays alive for exactly as long as some request still
 // executes against it, even across an LRU eviction.
@@ -44,18 +44,17 @@
 namespace nsc::serve {
 
 /// Everything that determines the compiled artifact.  Two sources that
-/// hash equal share an entry; OptLevel / schedule / fusion variants of
-/// one source are distinct entries (a serve process can hold several).
+/// hash equal share an entry; OptLevel / schedule variants of one source
+/// are distinct entries (a serve process can hold several).
 struct CacheKey {
   std::uint64_t source_hash = 0;  ///< hash_source() of text + entry name
   opt::OptLevel opt = opt::OptLevel::O2;
   opt::WhileScheduleKind sched = opt::WhileScheduleKind::Naive;
   std::uint64_t eps_num = 1, eps_den = 2;  ///< staged threshold exponent
-  bool fuse = true;                        ///< RunConfig::fuse the service uses
 
   bool operator==(const CacheKey& o) const {
     return source_hash == o.source_hash && opt == o.opt && sched == o.sched &&
-           eps_num == o.eps_num && eps_den == o.eps_den && fuse == o.fuse;
+           eps_num == o.eps_num && eps_den == o.eps_den;
   }
 };
 

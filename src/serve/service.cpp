@@ -179,7 +179,6 @@ std::shared_ptr<const CompiledProgram> Service::load(
   key.sched = sched.kind;
   key.eps_num = sched.eps.num;
   key.eps_den = sched.eps.den;
-  key.fuse = cfg_.fuse;
 
   const std::uint64_t evictions_before =
       cfg_.events != nullptr ? cache_.stats().evictions : 0;
@@ -396,7 +395,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
     bvram::RunConfig rc;
     rc.max_instructions = sat_mul_u64(cfg_.fuel, k);
     rc.parallel_backend = cfg_.parallel_backend;
-    rc.fuse = cfg_.fuse;
     rc.arena = arena;
     rc.profile = cfg_.profile_runs;
 
@@ -472,7 +470,6 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
   bvram::RunConfig rc;
   rc.max_instructions = cfg_.fuel;
   rc.parallel_backend = cfg_.parallel_backend;
-  rc.fuse = cfg_.fuse;
   rc.arena = arena;
   rc.profile = cfg_.profile_runs;
 
@@ -654,7 +651,6 @@ std::string Service::stats_json() const {
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
      << ", \"batching\": " << (cfg_.batching ? "true" : "false")
      << ", \"parallel_backend\": " << (cfg_.parallel_backend ? "true" : "false")
-     << ", \"fuse\": " << (cfg_.fuse ? "true" : "false")
      << ", \"profile_runs\": " << (cfg_.profile_runs ? "true" : "false")
      << "},\n";
   os << "  \"requests\": {\"submitted\": " << s.submitted

@@ -8,7 +8,7 @@
 // testable:
 //
 //   1. ProgramCache (serve/cache.hpp): compile once per (source, opt,
-//      schedule, fuse) key, share the immutable artifact across every
+//      schedule) key, share the immutable artifact across every
 //      thread.  bvram::run takes the Program by const reference and
 //      keeps all run state in a private Engine, so N workers executing
 //      one Program concurrently need no synchronization.
@@ -78,8 +78,6 @@ struct ServeConfig {
   bool batching = true;
   /// RunConfig::parallel_backend for every run the service issues.
   bool parallel_backend = false;
-  /// RunConfig::fuse for every run; also part of the cache key.
-  bool fuse = true;
   /// ProgramCache capacity, in compiled artifacts.
   std::size_t cache_capacity = 64;
 
@@ -179,8 +177,8 @@ class Service {
   ProgramCache& cache() { return cache_; }
 
   /// Frontend + cache in one step: parse/resolve `source_text`, pick
-  /// entry `entry` (empty = main), and compile through the cache under
-  /// this service's fuse flag.  Throws FrontError / CompileError.
+  /// entry `entry` (empty = main), and compile through the cache.
+  /// Throws FrontError / CompileError.
   std::shared_ptr<const CompiledProgram> load(
       const std::string& name, const std::string& source_text,
       const std::string& entry = "",

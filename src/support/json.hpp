@@ -1,6 +1,7 @@
 // A minimal JSON reader for the CLI's own artifacts (bench reports,
 // committed baselines): strict recursive descent over the full grammar,
-// no dependencies, no streaming.
+// no dependencies, no streaming.  Plus the one string escaper every JSON
+// writer in the repository uses, so what they write this reads back.
 //
 // Numbers keep their raw token text.  The bench comparator's quantities
 // are exact uint64 T/W counts, and routing them through a double would
@@ -49,5 +50,11 @@ class Value {
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 Value parse(const std::string& text);
+
+/// The body of a JSON string literal for `s` (no surrounding quotes):
+/// quote and backslash escaped, \n and \t by name, every other byte below
+/// 0x20 as \u00xx, all other bytes unchanged.  parse() of '"' + escape(s)
+/// + '"' yields s.
+std::string escape(const std::string& s);
 
 }  // namespace nsc::json

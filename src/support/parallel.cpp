@@ -222,21 +222,6 @@ void for_each_chunk(
             [&](std::size_t c) { fn(c, plan.begin(c), plan.end(c)); });
 }
 
-std::uint64_t parallel_reduce(
-    const ChunkPlan& plan,
-    const std::function<std::uint64_t(std::size_t, std::size_t)>& partial) {
-  if (plan.chunks == 0) return 0;
-  count_dispatch(plan.chunks);
-  if (plan.chunks == 1) return partial(0, plan.n);
-  std::vector<std::uint64_t> sums(plan.chunks, 0);
-  run_tasks(plan.chunks, [&](std::size_t c) {
-    sums[c] = partial(plan.begin(c), plan.end(c));
-  });
-  std::uint64_t total = 0;
-  for (std::uint64_t s : sums) total = sat_add(total, s);
-  return total;
-}
-
 std::uint64_t parallel_scan(
     const ChunkPlan& plan,
     const std::function<std::uint64_t(std::size_t, std::size_t)>& partial,

@@ -10,15 +10,10 @@
 //                    first pass of every two-pass block-scan kernel
 //                    (scan-plus, select, bm-route/sbm-route scatter)
 //   for_each_chunk   the second pass: emit each chunk given its offset
-//   parallel_reduce  saturating sum of per-chunk partial sums: the
-//                    scan's degenerate sibling, for kernels that need a
-//                    total without offsets (the engine's fused kernels
-//                    currently fold their sums into for_each_chunk
-//                    passes, so this one exists for kernel authors)
 //
 // Because saturating uint64 addition is associative (any partial sum that
 // would overflow pins the whole sum at 2^64-1 regardless of association),
-// reduce/scan results are bit-identical for every chunk decomposition --
+// scan results are bit-identical for every chunk decomposition --
 // one chunk (the serial backend), or one per worker.  The kernels in
 // bvram/machine.cpp rely on this to make the serial and parallel backends
 // produce identical outputs, costs, and traps.
@@ -53,7 +48,7 @@ std::size_t effective_workers(const char* env_value,
 /// call*, never per element -- cheap enough to keep always-on).  The
 /// execution engine's profiler reports per-run deltas of these.
 struct ParallelCounters {
-  std::uint64_t calls = 0;         ///< parallel_for/scan/reduce/chunk calls
+  std::uint64_t calls = 0;         ///< parallel_for/scan/chunk calls
   std::uint64_t serial_calls = 0;  ///< of which collapsed to one chunk
   std::uint64_t chunks = 0;        ///< chunks dispatched to the pool
   std::vector<std::uint64_t> per_worker_tasks;  ///< tasks run by worker i
@@ -101,13 +96,6 @@ struct ChunkPlan {
 void for_each_chunk(
     const ChunkPlan& plan,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
-
-/// Saturating sum over chunks: `partial(begin, end)` returns one chunk's
-/// partial sum; the per-chunk sums are combined with sat_add in chunk
-/// order.  Deterministic and chunking-independent (associativity).
-std::uint64_t parallel_reduce(
-    const ChunkPlan& plan,
-    const std::function<std::uint64_t(std::size_t, std::size_t)>& partial);
 
 /// Exclusive prefix over the per-chunk partial sums: offsets[c] is the
 /// saturating sum of all chunks before c; returns the grand total.  This

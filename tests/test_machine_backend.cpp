@@ -1,23 +1,23 @@
 // Differential harness for the BVRAM execution engine: every program is
-// executed under four configurations --
+// executed by run_reference (the section-2 interpreter, the oracle) and by
+// run() in six configurations --
 //
-//     run_reference  serial      (the v1 interpreter, the baseline)
-//     run_reference  parallel
-//     run            serial      (the v2 pooled/in-place engine)
-//     run            parallel    (all 11 vector opcodes on the pool)
+//     v2            serial / parallel   (no annotations: the bare engine)
+//     v2+liveness   serial / parallel   (opt::annotate_last_use: Move as
+//                                        swap, in-place kernels)
+//     v2+fusion     serial / parallel   (plus opt::annotate_fusion: fused
+//                                        elementwise groups)
 //
-// plus the v2 pair again on a copy annotated with opt::annotate_last_use
-// (exercising Move-as-swap and the in-place kernels), plus three more on
-// a copy additionally annotated with opt::annotate_fusion -- fused
-// serial, fused parallel, and the fused plan with RunConfig::fuse off --
-// and all nine must agree bit-for-bit on outputs, trap type *and
-// message*, T, W, and the per-instruction trace.  Covers every opcode
-// including the trap cases (length mismatch, bad bound/segment
-// certificates, division by zero) and the compiled example corpus at
-// every OptLevel and WhileSchedule.  The Fusion suite at the bottom
-// adds group-specific adversaries: trap-at-element inside a group,
-// extent-mismatch fallback, aliased dst/src, budget expiry mid-group,
-// and the attribution floor with fusion enabled.
+// each built from a copy of the program with its annotations cleared, so
+// a compiled program runs the bare engine too.  All seven must agree
+// bit-for-bit on outputs, trap type *and message*, T, W, and the
+// per-instruction trace.  Covers every opcode including the trap cases
+// (length mismatch, bad bound/segment certificates, division by zero) and
+// the compiled example corpus at every OptLevel and WhileSchedule.  The
+// Fusion suite at the bottom adds group-specific adversaries:
+// trap-at-element inside a group, extent-mismatch fallback, aliased
+// dst/src, budget expiry mid-group, and the attribution floor with fusion
+// enabled.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,12 +54,10 @@ struct Outcome {
 
 template <typename Runner>
 Outcome outcome_of(Runner runner, const Program& p,
-                   const std::vector<Vec>& inputs, bool parallel,
-                   bool fuse = true) {
+                   const std::vector<Vec>& inputs, bool parallel) {
   RunConfig cfg;
   cfg.record_trace = true;
   cfg.parallel_backend = parallel;
-  cfg.fuse = fuse;
   Outcome o;
   try {
     o.result = runner(p, inputs, cfg);
@@ -93,30 +91,27 @@ void expect_same(const Outcome& base, const Outcome& got,
   }
 }
 
-/// The harness: v1 serial is ground truth; the other eight configurations
-/// must match it exactly.
+/// The harness: run_reference is ground truth; the six run()
+/// configurations must match it exactly.
 void expect_identical(const Program& p, const std::vector<Vec>& inputs) {
-  const Outcome base = outcome_of(run_reference, p, inputs, false);
-  expect_same(base, outcome_of(run_reference, p, inputs, true), "v1/par");
-  expect_same(base, outcome_of(run, p, inputs, false), "v2/serial");
-  expect_same(base, outcome_of(run, p, inputs, true), "v2/par");
-  Program annotated = p;
-  opt::annotate_last_use(annotated);
-  expect_same(base, outcome_of(run, annotated, inputs, false),
-              "v2+liveness/serial");
-  expect_same(base, outcome_of(run, annotated, inputs, true),
-              "v2+liveness/par");
-  // Fusion differential: the same liveness-annotated program with the
-  // fusion plan attached, executed fused (serial + parallel) and with
-  // the fused path switched off again -- cost-model invisibility means
-  // all three are indistinguishable from the reference.
-  Program fused = annotated;
+  Program bare = p;
+  bare.last_use.clear();
+  bare.fusion.clear();
+  Program live = bare;
+  opt::annotate_last_use(live);
+  Program fused = live;
   opt::annotate_fusion(fused);
-  expect_same(base, outcome_of(run, fused, inputs, false),
-              "v2+fusion/serial");
-  expect_same(base, outcome_of(run, fused, inputs, true), "v2+fusion/par");
-  expect_same(base, outcome_of(run, fused, inputs, false, false),
-              "v2+fusion-off/serial");
+  const Outcome base = outcome_of(run_reference, bare, inputs, false);
+  const struct {
+    const char* label;
+    const Program& program;
+  } configs[] = {{"v2", bare}, {"v2+liveness", live}, {"v2+fusion", fused}};
+  for (const auto& c : configs) {
+    expect_same(base, outcome_of(run, c.program, inputs, false),
+                std::string(c.label) + "/serial");
+    expect_same(base, outcome_of(run, c.program, inputs, true),
+                std::string(c.label) + "/par");
+  }
 }
 
 // Sizes straddle the parallel grain (4096) so both the serial fallback
@@ -421,7 +416,7 @@ TEST(Backend, ControlFlowLoop) {
 
 TEST(Backend, SelectInPlaceOverDeadSource) {
   // The serial engine packs in place when the source dies at the select
-  // (last_use annotation) or doubles as the destination; all six
+  // (last_use annotation) or doubles as the destination; all seven
   // configurations must still agree bit-for-bit on outputs, T, W.
   Assembler a;
   auto x = a.reg();  // V0: input and final output
@@ -442,7 +437,7 @@ TEST(Backend, SelectInPlaceOverDeadSource) {
 TEST(Backend, AppendInPlaceOverDeadSource) {
   // The engine extends the left source's buffer in place when it dies at
   // the append (or doubles as the destination) and its capacity suffices;
-  // all six configurations must agree bit-for-bit on outputs, T, W.  The
+  // all seven configurations must agree bit-for-bit on outputs, T, W.  The
   // select of a zero-free vector shrinks the register without shrinking
   // its capacity, which is exactly the headroom the in-place path needs.
   Assembler a;
@@ -511,7 +506,7 @@ TEST(Backend, PoolReuseAcrossGrowShrink) {
 TEST(Backend, RandomStraightLinePrograms) {
   // Randomized differential sweep: straight-line programs over the whole
   // ISA (routes usually trap on their certificates, which is exactly the
-  // point: first-trap identity across all six configurations).
+  // point: first-trap identity across all seven configurations).
   SplitMix64 rng(1234);
   for (int trial = 0; trial < 120; ++trial) {
     Assembler a;

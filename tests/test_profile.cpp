@@ -5,9 +5,10 @@
 //     trap type *and message*, T, W, and the per-instruction trace are
 //     bit-identical at every OptLevel x WhileSchedule on the corpus;
 //   * the deterministic profile fields (per-pc count / work / bytes)
-//     agree across all six engine configurations (run_reference / run,
-//     serial / parallel, v2 again after opt::annotate_last_use) -- only
-//     wall times, chunk counts, and engine counters may differ;
+//     equal the totals summed from run_reference's trace in all six
+//     engine configurations (bare, +liveness, +liveness+fusion, each
+//     serial and parallel) -- only wall times, chunk counts, and engine
+//     counters may differ;
 //   * every TraceEntry carries the executed instruction's index;
 //   * >= 95% of *executed* instructions on the O2-compiled corpus carry
 //     surface attribution (the CI profile-smoke gate, measured here via
@@ -26,10 +27,12 @@
 #include "nsc/typecheck.hpp"
 #include "obs/debuginfo.hpp"
 #include "obs/profile.hpp"
+#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
 #include "sa/compile.hpp"
 #include "sa/layout.hpp"
+#include "support/checked.hpp"
 #include "support/error.hpp"
 #include "corpus_files.hpp"
 #include "pin_workers.hpp"
@@ -96,16 +99,29 @@ void expect_same_semantics(const Outcome& base, const Outcome& got,
 }
 
 /// The deterministic profile fields: count, work, and bytes per pc are a
-/// function of the executed path, never of the engine, backend, or clock.
-void expect_same_profile(const Outcome& base, const Outcome& got,
-                         const std::string& label) {
-  ASSERT_EQ(base.result.profile.size(), got.result.profile.size()) << label;
-  for (std::size_t pc = 0; pc < base.result.profile.size(); ++pc) {
-    EXPECT_EQ(base.result.profile[pc].count, got.result.profile[pc].count)
+/// function of the executed path, never of the engine, backend, or clock,
+/// so they equal the totals of a trace of that path.
+std::vector<bvram::InstrProfile> totals_from_trace(
+    const std::vector<bvram::TraceEntry>& trace, std::size_t slots) {
+  std::vector<bvram::InstrProfile> out(slots);
+  for (const bvram::TraceEntry& te : trace) {
+    bvram::InstrProfile& ip = out.at(te.instr);
+    ip.count += 1;
+    ip.work = sat_add(ip.work, te.work);
+    ip.bytes = sat_add(ip.bytes, sat_mul(te.work, 8));
+  }
+  return out;
+}
+
+void expect_same_profile(const std::vector<bvram::InstrProfile>& expected,
+                         const Outcome& got, const std::string& label) {
+  ASSERT_EQ(expected.size(), got.result.profile.size()) << label;
+  for (std::size_t pc = 0; pc < expected.size(); ++pc) {
+    EXPECT_EQ(expected[pc].count, got.result.profile[pc].count)
         << label << " pc=" << pc;
-    EXPECT_EQ(base.result.profile[pc].work, got.result.profile[pc].work)
+    EXPECT_EQ(expected[pc].work, got.result.profile[pc].work)
         << label << " pc=" << pc;
-    EXPECT_EQ(base.result.profile[pc].bytes, got.result.profile[pc].bytes)
+    EXPECT_EQ(expected[pc].bytes, got.result.profile[pc].bytes)
         << label << " pc=" << pc;
   }
 }
@@ -167,37 +183,39 @@ TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// deterministic profile fields agree across all six configurations
+// deterministic profile fields match the reference trace in all six
+// engine configurations
 // ---------------------------------------------------------------------------
 
 TEST(Profile, DeterministicFieldsAcrossSixConfigs) {
   for (const auto& cp : compiled_corpus(opt::OptLevel::O2, {})) {
     SCOPED_TRACE(cp.path);
-    bvram::Program annotated = cp.program;
-    opt::annotate_last_use(annotated);
+    bvram::Program bare = cp.program;
+    bare.last_use.clear();
+    bare.fusion.clear();
+    bvram::Program live = bare;
+    opt::annotate_last_use(live);
+    bvram::Program fused = live;
+    opt::annotate_fusion(fused);
+    const struct {
+      const char* label;
+      const bvram::Program& program;
+    } configs[] = {{"v2", bare}, {"v2+liveness", live}, {"v2+fusion", fused}};
     for (std::size_t i = 0; i < cp.inputs.size(); ++i) {
       SCOPED_TRACE("input " + std::to_string(i));
-      const Outcome base =
-          outcome_of(bvram::run_reference, cp.program, cp.inputs[i], false,
-                     true);
-      const struct {
-        const char* label;
-        Outcome got;
-      } others[] = {
-          {"v1/par", outcome_of(bvram::run_reference, cp.program,
-                                cp.inputs[i], true, true)},
-          {"v2/serial",
-           outcome_of(bvram::run, cp.program, cp.inputs[i], false, true)},
-          {"v2/par",
-           outcome_of(bvram::run, cp.program, cp.inputs[i], true, true)},
-          {"v2+liveness/serial",
-           outcome_of(bvram::run, annotated, cp.inputs[i], false, true)},
-          {"v2+liveness/par",
-           outcome_of(bvram::run, annotated, cp.inputs[i], true, true)},
-      };
-      for (const auto& o : others) {
-        expect_same_semantics(base, o.got, o.label);
-        expect_same_profile(base, o.got, o.label);
+      const Outcome base = outcome_of(bvram::run_reference, bare,
+                                      cp.inputs[i], false, false);
+      const std::vector<bvram::InstrProfile> expected =
+          totals_from_trace(base.result.trace, bare.code.size());
+      for (const auto& c : configs) {
+        for (const bool par : {false, true}) {
+          const std::string label =
+              std::string(c.label) + (par ? "/par" : "/serial");
+          const Outcome got =
+              outcome_of(bvram::run, c.program, cp.inputs[i], par, true);
+          expect_same_semantics(base, got, label);
+          if (!got.trapped) expect_same_profile(expected, got, label);
+        }
       }
     }
   }

@@ -5,7 +5,8 @@
 //     and a warm arena makes steady-state execution allocation-free
 //     (EngineProfile::pool_misses == 0 on the second run);
 //   * one immutable compiled Program is safe to execute from many
-//     threads at once (fused/unfused x serial/parallel backends), each
+//     threads at once (with and without its fusion plan x serial/parallel
+//     backends), each
 //     run bit-identical to the sequential baseline -- this test is the
 //     target of the CI ThreadSanitizer job;
 //   * segment-descriptor batching returns per-request values
@@ -235,29 +236,30 @@ TEST(Serve, ConcurrentSharedProgram) {
       nat_seq({4, 25, 7, 1, 13, 9}), nat_seq({}), nat_seq({10, 10, 10}),
       nat_seq({0, 9, 100, 3})};
 
-  // Sequential baselines, one per (arg, fuse, backend) configuration.
+  // Sequential baselines, one per (arg, plan, backend) configuration.
+  bvram::Program unfused = prog->unit;
+  unfused.fusion.clear();
   struct Cfg {
-    bool fuse;
+    const bvram::Program* program;
     bool parallel;
   };
-  const Cfg cfgs[] = {{true, false}, {false, false}, {true, true},
-                      {false, true}};
+  const Cfg cfgs[] = {{&prog->unit, false}, {&unfused, false},
+                      {&prog->unit, true}, {&unfused, true}};
   std::vector<std::vector<ValueRef>> baseline(4);
   std::vector<std::vector<Cost>> baseline_cost(4);
   for (std::size_t c = 0; c < 4; ++c) {
     for (const ValueRef& arg : args) {
       bvram::RunConfig rc;
-      rc.fuse = cfgs[c].fuse;
       rc.parallel_backend = cfgs[c].parallel;
       const sa::CompiledRun r =
-          sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, rc);
+          sa::run_compiled(*cfgs[c].program, prog->dom, prog->cod, arg, rc);
       baseline[c].push_back(r.value);
       baseline_cost[c].push_back(r.cost);
     }
   }
 
-  // 8 threads hammer the SAME Program object concurrently, mixing all
-  // four configurations, each with its own arena.  Any engine mutation
+  // 8 threads hammer the SAME two Program objects concurrently, mixing
+  // all four configurations, each with its own arena.  Any engine mutation
   // of shared Program state is a data race here (the TSan gate) and any
   // cross-talk shows up as a value/cost mismatch.
   constexpr int kThreads = 8;
@@ -270,11 +272,10 @@ TEST(Serve, ConcurrentSharedProgram) {
         const std::size_t c = static_cast<std::size_t>(t + rep) % 4;
         const std::size_t a = static_cast<std::size_t>(rep) % args.size();
         bvram::RunConfig rc;
-        rc.fuse = cfgs[c].fuse;
         rc.parallel_backend = cfgs[c].parallel;
         rc.arena = &arena;
-        const sa::CompiledRun r =
-            sa::run_compiled(prog->unit, prog->dom, prog->cod, args[a], rc);
+        const sa::CompiledRun r = sa::run_compiled(
+            *cfgs[c].program, prog->dom, prog->cod, args[a], rc);
         if (!Value::equal(r.value, baseline[c][a])) return false;
         if (!(r.cost == baseline_cost[c][a])) return false;
       }

@@ -1,5 +1,6 @@
 // Unit tests for the support library: checked arithmetic, epsilon helpers,
-// PRNG determinism, parallel_for, and the table printer.
+// PRNG determinism, parallel_for, the table printer, and the JSON string
+// escaper against the JSON reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 #include "support/checked.hpp"
 #include "support/error.hpp"
 #include "support/cost.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "support/table.hpp"
@@ -284,38 +286,6 @@ TEST(ChunkPlan, MakePartitionsExactly) {
   }
 }
 
-TEST(ParallelReduce, MatchesSerialSumUnderAnyChunking) {
-  SplitMix64 rng(3);
-  auto v = rng.vec(50000, 1000);
-  std::uint64_t expected = 0;
-  for (auto x : v) expected += x;
-  for (std::size_t grain : {1u, 64u, 4096u, 1u << 20}) {
-    auto plan = ChunkPlan::make(v.size(), grain);
-    auto got = parallel_reduce(plan, [&](std::size_t b, std::size_t e) {
-      std::uint64_t s = 0;
-      for (std::size_t i = b; i < e; ++i) s += v[i];
-      return s;
-    });
-    EXPECT_EQ(got, expected) << "grain=" << grain;
-  }
-}
-
-TEST(ParallelReduce, SaturationIsChunkingIndependent) {
-  // sat_add is associative: once any partial sum pins at 2^64-1 the total
-  // does too, so serial and parallel decompositions agree bit-for-bit.
-  std::vector<std::uint64_t> v(10000, ~std::uint64_t{0} / 4096);
-  auto sum_chunk = [&](std::size_t b, std::size_t e) {
-    std::uint64_t s = 0;
-    for (std::size_t i = b; i < e; ++i) s = sat_add(s, v[i]);
-    return s;
-  };
-  const auto serial = parallel_reduce(ChunkPlan::serial(v.size()), sum_chunk);
-  for (std::size_t grain : {1u, 17u, 1024u}) {
-    EXPECT_EQ(parallel_reduce(ChunkPlan::make(v.size(), grain), sum_chunk),
-              serial);
-  }
-}
-
 TEST(ParallelScan, OffsetsAreExclusivePrefix) {
   SplitMix64 rng(11);
   auto v = rng.vec(30000, 50);
@@ -356,6 +326,20 @@ TEST(ForEachChunk, RunsEveryChunkAndPropagatesExceptions) {
                        if (c == 1) throw EvalError("boom");
                      }),
       EvalError);
+}
+
+TEST(Json, EscapeRoundTripsEveryAsciiByte) {
+  // Every byte 0x00-0x7f, alone and all in one string, survives escape()
+  // and the reader unchanged: a JSON writer that escapes its strings with
+  // it never emits a document the reader rejects.
+  std::string all;
+  for (int b = 0; b < 0x80; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    all += one;
+    EXPECT_EQ(json::parse("\"" + json::escape(one) + "\"").as_string(), one)
+        << "byte " << b;
+  }
+  EXPECT_EQ(json::parse("\"" + json::escape(all) + "\"").as_string(), all);
 }
 
 TEST(Table, AlignsAndCounts) {

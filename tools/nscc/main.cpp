@@ -47,7 +47,6 @@
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
 //   --parallel      run the vector kernels on the thread pool
-//   --no-fuse       disable fused super-instructions (also keyed in cache)
 //   --stats-json PATH   write the nscc-serve-stats/v2 snapshot there
 //
 // serve telemetry (all pure observers; see docs/observability.md):
@@ -134,7 +133,6 @@ struct Options {
   std::uint64_t fuel = std::uint64_t{1} << 32;  // --fuel
   bool no_batch = false;           // --no-batch
   bool parallel = false;           // --parallel
-  bool no_fuse = false;            // --no-fuse
   std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
@@ -158,7 +156,7 @@ struct Options {
                "[--chrome PATH] [--min-attribution PCT] "
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
                "[--no-batch] [--max-queue N] [--fuel N] [--parallel] "
-               "[--no-fuse] [--stats-json PATH] [--metrics PATH] "
+               "[--stats-json PATH] [--metrics PATH] "
                "[--events PATH] [--trace PATH] [--snapshot-every N] "
                "[--slow-ms T] [--compare BASELINE.json] [--tolerance PCT]\n"
                "       %s doc\n",
@@ -302,8 +300,6 @@ Options parse_args(int argc, char** argv) {
       o.no_batch = true;
     } else if (arg == "--parallel") {
       o.parallel = true;
-    } else if (arg == "--no-fuse") {
-      o.no_fuse = true;
     } else if (arg == "--stats-json") {
       o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
@@ -590,20 +586,6 @@ int cmd_dump(const F::SourceFile& src, const Options& o) {
   return 0;
 }
 
-void json_escape(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (c == '\n') {
-      out << "\\n";
-    } else {
-      out << c;
-    }
-  }
-  out << '"';
-}
-
 /// `bench --compare`: diff a fresh bench report against a committed
 /// baseline (a previous `nscc bench --json` for the same file).  The
 /// executed T/W counts are deterministic functions of (program, input,
@@ -721,13 +703,11 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
       {opt::OptLevel::O2, opt::WhileSchedule::staged({1, 2})},
   };
   std::ostringstream out;
-  out << "{\n  \"file\": ";
-  json_escape(out, src.name());
-  out << ",\n  \"entry\": ";
-  json_escape(out, entry.name);
-  out << ",\n  \"type\": ";
-  json_escape(out, entry.dom->show() + " -> " + entry.cod->show());
-  out << ",\n  \"inputs\": " << inputs.size()
+  out << "{\n  \"file\": \"" << json::escape(src.name())
+      << "\",\n  \"entry\": \"" << json::escape(entry.name)
+      << "\",\n  \"type\": \""
+      << json::escape(entry.dom->show() + " -> " + entry.cod->show())
+      << "\",\n  \"inputs\": " << inputs.size()
       << ",\n  \"scale\": " << o.scale << ",\n  \"configs\": [\n";
   bool first_cfg = true;
   for (const auto& cfg : configs) {
@@ -916,7 +896,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.fuel = o.fuel;
   cfg.batching = !o.no_batch;
   cfg.parallel_backend = o.parallel;
-  cfg.fuse = !o.no_fuse;
 
   // Telemetry sinks (pure observers; declared before the Service so they
   // outlive the worker threads that write into them).
