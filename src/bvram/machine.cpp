@@ -434,16 +434,67 @@ class Engine {
     return last_use_ != nullptr && ((last_use_[at] >> k) & 1u) != 0;
   }
 
-  /// Pooled allocation (BufferPool, bvram/pool.hpp): reuse the first
-  /// spare buffer whose capacity suffices; failing that, sacrifice the
-  /// largest spare (one realloc instead of a fresh heap block).  Without
-  /// an external arena the pool only ever holds buffers displaced from
-  /// the register file, so its footprint is bounded by the program's own
-  /// peak register footprint; with one, a prior run's whole register
-  /// file is available for reuse.
+  /// Pooled allocation (BufferPool, bvram/pool.hpp): reuse a spare from
+  /// the smallest size class sure to fit; failing that, sacrifice the
+  /// largest spare (one realloc instead of a fresh heap block).  The pool
+  /// holds buffers displaced by overwrites and buffers released at their
+  /// register's last use (release() below); with an external arena, a
+  /// prior run's whole register file as well.
   Buf acquire(std::size_t n) { return pool_->acquire(n); }
 
   void recycle(Buf&& b) { pool_->recycle(std::move(b)); }
+
+  /// A register smaller than one 4 KiB page keeps its buffer past its
+  /// last use: handing it back would avoid no page fault, only add a
+  /// release and a later re-acquire, which short runs pay for per
+  /// instruction.
+  static constexpr std::size_t kReleaseMinSlots = 4096 / sizeof(std::uint64_t);
+
+  /// Give register r's buffer back to the pool (r is dead, so nothing
+  /// reads the empty register left behind).
+  void release(std::uint32_t r) {
+    if (regs_[r].capacity() >= kReleaseMinSlots) recycle(std::move(regs_[r]));
+  }
+
+  /// Release every source register of `instr` whose last-use bit is set
+  /// in `mask`.  Runs after the instruction completed, so every source
+  /// has passed reg_of's range check.
+  void release_dying_srcs(const Instr& instr, std::uint8_t mask) {
+    const Instr::Srcs srcs = instr.srcs();
+    for (std::size_t k = 0; k < srcs.n; ++k) {
+      if (((mask >> k) & 1u) != 0) release(srcs.regs[k]);
+    }
+  }
+
+  /// Release every input of group g whose last use lies inside the group.
+  /// Runs after the group's kernel and before its commit, so a register
+  /// the group also commits to just receives its new value; no commit
+  /// target needs to be left out.  O(G), like the per-instruction path.
+  void release_dying_inputs(const FusedGroup& g) {
+    for (std::size_t k = 0; k < g.end - g.begin; ++k) {
+      const std::uint8_t mask = last_use_[g.begin + k];
+      if (mask == 0) continue;
+      const std::size_t nsrc = Instr::src_count(p_.code[g.begin + k].op);
+      for (std::size_t j = 0; j < nsrc; ++j) {
+        const FusedGroup::Bind& bd = g.binds[g.bind_base[k] + j];
+        if (!bd.from_def && ((mask >> j) & 1u) != 0) {
+          release(g.inputs[bd.index]);
+        }
+      }
+    }
+  }
+
+  /// Resize register d to one slot.  A register without a buffer (never
+  /// written, or released) takes one from the pool, not the allocator: a
+  /// buffer made outside the pool would join a cross-run arena when the
+  /// run parks its register file, and the arena would grow every run.
+  void make_scalar(Buf& d) {
+    if (d.capacity() == 0) {
+      d = acquire(1);
+    } else {
+      d.reset_size(1);
+    }
+  }
 
   /// Install `out` as dst's new contents, recycling the displaced buffer.
   /// Validates dst *after* the kernel ran, mirroring run_reference's
@@ -628,9 +679,11 @@ bool Engine::try_fused(const FusedGroup& g, std::uint64_t& executed,
     return false;
   }
 
-  // Commit: install every surviving value, recycling displaced buffers.
-  // Only now does the register file change, so the live state is exactly
-  // what per-instruction execution produces.
+  // Commit: hand back the inputs that died inside the group, then install
+  // every surviving value, recycling displaced buffers.  Only now does the
+  // register file change, so the live state is exactly what
+  // per-instruction execution produces.
+  if (last_use_ != nullptr) release_dying_inputs(g);
   for (std::size_t k = 0; k < G; ++k) {
     if (g.commit[k] < 0) {
       ++eng_.fused_elided;
@@ -757,8 +810,9 @@ RunResult Engine::exec() {
         if (instr.dst == instr.a) break;
         if (operand_dies(pc, 0)) {
           // The source is dead: dst takes its buffer, and the displaced
-          // dst buffer parks in the (dead) source register until it is
-          // next overwritten.  O(1), charged 2n all the same.
+          // dst buffer lands in the (dead) source register, which the
+          // last-use release below hands back to the pool if it spans a
+          // page.  O(1), charged 2n all the same.
           ++eng_.move_swaps;
           reg_of(instr.dst, instr).swap(a);
         } else {
@@ -814,7 +868,7 @@ RunResult Engine::exec() {
       }
       case Op::LoadConst: {
         Buf& d = reg_of(instr.dst, instr);
-        d.reset_size(1);
+        make_scalar(d);
         d[0] = instr.imm;
         work = 1;
         max_len = 1;
@@ -856,7 +910,7 @@ RunResult Engine::exec() {
         charge(a.size());
         work = sat_add(work, 1);
         Buf& d = reg_of(instr.dst, instr);
-        d.reset_size(1);
+        make_scalar(d);
         d[0] = n;
         break;
       }
@@ -1294,6 +1348,13 @@ RunResult Engine::exec() {
         next = p_.code.size();
         break;
       }
+    }
+    // Sources that die here hand their buffers back to the pool.
+    // Compiled code is close to SSA, so most registers are written once:
+    // kept until Halt, every buffer a run produces would be a fresh
+    // allocation, and past cache sizes a fresh set of page faults.
+    if (last_use_ != nullptr && last_use_[pc] != 0) {
+      release_dying_srcs(instr, last_use_[pc]);
     }
 
     result.cost.time = sat_add(result.cost.time, 1);

@@ -358,12 +358,14 @@ struct RunConfig {
   /// pool instead of a private per-run one, and parks the whole register
   /// file back into it when the run finishes (outputs are copied out
   /// first).  Re-running the same program against the same arena is then
-  /// allocation-free in steady state: every acquire is served by a buffer
-  /// the previous run recycled (EngineProfile::pool_misses reads 0, the
-  /// Arena.SteadyStateZeroAllocation gate).  Purely an allocator swap:
-  /// outputs, traps, T, W, traces, and profiles are bit-identical with or
-  /// without an arena.  An arena must not be shared by two concurrent
-  /// runs (see pool.hpp); the serve layer leases one arena per worker.
+  /// allocation-free for registers in steady state: every acquire is
+  /// served by a buffer the previous run recycled, and the arena stops
+  /// growing (EngineProfile::pool_misses reads 0 and the spare count and
+  /// bytes hold still, the Arena.SteadyStateZeroAllocation gate).  Purely
+  /// an allocator swap: outputs, traps, T, W, traces, and profiles are
+  /// bit-identical with or without an arena.  An arena must not be shared
+  /// by two concurrent runs (see pool.hpp); the serve layer leases one
+  /// arena per worker.
   BufferPool* arena = nullptr;
 };
 
@@ -371,10 +373,13 @@ struct RunConfig {
 // -----------------------------------------------------------
 // run() executes programs with a pooled register file: freed buffers are
 // recycled instead of returned to the allocator, Move executes as a buffer
-// swap when Program::last_use proves the source dead, and Arith /
-// Enumerate / ScanPlus / Select (the serial pack never writes past its
-// read index) write their result in place over a dead source operand.
-// None of this can be observed through the paper's semantics:
+// swap when Program::last_use proves the source dead, Arith / Enumerate /
+// ScanPlus / Select (the serial pack never writes past its read index)
+// write their result in place over a dead source operand, and a source
+// register of a page or more that dies at an instruction hands its buffer
+// back to the pool once the instruction completes (a fused group does so
+// for its dying inputs just before it commits).  None of this can be
+// observed through the paper's semantics:
 //
 //   * T charges 1 per executed instruction and W charges the *lengths* of
 //     the registers an instruction touches (section 2).  Both are functions
@@ -382,19 +387,20 @@ struct RunConfig {
 //     host memory.  Buffer reuse changes addresses only, so the engine
 //     charges exactly the costs the naive interpreter charges -- a Move
 //     executed as an O(1) pointer swap still charges 2*|V_j|.
-//   * Stealing a buffer mutates only registers that liveness proved dead on
-//     every path (opt/liveness.hpp), so no later read -- including the
-//     output extraction at Halt, where V_0..V_{num_outputs-1} are live by
-//     the boundary condition -- can see the difference.
+//   * Stealing or releasing a buffer mutates only registers that liveness
+//     proved dead on every path (opt/liveness.hpp), so no later read --
+//     including the output extraction at Halt, where V_0..V_{num_outputs-1}
+//     are live by the boundary condition -- can see the difference.
 //   * Trap order is preserved: every certificate (operand bounds, length
 //     equalities, route sums) is checked before the first byte of any
 //     register is overwritten, and in-place elementwise kernels are
 //     index-aligned, so a mid-kernel EvalError aborts the run exactly as
 //     it does with a fresh output buffer.
 //
-// The machine therefore runs at hardware speed (no per-instruction
-// allocation, no deep copies) while reporting costs bit-identical to
-// run_reference(), the section-2 specification kept below as the oracle.
+// The machine therefore runs at hardware speed (register buffers are
+// recycled, not reallocated, and never deep-copied by Move) while
+// reporting costs bit-identical to run_reference(), the section-2
+// specification kept below as the oracle.
 
 /// Execute a program.  Throws MachineError on ill-formed programs
 /// (register/length/jump violations) and FuelExhausted past the budget.

@@ -6,14 +6,20 @@
 //               value-initializes and shrinking/regrowing within capacity
 //               never touches the allocator -- the two properties the
 //               pooled register file is built on.
-//   BufferPool  a recycling allocator of Bufs.  Within one run it bounds
-//               the engine's footprint by the program's own peak register
-//               footprint (PR 3); kept across runs of the same program it
-//               makes steady-state execution allocation-free: every
-//               acquire is served by a buffer recycled from the previous
-//               run, so the allocator is touched only while the pool
-//               warms up (the serve layer's amortization claim, gated by
-//               the Arena.* tests).
+//   BufferPool  a recycling allocator of Bufs.  Within one run it takes
+//               the buffers displaced by overwrites and, when the program
+//               carries last-use masks, the buffer of each register of a
+//               page or more at its last use, so the run's footprint
+//               follows the registers live at once rather than every
+//               register it writes.  Registers under a page, defs that
+//               are never read, and every register of a program without
+//               masks keep their buffers until overwritten or Halt.
+//               Kept across runs of the same program it serves every
+//               register buffer of a steady-state run from the previous
+//               run's spares: the allocator is touched for registers only
+//               while the pool warms up, and the pool then stops growing
+//               (the serve layer's amortization claim, gated by the
+//               Arena.* tests).
 //
 // A BufferPool is NOT thread-safe: it is either private to one Engine
 // (the historical per-run pool) or leased to exactly one worker at a time
@@ -21,6 +27,7 @@
 // between two concurrent runs is a data race by construction.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -118,13 +125,15 @@ class Buf {
 /// A recycling Buf allocator.  Spares are binned by power-of-two capacity
 /// class (bin b holds buffers with capacity in [2^b, 2^{b+1})), so both
 /// acquire and recycle are O(1): an acquire of n pops the first non-empty
-/// bin that guarantees capacity >= n, a recycle pushes onto its bin's
-/// LIFO stack.  O(1) matters here -- a register file parks hundreds of
-/// buffers per run into a cross-run arena (RunConfig::arena), and a
-/// linear best-fit scan per acquire would cost more than the mallocs the
-/// pool exists to avoid.  When no bin can satisfy a request the pool
-/// sacrifices its largest spare (one realloc instead of a fresh heap
-/// block, and the buffer population stays bounded).
+/// bin that guarantees capacity >= n, found with one bit scan over the
+/// mask of non-empty bins, and a recycle pushes onto its bin's LIFO
+/// stack.  O(1) matters here -- a register file parks hundreds of
+/// buffers per run into a cross-run arena (RunConfig::arena), a small
+/// run acquires mostly from an empty pool, and a scan per acquire would
+/// cost more than the mallocs the pool exists to avoid.  When no bin can
+/// satisfy a request the pool sacrifices its largest spare (one realloc
+/// instead of a fresh heap block, and the buffer population stays
+/// bounded).
 class BufferPool {
  public:
   BufferPool() = default;
@@ -134,30 +143,23 @@ class BufferPool {
   Buf acquire(std::size_t n) {
     // Smallest bin every member of which has capacity >= n.
     const int want = n <= 1 ? 0 : bin_of(n - 1) + 1;
+    const std::uint64_t fits = want < kBins ? nonempty_ >> want << want : 0;
     Buf b;
     int from = -1;
-    for (int bin = want; bin < kBins; ++bin) {
-      if (!bins_[bin].empty()) {
-        from = bin;
-        break;
-      }
-    }
-    if (from >= 0) {
+    if (fits != 0) {
       ++hits_;
+      from = std::countr_zero(fits);
     } else {
       ++misses_;
-      // Sacrifice the largest spare: realloc beats a fresh heap block and
-      // keeps the circulating buffer population bounded.
-      for (int bin = want - 1; bin >= 0; --bin) {
-        if (!bins_[bin].empty()) {
-          from = bin;
-          break;
-        }
-      }
+      // Sacrifice the largest spare (every non-empty bin is below want):
+      // realloc beats a fresh heap block and keeps the circulating buffer
+      // population bounded.
+      if (nonempty_ != 0) from = kBins - 1 - std::countl_zero(nonempty_);
     }
     if (from >= 0) {
       b = std::move(bins_[from].back());
       bins_[from].pop_back();
+      if (bins_[from].empty()) nonempty_ &= ~(std::uint64_t{1} << from);
       --count_;
     }
     b.reset_size(n);
@@ -168,7 +170,9 @@ class BufferPool {
   /// to recycle).
   void recycle(Buf&& b) {
     if (b.capacity() == 0) return;
-    bins_[bin_of(b.capacity())].push_back(std::move(b));
+    const int bin = bin_of(b.capacity());
+    bins_[bin].push_back(std::move(b));
+    nonempty_ |= std::uint64_t{1} << bin;
     ++count_;
   }
 
@@ -177,6 +181,7 @@ class BufferPool {
   /// pool's lifetime, not its current contents).
   void reset() {
     for (auto& bin : bins_) bin.clear();
+    nonempty_ = 0;
     count_ = 0;
   }
 
@@ -199,12 +204,12 @@ class BufferPool {
 
   /// floor(log2(cap)) for cap >= 1.
   static int bin_of(std::size_t cap) {
-    int b = 0;
-    while (cap >>= 1) ++b;
-    return b;
+    return static_cast<int>(std::bit_width(cap)) - 1;
   }
 
   std::vector<Buf> bins_[kBins];
+  /// Bit b set iff bins_[b] is non-empty.
+  std::uint64_t nonempty_ = 0;
   std::size_t count_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -16,8 +16,9 @@
 // the compiled example corpus at every OptLevel and WhileSchedule.  The
 // Fusion suite at the bottom adds group-specific adversaries:
 // trap-at-element inside a group, extent-mismatch fallback, aliased
-// dst/src, budget expiry mid-group, and the attribution floor with fusion
-// enabled.
+// dst/src, budget expiry mid-group, a dying input the group recommits,
+// and the attribution floor with fusion enabled.  The Release suite
+// checks that dead registers hand their buffers back to the pool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -860,6 +861,31 @@ TEST(Fusion, LoopBodyGroupCountsPerTrip) {
   }
 }
 
+TEST(Fusion, DyingInputRecommittedByTheGroup) {
+  // V0 dies at the group's first instruction and its second commits a new
+  // V0.  The engine releases the group's dying inputs before the commit;
+  // released after it, V0 would lose its new value and the output would
+  // read an empty register.
+  Assembler a;
+  a.reserve_regs(2);
+  const auto t = a.reg();
+  a.arith(t, ArithOp::Add, 0, 1);
+  a.arith(0, ArithOp::Mul, t, 1);
+  a.halt();
+  auto p = a.finish(2, 1);
+  Program annotated = p;
+  opt::annotate_last_use(annotated);
+  opt::annotate_fusion(annotated);
+  ASSERT_EQ(annotated.fusion.size(), 1u);
+  EXPECT_EQ(annotated.last_use[0] & 1u, 1u);
+  EXPECT_EQ(annotated.fusion[0].commit, (std::vector<std::int32_t>{-1, 0}));
+  for (std::size_t n : kSizes) {
+    const std::vector<Vec> in = {iota_mod(n, 1000), iota_mod(n, 60)};
+    expect_identical(p, in);
+    EXPECT_EQ(fused_counters(annotated, in).fused_groups, 1u);
+  }
+}
+
 TEST(Fusion, AttributionStaysAbove95Percent) {
   // The profiling contract with fusion enabled: a compiled program keeps
   // >= 95% of executed instructions attributed to source lines (the CI
@@ -885,6 +911,62 @@ TEST(Fusion, AttributionStaysAbove95Percent) {
 }
 
 // ---------------------------------------------------------------------------
+// last-use release: a dead register's buffer goes back to the pool
+// ---------------------------------------------------------------------------
+
+/// k Arith into fresh registers, in pairs B <- A + C; A' <- A + B.  The
+/// second of each pair runs in place over the dying A, and B dies beside
+/// it, so B's buffer is free for the next pair's acquire.  C (V1) is an
+/// output and stays live.  With `fuse`, the chain runs as groups of up to
+/// FusedGroup::kMaxFusedGroup instructions, each committing only the A
+/// the next group reads.
+Program release_chain(std::size_t k, bool fuse = false) {
+  Assembler a;
+  a.reserve_regs(2);
+  std::uint32_t acc = 0;
+  for (std::size_t i = 0; i < k / 2; ++i) {
+    const auto b = a.reg();
+    a.arith(b, ArithOp::Add, acc, 1);
+    const auto next = a.reg();
+    a.arith(next, ArithOp::Add, acc, b);
+    acc = next;
+  }
+  a.move(0, acc);
+  a.halt();
+  auto p = a.finish(2, 2);
+  opt::annotate_last_use(p);
+  if (fuse) opt::annotate_fusion(p);
+  return p;
+}
+
+std::uint64_t chain_misses(std::size_t k, std::size_t n, bool fuse = false) {
+  RunConfig cfg;
+  cfg.profile = true;
+  const RunResult r = run(release_chain(k, fuse),
+                          {iota_mod(n, 1000), iota_mod(n, 60)}, cfg);
+  EXPECT_EQ(r.engine.fused_groups > 0, fuse);
+  return r.engine.pool_misses;
+}
+
+TEST(Release, DeadRegistersFeedThePool) {
+  // Past one page, the allocations do not grow with the chain.
+  EXPECT_EQ(chain_misses(8, 4096), chain_misses(64, 4096));
+  // Below one page, registers keep their buffers until overwritten.
+  EXPECT_LT(chain_misses(8, 256), chain_misses(64, 256));
+  for (std::size_t n : kSizes) {
+    expect_identical(release_chain(8), {iota_mod(n, 1000), iota_mod(n, 60)});
+  }
+}
+
+TEST(Release, FusedGroupsFeedThePool) {
+  // A group hands back the inputs that die inside it before it commits,
+  // so the next group's output reuses the buffer: a chain of 3 groups and
+  // one of 11 allocate alike.  Kept to the end of the run instead, each
+  // group's output would be a fresh allocation.
+  EXPECT_EQ(chain_misses(96, 4096, true), chain_misses(480, 4096, true));
+}
+
+// ---------------------------------------------------------------------------
 // compiled corpus: T/W bit-identical at every OptLevel and WhileSchedule
 // ---------------------------------------------------------------------------
 
@@ -906,12 +988,22 @@ void differential_compiled(const L::FuncRef& f,
   }
 }
 
+// Each program also gets an input of at least kPageLanes elements, so its
+// registers pass the engine's one-page release cutoff and the last-use
+// release runs on compiled loops and schedules.
+constexpr std::size_t kPageLanes = 4096;
+
 TEST(CompiledCorpus, IndexProgram) {
   std::vector<std::uint64_t> c(300);
   for (std::size_t i = 0; i < c.size(); ++i) c[i] = 3 * i;
+  std::vector<std::uint64_t> big(kPageLanes + 904);
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = 3 * i;
+  std::vector<std::uint64_t> picks(kPageLanes);
+  for (std::size_t i = 0; i < picks.size(); ++i) picks[i] = i + i / 5;
   differential_compiled(
       P::index(N),
-      {Value::pair(Value::nat_seq(c), Value::nat_seq({0, 100, 299}))});
+      {Value::pair(Value::nat_seq(c), Value::nat_seq({0, 100, 299})),
+       Value::pair(Value::nat_seq(big), Value::nat_seq(picks))});
 }
 
 TEST(CompiledCorpus, FilterThenMap) {
@@ -922,6 +1014,7 @@ TEST(CompiledCorpus, FilterThenMap) {
   });
   SplitMix64 rng(5);
   differential_compiled(f, {Value::nat_seq(rng.vec(400, 1024)),
+                            Value::nat_seq(rng.vec(2 * kPageLanes, 1024)),
                             Value::nat_seq({}), Value::nat_seq({7})});
 }
 
@@ -929,6 +1022,7 @@ TEST(CompiledCorpus, SumViaWhile) {
   differential_compiled(
       P::sum_nats(),
       {Value::nat_seq(std::vector<std::uint64_t>(200, 3)),
+       Value::nat_seq(std::vector<std::uint64_t>(kPageLanes + 1, 3)),
        Value::nat_seq({})});
 }
 
@@ -946,7 +1040,9 @@ TEST(CompiledCorpus, MappedWhileStraggler) {
   });
   std::vector<std::uint64_t> counts(120, 1);
   for (std::uint64_t j = 0; j < 10; ++j) counts[110 + j] = j + 2;
-  differential_compiled(f, {Value::nat_seq(counts)});
+  std::vector<std::uint64_t> many(kPageLanes, 1);
+  for (std::uint64_t j = 0; j < 10; ++j) many[kPageLanes - 10 + j] = j + 2;
+  differential_compiled(f, {Value::nat_seq(counts), Value::nat_seq(many)});
 }
 
 TEST(CompiledCorpus, TrappingDivide) {

@@ -3,7 +3,8 @@
 //   * the cross-run arena is a pure allocator swap: outputs, traps, T,
 //     W, traces, and profiles are bit-identical with and without one,
 //     and a warm arena makes steady-state execution allocation-free
-//     (EngineProfile::pool_misses == 0 on the second run);
+//     (EngineProfile::pool_misses == 0 on the second run) and stops
+//     growing (spare count and bytes hold from the third run on);
 //   * one immutable compiled Program is safe to execute from many
 //     threads at once (with and without its fusion plan x serial/parallel
 //     backends), each
@@ -93,6 +94,21 @@ TEST(Pool, AcquireRecycleReuse) {
   pool.reset();
   EXPECT_EQ(pool.spare_count(), 0u);
   EXPECT_EQ(pool.hits(), 1u);  // counters survive reset
+  // A request no spare can hold sacrifices the largest spare; a small
+  // one takes the smallest spare that fits.
+  bvram::Buf s16 = pool.acquire(16);
+  bvram::Buf s200 = pool.acquire(200);
+  pool.recycle(std::move(s16));
+  pool.recycle(std::move(s200));
+  bvram::Buf big = pool.acquire(1000);
+  EXPECT_GE(big.capacity(), 1000u);
+  EXPECT_EQ(pool.misses(), 4u);
+  EXPECT_EQ(pool.spare_count(), 1u);
+  EXPECT_EQ(pool.spare_bytes(), 16 * sizeof(std::uint64_t));
+  bvram::Buf small = pool.acquire(10);
+  EXPECT_EQ(small.capacity(), 16u);
+  EXPECT_EQ(pool.hits(), 2u);
+  EXPECT_EQ(pool.spare_count(), 0u);
 }
 
 TEST(Arena, LeaseReturnsWarmArena) {
@@ -136,6 +152,17 @@ TEST(Arena, SteadyStateZeroAllocation) {
   EXPECT_EQ(raw2.engine.pool_misses, 0u);
   EXPECT_TRUE(Value::equal(r1.value, r2.value));
   EXPECT_EQ(r1.cost, r2.cost);
+  // ...and every buffer a run draws goes back, so the arena stops growing.
+  std::size_t count3 = 0, bytes3 = 0;
+  for (int run = 3; run <= 10; ++run) {
+    sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, cfg);
+    if (run == 3) {
+      count3 = arena.spare_count();
+      bytes3 = arena.spare_bytes();
+    }
+  }
+  EXPECT_EQ(arena.spare_count(), count3);
+  EXPECT_EQ(arena.spare_bytes(), bytes3);
 }
 
 TEST(Arena, BitIdenticalWithAndWithout) {
