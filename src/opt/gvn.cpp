@@ -21,26 +21,51 @@
 // definitions, which is what makes header facts sound on every
 // iteration without iterating the analysis.
 //
-// The rewrite catalog is the peephole's original CSE logic, unchanged:
-//   * a recomputation whose operands are value-identical to an earlier
-//     eligible instruction becomes a Move from the earlier result
-//     (trap-safe: re-executing a trapping instruction on identical
-//     operand values cannot trap if the first execution did not), and
-//     every eligible op's executed work is >= the Move's on any input
-//     EXCEPT LoadConst (work 1 < the Move's 2), Length (1 < 2 when the
-//     source is empty at run time), and SbmRoute (the only expanding
-//     op); those are kept in place but their destination is aliased to
-//     the earlier value number so downstream expressions still fuse;
-//   * the all-ones route algebra (PR 3): an executed bm-route whose
-//     data is the known singleton [1] is the catalog's ones_like
-//     broadcast -- its result is all-ones with the bound register's
-//     length.  Select of such a register is a copy, a bm-route whose
-//     counts/bound/data align with the ones fact replicates every
-//     element exactly once (a Move at half the W, both certificates
-//     discharged by value equality), and Length/Enumerate of an
-//     all-ones register canonicalize to the broadcast source.
+// The rewrite catalog:
+//   * CSE, the peephole's original logic: a recomputation whose
+//     operands are value-identical to an earlier eligible instruction
+//     becomes a Move from the earlier result (trap-safe: re-executing a
+//     trapping instruction on identical operand values cannot trap if
+//     the first execution did not), and every eligible op's executed
+//     work is >= the Move's on any input EXCEPT LoadConst (work 1 < the
+//     Move's 2), Length (1 < 2 when the source is empty at run time), and
+//     SbmRoute (the only expanding op); those are kept in place but their
+//     destination is aliased to the earlier value number so downstream
+//     expressions still fuse;
+//   * the uniform algebra.  Beside its number, every value carries two
+//     facts, kept in a vector indexed by value number: its *length
+//     class* (the number of a value of provably equal length) and, when
+//     every element is provably one constant c, uniform(c).  Classes
+//     flow through Move, Arith, Enumerate, ScanPlus and a bm-route's
+//     bound; LoadConst and Length results share the class of singletons;
+//     every other result starts a class of its own.  uniform(c) comes
+//     from LoadConst c, from a bm-route whose data is uniform(c) (over
+//     the bound's class: the catalog's broadcast of [c] over x is
+//     bm-route(x, [length(x)], [c])), and from an Arith of two uniforms
+//     (the folded constant, never for a zero divisor).  Facts are only
+//     derived from executed (kept) instructions, so everything in the
+//     dominated region may rely on their certificates having held.
+//     Each rewrite below is a Move that charges at most the replaced
+//     instruction's T and W on every input:
+//       - identities, when both Arith operands are of one class, so the
+//         length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x, x/1 and x>>0
+//         are x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n);
+//       - uniform CSE: every uniform(c) of one class is the same vector,
+//         so each is also recorded under the key (c, class), and a
+//         *certified* one -- a broadcast whose counts are the length of
+//         a register of its bound's class and whose data is a known
+//         singleton (2n+2 -> 2n), or an Arith of two uniforms of one
+//         class that folds (3n -> 2n) -- becomes a Move from a live
+//         register recorded there;
+//       - the route algebra: Select of a uniform(c != 0) is a copy (2n
+//         either way), and a bm-route whose counts are uniform(1) of its
+//         bound's and its data's class replicates every element once
+//         (both certificates discharged: 4n -> 2n);
+//       - Length and Enumerate depend only on their operand's length,
+//         so they are keyed by its class: enumerate(broadcast(c, x))
+//         fuses with enumerate(x).
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -140,6 +165,62 @@ class KillSets {
   std::unordered_map<std::size_t, std::vector<bool>> fwd_cache_;
 };
 
+// Tag of the expression key under which GVN records a uniform(c) value
+// of one length class; above every Op, so no instruction's key collides.
+constexpr std::uint8_t kUniformKey = 0xff;
+
+VnKey uniform_key(std::uint64_t c, std::uint64_t cls) {
+  return {kUniformKey, 0, c, cls + 1, 0, 0, 0};
+}
+
+constexpr std::uint64_t kNoVn = ~std::uint64_t{0};
+
+/// What is known about a value beside its number (see the header).
+struct Fact {
+  std::uint64_t cls = kNoVn;        // length class; kNoVn: a class of its own
+  std::uint64_t length_of = kNoVn;  // a Length result: its operand's class
+  std::uint64_t c = 0;              // the constant, when `uniform`
+  bool uniform = false;             // every element equals c
+};
+
+bool is_uniform(const Fact& f, std::uint64_t c) {
+  return f.uniform && f.c == c;
+}
+
+/// The constant an Arith of two uniforms yields; none for a zero divisor.
+std::optional<std::uint64_t> fold(ArithOp op, const Fact& a, const Fact& b) {
+  if (!a.uniform || !b.uniform || (op == ArithOp::Div && b.c == 0)) {
+    return std::nullopt;
+  }
+  return lang::arith_apply(op, a.c, b.c);
+}
+
+/// The operand an Arith over one length class equals: x+0, 0+x, x∸0,
+/// x*1, 1*x, x/1 and x>>0 are x; 0∸x, 0*x, x*0 and 0>>x are the zero.
+std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
+                                              const Fact& b) {
+  switch (in.aop) {
+    case ArithOp::Add:
+      if (is_uniform(b, 0)) return in.a;
+      if (is_uniform(a, 0)) return in.b;
+      break;
+    case ArithOp::Monus:
+    case ArithOp::Rsh:
+      if (is_uniform(b, 0) || is_uniform(a, 0)) return in.a;
+      break;
+    case ArithOp::Mul:
+      if (is_uniform(b, 1) || is_uniform(a, 0)) return in.a;
+      if (is_uniform(a, 1) || is_uniform(b, 0)) return in.b;
+      break;
+    case ArithOp::Div:
+      if (is_uniform(b, 1)) return in.a;
+      break;
+    case ArithOp::Log2:
+      break;
+  }
+  return std::nullopt;
+}
+
 class Gvn final : public Pass {
  public:
   const char* name() const override { return "gvn"; }
@@ -148,24 +229,90 @@ class Gvn final : public Pass {
     if (p.code.empty() || p.num_regs == 0) return false;
     const Cfg cfg = Cfg::build(p);
     const DomTree dom = DomTree::build(cfg);
-    const SlotMap m = build_av_slots(p);
-    AvDomain avdom{&p, &m};
-    const ForwardDataflow<AvState, AvDomain> flow(p, cfg, avdom);
 
     bool changed = false;
     std::vector<bool> keep(p.code.size(), true);
     VnTable vn(p.num_regs);
-    // vn of an all-ones vector -> vn of the register it was broadcast
-    // over (same length by the route certificate).  Keyed by value
-    // number, so no undo log is needed: value numbers are never reused,
-    // and a rolled-back subtree's numbers are unreachable from sibling
-    // scopes.  A fact is only derived from an executed (kept) bm-route,
-    // so everything downstream of it in the dominated region may rely
-    // on its certificates having held.
-    std::map<std::uint64_t, std::uint64_t> ones_of;
+    // Facts indexed by value number.  No undo log is needed: value
+    // numbers are never reused, and a rolled-back subtree's numbers are
+    // unreachable from sibling scopes.
+    std::vector<Fact> facts(p.num_regs);
+    for (std::size_t r = 0; r < p.num_regs; ++r) facts[r].cls = r;
+    auto fresh = [&](Fact f) {
+      const std::uint64_t v = vn.next_vn++;
+      if (f.cls == kNoVn) f.cls = v;
+      facts.push_back(f);
+      return v;
+    };
+    auto fact = [&](std::uint32_t r) { return facts[vn.reg_vn[r]]; };
+    // The class of LoadConst and Length results: every [n] has length 1.
+    const std::uint64_t singletons = fresh({});
+
+    // The facts an executed instruction establishes for its result.
+    auto fact_of = [&](const Instr& in) {
+      Fact f;
+      switch (in.op) {
+        case Op::LoadConst:
+          f = {singletons, kNoVn, in.imm, true};
+          break;
+        case Op::Length:
+          f.cls = singletons;
+          f.length_of = fact(in.a).cls;
+          break;
+        case Op::Arith: {
+          const Fact a = fact(in.a);
+          f.cls = a.cls;
+          if (const auto c = fold(in.aop, a, fact(in.b))) {
+            f.c = *c;
+            f.uniform = true;
+          }
+          break;
+        }
+        case Op::Enumerate:
+        case Op::ScanPlus:
+          f.cls = fact(in.a).cls;
+          break;
+        case Op::BmRoute: {
+          const Fact data = fact(in.c);
+          f.cls = fact(in.a).cls;
+          f.c = data.c;
+          f.uniform = data.uniform;
+          break;
+        }
+        default:
+          break;
+      }
+      return f;
+    };
+
+    // A certified uniform: `in`, whose result has fact `f`, provably
+    // cannot trap -- a broadcast whose counts are the length of a
+    // register of its bound's class and whose data is a known singleton,
+    // or an Arith of two uniforms of one class that folds.  Two
+    // singletons are left to the peephole: it folds them to a LoadConst,
+    // whose work of 1 is below a Move's 2.
+    auto certified = [&](const Instr& in, const Fact& f) {
+      if (!f.uniform) return false;
+      if (in.op == Op::BmRoute) {
+        return fact(in.b).length_of == f.cls && fact(in.c).cls == singletons;
+      }
+      return in.op == Op::Arith && fact(in.b).cls == f.cls &&
+             f.cls != singletons;
+    };
+
+    // The expression key: uniform(c) over its class for a certified
+    // uniform; Length and Enumerate depend only on their operand's
+    // length, so they are keyed by its class.
+    auto canon_key = [&](const Instr& in, const Fact& f) {
+      if (certified(in, f)) return uniform_key(f.c, f.cls);
+      VnKey key = vn.key_of(in);
+      if (in.op == Op::Length || in.op == Op::Enumerate) {
+        std::get<3>(key) = fact(in.a).cls + 1;
+      }
+      return key;
+    };
 
     auto process_block = [&](std::size_t b) {
-      AvState s = flow.in_state_of(b);
       for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
         Instr& in = p.code[i];
 
@@ -173,99 +320,82 @@ class Gvn final : public Pass {
           keep[i] = false;
           changed = true;
         };
-        auto replace = [&](Instr ni) {
-          in = ni;
+        auto move_from = [&](std::uint32_t src) {
+          if (src == in.dst) {
+            drop();  // dst already holds the value
+            return;
+          }
+          in = {Op::Move, ArithOp::Add, in.dst, src, 0, 0, 0, 0, in.dbg};
           changed = true;
         };
 
-        // Route algebra over the ones facts (see the header comment).
-        if (in.op == Op::Select && ones_of.count(vn.reg_vn[in.a]) > 0) {
-          // sigma of an all-ones vector drops nothing: a copy.  W is
+        // The uniform algebra (see the header comment).
+        if (in.op == Op::Select) {
+          // sigma of a vector with no zero drops nothing: a copy.  W is
           // unchanged (|in| + |out| = 2n either way), and Select never
           // traps.
-          replace({Op::Move, ArithOp::Add, in.dst, in.a, 0, 0, 0, 0});
+          const Fact a = fact(in.a);
+          if (a.uniform && a.c != 0) move_from(in.a);
         } else if (in.op == Op::BmRoute) {
-          const auto it = ones_of.find(vn.reg_vn[in.b]);
-          if (it != ones_of.end() && vn.reg_vn[in.a] == vn.reg_vn[in.b] &&
-              vn.reg_vn[in.c] == it->second) {
-            // All-ones counts replicate each element once, and both
-            // certificates are discharged statically: |counts| =
-            // |broadcast source| = |data| (value-equal registers), and
-            // sum(counts) = |counts| = |bound| (bound value-equal to
-            // counts).  The Move charges 2n against the route's 4n.
-            replace({Op::Move, ArithOp::Add, in.dst, in.c, 0, 0, 0, 0});
+          // All-ones counts of the data's and the bound's class
+          // replicate each element once, and both certificates are
+          // discharged statically: |counts| = |data|, and sum(counts) =
+          // |counts| = |bound|.  The Move charges 2n against the
+          // route's 4n.
+          const Fact counts = fact(in.b);
+          if (is_uniform(counts, 1) && fact(in.a).cls == counts.cls &&
+              fact(in.c).cls == counts.cls) {
+            move_from(in.c);
+          }
+        } else if (in.op == Op::Arith) {
+          // One class: the length check cannot trap, and no identity
+          // divides by zero.  The Move charges 2n against 3n.
+          const Fact a = fact(in.a);
+          const Fact b = fact(in.b);
+          if (a.cls == b.cls) {
+            if (const auto src = identity_operand(in, a, b)) move_from(*src);
           }
         }
-
-        // Length and Enumerate depend only on their operand's *length*,
-        // and an all-ones vector has its broadcast source's length: key
-        // them under the source's value number so e.g. enumerate(ones(x))
-        // fuses with enumerate(x) via ordinary CSE.
-        auto canon_key = [&](const Instr& ins) {
-          VnKey key = vn.key_of(ins);
-          if (ins.op == Op::Length || ins.op == Op::Enumerate) {
-            const auto it = ones_of.find(vn.reg_vn[ins.a]);
-            if (it != ones_of.end()) std::get<3>(key) = it->second + 1;
-          }
-          return key;
-        };
 
         // CSE on whatever the instruction now is.  A hit normally
         // becomes a Move from the earlier result; LoadConst, Length and
         // SbmRoute are kept as-is but aliased (see the header comment).
         std::uint64_t alias_vn = 0;
         bool aliased = false;
-        if (keep[i] && cse_eligible(p.code[i])) {
-          const Instr& cur = p.code[i];
-          const VnKey key = canon_key(cur);
-          auto it = vn.exprs.find(key);
+        Fact f;
+        VnKey key{};
+        if (keep[i] && cse_eligible(in)) {
+          f = fact_of(in);
+          key = canon_key(in, f);
+          const auto it = vn.exprs.find(key);
           if (it != vn.exprs.end() &&
               vn.reg_vn[it->second.reg] == it->second.vn) {
             const std::uint32_t e = it->second.reg;
-            if (e == cur.dst) {
-              drop();  // recomputes the value dst already holds
-            } else if (cur.op == Op::LoadConst || cur.op == Op::Length ||
-                       cur.op == Op::SbmRoute) {
+            if (e != in.dst && (in.op == Op::LoadConst ||
+                                in.op == Op::Length ||
+                                in.op == Op::SbmRoute)) {
               alias_vn = it->second.vn;
               aliased = true;
             } else {
-              replace({Op::Move, ArithOp::Add, cur.dst, e, 0, 0, 0, 0});
+              move_from(e);
             }
           }
         }
 
-        // Value-number and abstract-state bookkeeping for the (possibly
-        // rewritten) instruction.
-        const Instr& fin = p.code[i];
-        // An executed bm-route whose data is the known singleton [1] is
-        // the catalog's ones_like broadcast: its result is all-ones with
-        // the bound register's length.  Capture the bound's vn before the
-        // dst assignment below possibly renumbers it.
-        const bool broadcasts_ones = keep[i] && fin.op == Op::BmRoute &&
-                                     m.get(s, fin.c) == AV::konst(1);
-        const std::uint64_t broadcast_like_vn =
-            broadcasts_ones ? vn.reg_vn[fin.a] : 0;
-        if (fin.has_dst()) {
-          if (keep[i]) {
-            if (fin.op == Op::Move) {
-              vn.set_reg_vn(fin.dst, vn.reg_vn[fin.a]);
-            } else if (aliased) {
-              // Same value as the recorded expression; keep its entry.
-              vn.set_reg_vn(fin.dst, alias_vn);
-            } else if (cse_eligible(fin)) {
-              const VnKey key = canon_key(fin);
-              const std::uint64_t v = vn.next_vn++;
-              vn.set_reg_vn(fin.dst, v);
-              vn.set_expr(key, {fin.dst, v});
-            } else {
-              vn.set_reg_vn(fin.dst, vn.next_vn++);
-            }
-            if (broadcasts_ones) {
-              ones_of[vn.reg_vn[fin.dst]] = broadcast_like_vn;
-            }
-            avdom.transfer(fin, s);
-          }
-          // Dropped instructions leave dst's value (and number) unchanged.
+        // Value-number bookkeeping for the (possibly rewritten)
+        // instruction.  Dropped instructions leave dst's value (and
+        // number) unchanged.
+        if (!keep[i] || !in.has_dst()) continue;
+        if (in.op == Op::Move) {
+          vn.set_reg_vn(in.dst, vn.reg_vn[in.a]);
+        } else if (aliased) {
+          // Same value as the recorded expression; keep its entry.
+          vn.set_reg_vn(in.dst, alias_vn);
+        } else {
+          const std::uint64_t v = fresh(f);
+          vn.set_expr(key, {in.dst, v});
+          if (f.uniform) vn.set_expr(uniform_key(f.c, f.cls), {in.dst, v});
+          vn.set_reg_vn(in.dst, v);
         }
       }
     };
@@ -287,7 +417,7 @@ class Gvn final : public Pass {
         const std::size_t c = dom.children[f.block][f.next_child++];
         const std::size_t mark = vn.mark();
         for (std::uint32_t r : kills.of(c, f.block)) {
-          vn.set_reg_vn(r, vn.next_vn++);
+          vn.set_reg_vn(r, fresh({}));
         }
         stack.push_back({c, mark, 0});
         process_block(c);

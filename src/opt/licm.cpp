@@ -56,7 +56,6 @@
 #include "opt/cfg.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
-#include "opt/valuetable.hpp"
 
 namespace nsc::opt {
 namespace {

@@ -27,10 +27,14 @@
 //               Append / the routes) fuse with the dominating original
 //               even across branch diamonds -- the repeated scan/route
 //               subgraphs the flattening compiler emits per segment-
-//               descriptor level collapse here -- and the all-ones route
-//               algebra discharges bm-route certificates by value
-//               equality (select of ones is a copy, an all-ones route
-//               is a Move at half the W).
+//               descriptor level collapse here -- and the uniform
+//               algebra folds arithmetic on broadcast constants: with a
+//               length class and a uniform(c) fact per value number,
+//               x+0, x*1, 0*x and their kin over one length class are
+//               Moves, a re-broadcast of one constant over one class is
+//               a Move from the live copy, select of a uniform nonzero
+//               vector is a copy, and an all-ones route is a Move at
+//               half the W.
 //   licm        loop-invariant code motion over the natural-loop forest
 //               (opt/cfg.hpp): invariant, provably-non-trapping
 //               instructions -- including the catalog's ones_like /
@@ -52,9 +56,9 @@
 // exports per-instruction last-use masks (opt::annotate_last_use) that the
 // execution engine in bvram/machine.cpp consumes to recycle dead operand
 // buffers; sa::compile_nsa / compile_nsc annotate compiled programs as
-// their final step.  The abstract-value lattice and the value-numbering
-// table shared by gvn / licm / peephole live in opt/valuetable.hpp; the
-// dominator tree and natural-loop forest in opt/cfg.hpp.
+// their final step.  The abstract-value lattice (peephole) and the
+// value-numbering table (gvn) live in opt/valuetable.hpp; the dominator
+// tree and natural-loop forest in opt/cfg.hpp.
 #pragma once
 
 #include <cstdint>

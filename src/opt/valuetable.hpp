@@ -2,16 +2,16 @@
 // {UNKNOWN, EMPTY, CONST(n)} with its dataflow domain, and the value-
 // numbering table (expression keys, register numbering, undo log).
 //
-// Both were born inside peephole.cpp; they are shared here because three
-// passes now reason about BVRAM values:
+// Both were born inside peephole.cpp:
 //   * peephole   constant folding and branch simplification over the
 //                abstract values;
-//   * gvn        dominator-tree-scoped value numbering (global CSE and
-//                the all-ones route algebra);
-//   * licm       invariant hoisting, which discharges route/arith trap
-//                certificates with the same value facts (a bm-route
-//                whose counts are Length of its bound register provably
-//                satisfies sum(counts) == |bound|).
+//   * gvn        dominator-tree-scoped value numbering over the table:
+//                global CSE and the uniform algebra, which keeps a
+//                length class and a uniform(c) fact beside each value
+//                number and so folds arithmetic on broadcast constants
+//                (x+0, x*1, 0*x and their kin over one length class, and
+//                re-broadcasts of one constant over one class, become
+//                Moves; see opt/gvn.cpp).
 //
 // The AvDomain additionally implements the edge_refine hook of the
 // shared ForwardDataflow driver: on the *taken* edge of a GotoIfEmpty

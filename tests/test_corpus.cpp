@@ -184,78 +184,78 @@ struct PinnedDigest {
 // O2 compiles of tests/corpus/*.nsc.  Regenerate a row from the failure
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
-    {"countdown", false, "naive", 0xc69adb37486eadefull},
-    {"countdown", false, "eager", 0xcdd218127c7cd477ull},
-    {"countdown", false, "staged", 0xc53d1d93894ee788ull},
-    {"countdown", true, "naive", 0x6d14714e576de21aull},
-    {"countdown", true, "eager", 0x7d405dfca7e2b049ull},
-    {"countdown", true, "staged", 0x2ea03380dcc08adfull},
-    {"divide_conquer", false, "naive", 0xfb9bbfdad945660full},
-    {"divide_conquer", false, "eager", 0xfb9bbfdad945660full},
-    {"divide_conquer", false, "staged", 0xfb9bbfdad945660full},
-    {"divide_conquer", true, "naive", 0xdeed9350fe0e305dull},
-    {"divide_conquer", true, "eager", 0xfa1cf7c479f00f0full},
-    {"divide_conquer", true, "staged", 0x32cf5fda97344af7ull},
-    {"histogram", false, "naive", 0x4c0360baf4b3d9ecull},
-    {"histogram", false, "eager", 0x4c0360baf4b3d9ecull},
-    {"histogram", false, "staged", 0x4c0360baf4b3d9ecull},
-    {"histogram", true, "naive", 0x6872cb7956ea1779ull},
-    {"histogram", true, "eager", 0x6872cb7956ea1779ull},
-    {"histogram", true, "staged", 0x6872cb7956ea1779ull},
-    {"merge_sorted", false, "naive", 0xf485a30eed09776dull},
-    {"merge_sorted", false, "eager", 0xf485a30eed09776dull},
-    {"merge_sorted", false, "staged", 0xf485a30eed09776dull},
-    {"merge_sorted", true, "naive", 0x2263b9fa4cd2265aull},
-    {"merge_sorted", true, "eager", 0x2263b9fa4cd2265aull},
-    {"merge_sorted", true, "staged", 0x2263b9fa4cd2265aull},
-    {"nested_join", false, "naive", 0x70baf55e405892f3ull},
-    {"nested_join", false, "eager", 0x70baf55e405892f3ull},
-    {"nested_join", false, "staged", 0x70baf55e405892f3ull},
-    {"nested_join", true, "naive", 0xacb95082b3f57e6eull},
-    {"nested_join", true, "eager", 0xacb95082b3f57e6eull},
-    {"nested_join", true, "staged", 0xacb95082b3f57e6eull},
-    {"nested_query", false, "naive", 0x44123929975aa1e0ull},
-    {"nested_query", false, "eager", 0x5283ef12a2eff7ebull},
-    {"nested_query", false, "staged", 0xe35c092bba9e63d2ull},
-    {"nested_query", true, "naive", 0x9906d509bc6d886eull},
-    {"nested_query", true, "eager", 0xbe39b6d67b4b4b48ull},
-    {"nested_query", true, "staged", 0xee9fd277a2136c5full},
-    {"quickstart", false, "naive", 0xd9641b236f017957ull},
-    {"quickstart", false, "eager", 0xd9641b236f017957ull},
-    {"quickstart", false, "staged", 0xd9641b236f017957ull},
-    {"quickstart", true, "naive", 0x82d5025f46d4d3d7ull},
-    {"quickstart", true, "eager", 0x82d5025f46d4d3d7ull},
-    {"quickstart", true, "staged", 0x82d5025f46d4d3d7ull},
-    {"segmented_filter_reduce", false, "naive", 0xb91a89172756d35dull},
-    {"segmented_filter_reduce", false, "eager", 0xa9e3516e4c33152eull},
-    {"segmented_filter_reduce", false, "staged", 0x5f41f022b3dbc6ddull},
-    {"segmented_filter_reduce", true, "naive", 0xc6cf68dd6b462144ull},
-    {"segmented_filter_reduce", true, "eager", 0x3a34c395f471645dull},
-    {"segmented_filter_reduce", true, "staged", 0x10b0a91aa84d9dacull},
-    {"sqrt_blocks", false, "naive", 0xc581b5580e933716ull},
-    {"sqrt_blocks", false, "eager", 0x4a818a0183a7fd98ull},
-    {"sqrt_blocks", false, "staged", 0x2bd420ee875d48a8ull},
-    {"sqrt_blocks", true, "naive", 0x41bafd2b53e99422ull},
-    {"sqrt_blocks", true, "eager", 0x369ea6057c073409ull},
-    {"sqrt_blocks", true, "staged", 0xe92ce614d56c8e0cull},
-    {"stragglers", false, "naive", 0xcbd159c5220a2c08ull},
-    {"stragglers", false, "eager", 0xa40f553d7d5cb812ull},
-    {"stragglers", false, "staged", 0x462ef81093815d65ull},
-    {"stragglers", true, "naive", 0x0155f0845cbce287ull},
-    {"stragglers", true, "eager", 0x95418384115ee4afull},
-    {"stragglers", true, "staged", 0xa3cedb62627f5b3aull},
-    {"tokenizer", false, "naive", 0xb96b21d40a6f1473ull},
-    {"tokenizer", false, "eager", 0x58cb5b5a89587f38ull},
-    {"tokenizer", false, "staged", 0x4ef2641fa37e9e21ull},
-    {"tokenizer", true, "naive", 0xdd3dfd94df2f0c47ull},
-    {"tokenizer", true, "eager", 0x0c40bffad5a4e202ull},
-    {"tokenizer", true, "staged", 0xb88cf4ea52bedadbull},
-    {"trap_division", false, "naive", 0x0c949e1c459cd133ull},
-    {"trap_division", false, "eager", 0x4ee58e9dc824c046ull},
-    {"trap_division", false, "staged", 0x197e64603a65b26dull},
-    {"trap_division", true, "naive", 0xb62f25e64416c926ull},
-    {"trap_division", true, "eager", 0x5e6f1682e1a334b8ull},
-    {"trap_division", true, "staged", 0xee28e929137c0dd1ull},
+    {"countdown", false, "naive", 0x849e422e0e1a4d73ull},
+    {"countdown", false, "eager", 0x3fb4fc728046ba4aull},
+    {"countdown", false, "staged", 0x744c4f950279a60dull},
+    {"countdown", true, "naive", 0xfba96e09bb88c37bull},
+    {"countdown", true, "eager", 0x40e2aa2358e377baull},
+    {"countdown", true, "staged", 0xd51fdc2fd4b9bdbaull},
+    {"divide_conquer", false, "naive", 0x6ef97c69e3487803ull},
+    {"divide_conquer", false, "eager", 0x6ef97c69e3487803ull},
+    {"divide_conquer", false, "staged", 0x6ef97c69e3487803ull},
+    {"divide_conquer", true, "naive", 0x732bdcec981c29c9ull},
+    {"divide_conquer", true, "eager", 0x90ec1d393989e07aull},
+    {"divide_conquer", true, "staged", 0xa2e5ca43df588f8eull},
+    {"histogram", false, "naive", 0x24174019016ba531ull},
+    {"histogram", false, "eager", 0x24174019016ba531ull},
+    {"histogram", false, "staged", 0x24174019016ba531ull},
+    {"histogram", true, "naive", 0xc9ea74ea9e64fb82ull},
+    {"histogram", true, "eager", 0xc9ea74ea9e64fb82ull},
+    {"histogram", true, "staged", 0xc9ea74ea9e64fb82ull},
+    {"merge_sorted", false, "naive", 0x1f854407d7dca82cull},
+    {"merge_sorted", false, "eager", 0x1f854407d7dca82cull},
+    {"merge_sorted", false, "staged", 0x1f854407d7dca82cull},
+    {"merge_sorted", true, "naive", 0x8cdee2f04a0ef38eull},
+    {"merge_sorted", true, "eager", 0x8cdee2f04a0ef38eull},
+    {"merge_sorted", true, "staged", 0x8cdee2f04a0ef38eull},
+    {"nested_join", false, "naive", 0xb76b424865c78578ull},
+    {"nested_join", false, "eager", 0xb76b424865c78578ull},
+    {"nested_join", false, "staged", 0xb76b424865c78578ull},
+    {"nested_join", true, "naive", 0xacdf042ff1851a50ull},
+    {"nested_join", true, "eager", 0xacdf042ff1851a50ull},
+    {"nested_join", true, "staged", 0xacdf042ff1851a50ull},
+    {"nested_query", false, "naive", 0x3d1c0fbb6e21a2c1ull},
+    {"nested_query", false, "eager", 0x1503a7a094f7c3bdull},
+    {"nested_query", false, "staged", 0x9a9b8cf43cc56e66ull},
+    {"nested_query", true, "naive", 0xd6ef343938be8718ull},
+    {"nested_query", true, "eager", 0x1fabfd1c847bbb42ull},
+    {"nested_query", true, "staged", 0x49468019c3243276ull},
+    {"quickstart", false, "naive", 0x9bfec0200d07b8b6ull},
+    {"quickstart", false, "eager", 0x9bfec0200d07b8b6ull},
+    {"quickstart", false, "staged", 0x9bfec0200d07b8b6ull},
+    {"quickstart", true, "naive", 0x87796338a8bc29c0ull},
+    {"quickstart", true, "eager", 0x87796338a8bc29c0ull},
+    {"quickstart", true, "staged", 0x87796338a8bc29c0ull},
+    {"segmented_filter_reduce", false, "naive", 0xda95e4ae94ea975aull},
+    {"segmented_filter_reduce", false, "eager", 0x654ec5b150315041ull},
+    {"segmented_filter_reduce", false, "staged", 0x0f76ab77325a0b82ull},
+    {"segmented_filter_reduce", true, "naive", 0xcf1b16ba7a366001ull},
+    {"segmented_filter_reduce", true, "eager", 0x8965dea15e164173ull},
+    {"segmented_filter_reduce", true, "staged", 0xbc108947ea9831e4ull},
+    {"sqrt_blocks", false, "naive", 0x663370ec8c48dffcull},
+    {"sqrt_blocks", false, "eager", 0xe2a9ea6ddf9abd76ull},
+    {"sqrt_blocks", false, "staged", 0x7a159c4668a232c5ull},
+    {"sqrt_blocks", true, "naive", 0x8ef5e97f20d6351eull},
+    {"sqrt_blocks", true, "eager", 0x564751800ceb5415ull},
+    {"sqrt_blocks", true, "staged", 0x6fd285d44abe681dull},
+    {"stragglers", false, "naive", 0x52e1c6fdf8fbe1dbull},
+    {"stragglers", false, "eager", 0x6937d1ebe8d2126cull},
+    {"stragglers", false, "staged", 0x997105f265d659feull},
+    {"stragglers", true, "naive", 0x77d89cf962759ecfull},
+    {"stragglers", true, "eager", 0x430a2f07618931c3ull},
+    {"stragglers", true, "staged", 0x11f7ecdad69d5171ull},
+    {"tokenizer", false, "naive", 0x5b3fb7525d195604ull},
+    {"tokenizer", false, "eager", 0xc1377bcae2a96611ull},
+    {"tokenizer", false, "staged", 0x2edde24c4ca5823full},
+    {"tokenizer", true, "naive", 0xe02b43b1a6f449d9ull},
+    {"tokenizer", true, "eager", 0x7ddfd7590aa3765dull},
+    {"tokenizer", true, "staged", 0xe27da3c3c014a761ull},
+    {"trap_division", false, "naive", 0x60386020696c5fa2ull},
+    {"trap_division", false, "eager", 0xb2abf6c4ca2c9e20ull},
+    {"trap_division", false, "staged", 0xad2cab2352ffe949ull},
+    {"trap_division", true, "naive", 0x16eb10ab3aeaee46ull},
+    {"trap_division", true, "eager", 0x157f510035f714c6ull},
+    {"trap_division", true, "staged", 0xe4367f4d37e5025bull},
 };
 
 TEST(Corpus, EmittedCodeDigestsArePinned) {

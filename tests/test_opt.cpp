@@ -710,6 +710,214 @@ TEST(Gvn, SiblingBranchesDoNotShareFacts) {
 }
 
 // ---------------------------------------------------------------------------
+// the uniform algebra (opt/gvn.cpp)
+// ---------------------------------------------------------------------------
+
+using Inputs = std::vector<std::vector<std::uint64_t>>;
+
+struct Observed {
+  std::string trap;  // empty when the run completed
+  bvram::RunResult result;
+};
+
+Observed observe(const Program& p, const Inputs& inputs) {
+  Observed o;
+  try {
+    o.result = bvram::run(p, inputs);
+  } catch (const Error& e) {
+    o.trap = e.what();
+  }
+  return o;
+}
+
+/// `opt` must behave like the unoptimized `naive` on every input: the
+/// same outputs or the same trap, and no more executed T or W.
+void expect_no_worse(const Program& naive, const Program& opt,
+                     const std::vector<Inputs>& cases) {
+  for (const Inputs& in : cases) {
+    const Observed want = observe(naive, in);
+    const Observed got = observe(opt, in);
+    ASSERT_EQ(want.trap, got.trap) << "|V0| = " << in[0].size();
+    if (!want.trap.empty()) continue;
+    EXPECT_EQ(got.result.outputs, want.result.outputs);
+    EXPECT_LE(got.result.cost.time, want.result.cost.time);
+    EXPECT_LE(got.result.cost.work, want.result.cost.work);
+  }
+}
+
+/// bm-route(over, [length(over)], [c]): the catalog's broadcast of c.
+std::uint32_t broadcast(Assembler& a, std::uint64_t c, std::uint32_t over) {
+  auto k = a.reg(), len = a.reg(), out = a.reg();
+  a.load_const(k, c);
+  a.length(len, over);
+  a.bm_route(out, over, len, k);
+  return out;
+}
+
+TEST(Gvn, UniformIdentitiesFoldToMoves) {
+  // V0 op broadcast(c, V0) or the mirror: both operands have V0's
+  // length, so the Arith cannot trap, and it is a Move of V0 or of the
+  // broadcast.
+  struct Case {
+    ArithOp op;
+    std::uint64_t c;
+    bool const_first;
+    bool yields_x;  // x, or the broadcast (the zero operand)
+  };
+  const Case cases[] = {
+      {ArithOp::Add, 0, false, true},   {ArithOp::Add, 0, true, true},
+      {ArithOp::Monus, 0, false, true}, {ArithOp::Mul, 1, false, true},
+      {ArithOp::Mul, 1, true, true},    {ArithOp::Div, 1, false, true},
+      {ArithOp::Rsh, 0, false, true},   {ArithOp::Monus, 0, true, false},
+      {ArithOp::Mul, 0, true, false},   {ArithOp::Mul, 0, false, false},
+      {ArithOp::Rsh, 0, true, false},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(std::string(lang::arith_op_name(k.op)) + " c=" +
+                 std::to_string(k.c) + (k.const_first ? " (c first)" : ""));
+    Assembler a;
+    a.reserve_regs(1);
+    const std::uint32_t bc = broadcast(a, k.c, 0);
+    auto r = a.reg();
+    if (k.const_first) {
+      a.arith(r, k.op, bc, 0);
+    } else {
+      a.arith(r, k.op, 0, bc);
+    }
+    a.move(0, r);
+    a.halt();
+    const Program naive = a.finish(1, 1);
+
+    Program p = naive;
+    make_gvn()->run(p);
+    const bvram::Instr& folded = p.code[3];
+    EXPECT_EQ(folded.op, Op::Move);
+    EXPECT_EQ(folded.a, k.yields_x ? 0u : bc);
+
+    Program o2 = naive;
+    optimize(o2);
+    EXPECT_EQ(count_op(o2, Op::Arith), 0u);
+    expect_no_worse(naive, o2, {{{}}, {{5}}, {{0, 3, 7, 1}}});
+  }
+}
+
+TEST(Gvn, UniformIdentityNeedsProvenLengths) {
+  // V0 + broadcast(0, V1): nothing ties |V0| to |V1|, so the Arith and
+  // its length check stay.
+  Assembler a;
+  a.reserve_regs(2);
+  const std::uint32_t bc = broadcast(a, 0, 1);
+  auto r = a.reg();
+  a.arith(r, ArithOp::Add, 0, bc);
+  a.move(0, r);
+  a.halt();
+  const Program naive = a.finish(2, 1);
+  Program o2 = naive;
+  optimize(o2);
+  EXPECT_EQ(count_op(o2, Op::Arith), 1u);
+  expect_no_worse(naive, o2,
+                  {{{}, {}}, {{4, 5}, {1, 1}}, {{4, 5}, {1}}, {{}, {1}}});
+  EXPECT_THROW(bvram::run(o2, {{4, 5}, {1}}), MachineError);
+}
+
+TEST(Gvn, ZeroDivisorNeverFolds) {
+  // x / broadcast(0) traps unless x is empty, and broadcast(0) / x traps
+  // on a zero in x: neither may become a Move.  Nor may the quotient of
+  // two broadcasts with a zero divisor.
+  for (int shape = 0; shape < 3; ++shape) {
+    SCOPED_TRACE(shape);
+    Assembler a;
+    a.reserve_regs(1);
+    const std::uint32_t zero = broadcast(a, 0, 0);
+    auto r = a.reg();
+    if (shape == 0) {
+      a.arith(r, ArithOp::Div, 0, zero);
+    } else if (shape == 1) {
+      a.arith(r, ArithOp::Div, zero, 0);
+    } else {
+      a.arith(r, ArithOp::Div, broadcast(a, 5, 0), zero);
+    }
+    a.move(0, r);
+    a.halt();
+    const Program naive = a.finish(1, 1);
+    Program o2 = naive;
+    optimize(o2);
+    EXPECT_EQ(count_op(o2, Op::Arith), 1u);
+    expect_no_worse(naive, o2, {{{}}, {{4, 2}}, {{0, 3}}});
+  }
+}
+
+TEST(Gvn, UniformCseFusesBroadcasts) {
+  // broadcast(7, V0) and broadcast(7, enumerate(V0)) are one vector: the
+  // second route becomes a Move of the first.
+  Assembler a;
+  a.reserve_regs(1);
+  auto e = a.reg(), out = a.reg();
+  const std::uint32_t b1 = broadcast(a, 7, 0);
+  a.enumerate(e, 0);
+  const std::uint32_t b2 = broadcast(a, 7, e);
+  a.append(out, b1, b2);
+  a.move(0, out);
+  a.halt();
+  const Program naive = a.finish(1, 1);
+  Program o2 = naive;
+  optimize(o2);
+  EXPECT_EQ(count_op(o2, Op::BmRoute), 1u);
+  expect_no_worse(naive, o2, {{{}}, {{9}}, {{1, 2, 3}}});
+  EXPECT_EQ(bvram::run(o2, {{1, 2}}).outputs[0],
+            (std::vector<std::uint64_t>{7, 7, 7, 7}));
+}
+
+TEST(Gvn, UniformCseRespectsScopes) {
+  // Sibling arms: each broadcasts 7 over V0, and neither dominates the
+  // other, so both routes stay.
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto el = a.fresh_label(), join = a.fresh_label();
+    a.jump_if_empty(1, el);
+    a.move(0, broadcast(a, 7, 0));
+    a.jump(join);
+    a.bind(el);
+    a.move(0, broadcast(a, 7, 0));
+    a.bind(join);
+    a.halt();
+    const Program naive = a.finish(2, 1);
+    Program o2 = naive;
+    optimize(o2);
+    EXPECT_EQ(count_op(o2, Op::BmRoute), 2u);
+    expect_no_worse(naive, o2,
+                    {{{}, {}}, {{1, 2}, {}}, {{1, 2}, {1}}, {{}, {1}}});
+  }
+  // A pre-loop broadcast over V0 and one at the loop header, where the
+  // loop doubles V0: the header's is longer after the first trip.
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto out = a.reg(), b1 = a.reg();
+    const std::uint32_t b0 = broadcast(a, 7, 0);
+    auto top = a.fresh_label(), exit = a.fresh_label();
+    a.bind(top);
+    a.move(b1, broadcast(a, 7, 0));
+    a.jump_if_empty(1, exit);
+    a.append(0, 0, 0);
+    a.load_empty(1);
+    a.jump(top);
+    a.bind(exit);
+    a.append(out, b0, b1);
+    a.move(0, out);
+    a.halt();
+    const Program naive = a.finish(2, 1);
+    Program o2 = naive;
+    optimize(o2);
+    EXPECT_EQ(count_op(o2, Op::BmRoute), 2u);
+    expect_no_worse(naive, o2, {{{}, {}}, {{3}, {}}, {{3}, {1}}, {{}, {1}}});
+    EXPECT_EQ(bvram::run(o2, {{3}, {1}}).outputs[0],
+              (std::vector<std::uint64_t>{7, 7, 7}));
+  }
+}
+
+// ---------------------------------------------------------------------------
 // branch-sensitive constant propagation
 // ---------------------------------------------------------------------------
 
@@ -1011,7 +1219,7 @@ struct CountingAv {
 };
 
 TEST(Dataflow, ReversePostorderBoundsBlockVisits) {
-  // The abstract-value analysis that gvn and peephole run every round.
+  // The abstract-value analysis that peephole runs every round.
   // Visited in reverse postorder, a block runs once on the first pass
   // and again only when a back edge changes its input (at most 10 times
   // on this corpus, twice under the naive schedule); a LIFO worklist
@@ -1323,6 +1531,20 @@ TEST(Differential, SequencePrimitives) {
                                 x, L::singleton(L::length(x)))));
                       }),
                16, 20);
+}
+
+TEST(Differential, ConstantIdentitiesInMappedBranches) {
+  // A lifted ==, if, and arithmetic with the neutral constants: the
+  // flattened code is full of broadcasts that the uniform algebra folds.
+  auto f = L::lam(N, [](L::TermRef v) {
+    return L::ite(L::eq(L::mod_t(v, L::nat(3)), L::nat(0)),
+                  L::add(L::mul(v, L::nat(1)), L::nat(0)),
+                  L::monus_t(L::div_t(L::mul(L::nat(1), v), L::nat(1)),
+                             L::mul(v, L::nat(0))));
+  });
+  differential(L::lam(NSeq,
+                      [&](L::TermRef x) { return L::apply(L::map_f(f), x); }),
+               20, 30);
 }
 
 TEST(Differential, IndexMayTrap) {

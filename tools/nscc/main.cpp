@@ -31,11 +31,12 @@
 // bench options:
 //   --compare BASELINE.json   diff this run against a committed baseline
 //                   (a previous `nscc bench --json` for the same file);
-//                   exit 1 when any config regresses executed T/W beyond
-//                   --tolerance, traps where the baseline didn't, or
-//                   loses eval/compiled agreement
-//   --tolerance PCT allowed executed-T/W growth over the baseline
-//                   (default 0: the counts are deterministic)
+//                   exit 1 when any config regresses executed T/W or
+//                   its static instruction count beyond --tolerance,
+//                   traps where the baseline didn't, or loses
+//                   eval/compiled agreement
+//   --tolerance PCT allowed executed-T/W and code-size growth over the
+//                   baseline (default 0: the counts are deterministic)
 //
 // serve options (see docs/serve.md):
 //   --requests PATH one request expression per line ('-' = stdin); these
@@ -142,7 +143,7 @@ struct Options {
   std::uint64_t slow_ms = 0;       // --slow-ms (0 = off)
   // bench comparison
   std::string compare_path;        // --compare (baseline bench JSON)
-  double tolerance_pct = 0.0;      // --tolerance (allowed T/W growth %)
+  double tolerance_pct = 0.0;      // --tolerance (allowed growth %)
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -588,17 +589,19 @@ int cmd_dump(const F::SourceFile& src, const Options& o) {
 
 /// `bench --compare`: diff a fresh bench report against a committed
 /// baseline (a previous `nscc bench --json` for the same file).  The
-/// executed T/W counts are deterministic functions of (program, input,
-/// config), so the default tolerance is 0; --tolerance PCT loosens the
-/// T/W gates for workloads whose inputs legitimately drift.  Gates:
+/// executed T/W counts and the code size are deterministic functions of
+/// (program, input, config), so the default tolerance is 0; --tolerance
+/// PCT loosens these gates for workloads whose inputs legitimately
+/// drift.  Gates:
 ///
 ///   * executed_T / executed_W may not exceed baseline * (1 + PCT/100)
-///     for any (opt, sched, input) present in the baseline;
+///     for any (opt, sched, input) present in the baseline, nor may a
+///     config's static_instrs (the emitted code size);
 ///   * a run that didn't trap in the baseline may not trap now;
 ///   * eval/compiled agreement may not be lost.
 ///
-/// Improvements (lower T/W) pass and are reported.  Configs in the
-/// baseline but missing from the fresh report fail the comparison.
+/// Improvements (lower T/W or code size) pass and are reported.  Configs
+/// in the baseline but missing from the fresh report fail the comparison.
 int compare_bench(const std::string& fresh_text, const Options& o) {
   std::ifstream f(o.compare_path, std::ios::binary);
   if (!f) fail("cannot read " + o.compare_path);
@@ -619,6 +622,21 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
   const auto regress = [&](const std::string& what) {
     std::fprintf(stderr, "bench --compare: %s\n", what.c_str());
     ++regressions;
+  };
+
+  // A count past the tolerance is a regression; a drop is reported.
+  const double factor = 1.0 + o.tolerance_pct / 100.0;
+  const auto gate = [&](const std::string& at, const char* dim,
+                        std::uint64_t b, std::uint64_t v) {
+    if (static_cast<double>(v) > static_cast<double>(b) * factor) {
+      regress(at + ": " + dim + " " + std::to_string(v) +
+              " exceeds baseline " + std::to_string(b) + " (+" +
+              std::to_string(o.tolerance_pct) + "% allowed)");
+    } else if (v < b) {
+      std::printf("bench --compare: %s: %s improved %llu -> %llu\n",
+                  at.c_str(), dim, static_cast<unsigned long long>(b),
+                  static_cast<unsigned long long>(v));
+    }
   };
 
   const json::Value& base_cfgs = base.at("configs");
@@ -643,7 +661,8 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
               std::to_string(base_runs.items.size()));
       continue;
     }
-    const double factor = 1.0 + o.tolerance_pct / 100.0;
+    gate(key, "static_instrs", bc.at("static_instrs").as_u64(),
+         fc->at("static_instrs").as_u64());
     for (std::size_t i = 0; i < base_runs.items.size(); ++i) {
       const json::Value& br = base_runs.items[i];
       const json::Value& fr = fresh_runs.items[i];
@@ -656,17 +675,7 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
         regress(at + ": eval/compiled agreement lost");
       }
       for (const char* dim : {"executed_T", "executed_W"}) {
-        const std::uint64_t b = br.at(dim).as_u64();
-        const std::uint64_t v = fr.at(dim).as_u64();
-        if (static_cast<double>(v) > static_cast<double>(b) * factor) {
-          regress(at + ": " + dim + " " + std::to_string(v) +
-                  " exceeds baseline " + std::to_string(b) + " (+" +
-                  std::to_string(o.tolerance_pct) + "% allowed)");
-        } else if (v < b) {
-          std::printf("bench --compare: %s: %s improved %llu -> %llu\n",
-                      at.c_str(), dim, static_cast<unsigned long long>(b),
-                      static_cast<unsigned long long>(v));
-        }
+        gate(at, dim, br.at(dim).as_u64(), fr.at(dim).as_u64());
       }
     }
   }
