@@ -1,17 +1,11 @@
 // The execution-engine benchmark harness: runs the compiled example
-// corpus plus adversarial route/scan microbenchmarks on run() in four
-// configurations --
-//
-//     serial | parallel backend  x  fusion plan cleared | attached
-//
-// -- verifies that outputs, T, and W agree bit-for-bit with the untimed
-// run_reference oracle in every configuration (exit code 1 on any
-// mismatch: the CI perf-smoke gate), and writes each configuration's
-// median and quartiles over the interleaved reps to a JSON file so future
-// changes can compare machine-readable numbers instead of prose.  The
-// fused serial configuration also reports the engine's fused-group
-// counters (groups executed, instructions covered, buffers elided,
-// fallbacks), taken from an untimed profiled run.
+// corpus plus adversarial route/scan microbenchmarks on run() with the
+// serial and the parallel backend, verifies that outputs, T, and W agree
+// bit-for-bit with the untimed run_reference oracle in both (exit code 1
+// on any mismatch: the CI perf-smoke gate), and writes each
+// configuration's median and quartiles over the interleaved reps to a
+// JSON file so future changes can compare machine-readable numbers
+// instead of prose.
 //
 //   bench_machine [--json PATH] [--reps K] [--scale N] [--full]
 //
@@ -33,7 +27,6 @@
 #include "nsc/prelude.hpp"
 #include "obs/benchjson.hpp"
 #include "nsc/typecheck.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "sa/compile.hpp"
 #include "sa/layout.hpp"
@@ -59,7 +52,7 @@ using nsc::lang::ArithOp;
 
 struct Case {
   std::string name;
-  Program program;  // annotated with last-use masks and a fusion plan
+  Program program;  // annotated with last-use masks
   std::vector<Vec> inputs;
 };
 
@@ -84,7 +77,6 @@ struct Entry {
   std::string bench;
   std::size_t n;
   const char* backend;
-  bool fusion = false;
   Quartiles ms;
   std::uint64_t time = 0;
   std::uint64_t work = 0;
@@ -129,7 +121,6 @@ Case make_move_chain(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"move-chain", std::move(p), {iota_mod(n, 1u << 20)}};
 }
 
@@ -155,37 +146,7 @@ Case make_arith_mix(std::size_t n) {
   a.halt();
   auto p = a.finish(2, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"arith-mix", std::move(p), {iota_mod(n, 1000), iota_mod(n, 60)}};
-}
-
-Case make_fuse_chain(std::size_t n) {
-  // The fusion showcase: a 28-op elementwise pipeline -- Enumerate
-  // feeding a long Add/Mul/Monus/Rsh chain through two recycled
-  // temporaries.  Every intermediate dies inside the group, so the
-  // fused engine builds one output stream instead of 27 register-sized
-  // buffers, and the whole working set stays in two L1 scratch rows.
-  Assembler a;
-  a.reserve_regs(2);
-  auto e = a.reg(), u = a.reg(), v = a.reg();
-  a.enumerate(e, 0);
-  a.arith(u, ArithOp::Add, 0, e);
-  a.arith(v, ArithOp::Mul, u, 1);
-  const ArithOp ops[4] = {ArithOp::Add, ArithOp::Mul, ArithOp::Monus,
-                          ArithOp::Rsh};
-  for (int i = 0; i < 24; ++i) {
-    if (i % 2 == 0) {
-      a.arith(u, ops[i % 4], v, 0);
-    } else {
-      a.arith(v, ops[i % 4], u, 1);
-    }
-  }
-  a.move(0, v);
-  a.halt();
-  auto p = a.finish(2, 1);
-  nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
-  return {"fuse-chain", std::move(p), {iota_mod(n, 1000), iota_mod(n, 60)}};
 }
 
 Case make_scan_chain(std::size_t n) {
@@ -204,7 +165,6 @@ Case make_scan_chain(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"scan-chain", std::move(p), {iota_mod(n, 3)}};
 }
 
@@ -217,7 +177,6 @@ Case make_select(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"select-half", std::move(p), {iota_mod(n, 2)}};
 }
 
@@ -230,7 +189,6 @@ Case make_append(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"append-double", std::move(p), {iota_mod(n, 1u << 16)}};
 }
 
@@ -247,7 +205,6 @@ Case make_route_broadcast(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"route-broadcast", std::move(p), {iota_mod(n, 10)}};
 }
 
@@ -262,7 +219,6 @@ Case make_route_pack(std::size_t n) {
   a.halt();
   auto p = a.finish(2, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"route-pack", std::move(p), {iota_mod(n, 1u << 16), iota_mod(n, 2)}};
 }
 
@@ -281,7 +237,6 @@ Case make_sbm_cartesian(std::size_t n) {
   a.halt();
   auto p = a.finish(4, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"sbm-cartesian", std::move(p),
           {Vec(m, 0), Vec{m}, iota_mod(m, 1u << 16), Vec{m}}};
 }
@@ -394,92 +349,61 @@ int run_bench(const Options& opt) {
   if (opt.full) sizes.push_back(10000000);
   if (opt.scale != 0) sizes = {opt.scale};
 
-  // The four configurations; "fused" runs the program with its fusion
-  // plan attached (as sa::compile_nsc emits it), the others on a copy
-  // with the plan cleared.
   struct Config {
     const char* backend;
-    bool par, fused;
+    bool par;
   };
-  constexpr std::size_t kConfigs = 4;
-  constexpr std::size_t kSerial = 0, kPar = 1, kFusedSerial = 2,
-                        kFusedPar = 3;
-  const Config cfgs[kConfigs] = {
-      {"serial", false, false},
-      {"parallel", true, false},
-      {"serial", false, true},
-      {"parallel", true, true},
-  };
+  constexpr std::size_t kConfigs = 2;
+  constexpr std::size_t kSerial = 0, kPar = 1;
+  const Config cfgs[kConfigs] = {{"serial", false}, {"parallel", true}};
 
   std::vector<Entry> entries;
   struct Summary {
     std::string bench;
     std::size_t n;
     Quartiles ms[kConfigs];
-    // Fused-group counters from the fused serial configuration's
-    // profiled validation run.
-    std::uint64_t groups = 0, instrs = 0, elided = 0, fallbacks = 0;
   };
   std::vector<Summary> summaries;
   bool mismatch = false;
 
   using Maker = Case (*)(std::size_t);
   const Maker makers[] = {
-      make_move_chain,   make_arith_mix,      make_fuse_chain,
-      make_scan_chain,   make_select,         make_append,
-      make_route_broadcast, make_route_pack,  make_sbm_cartesian,
-      make_corpus_index, make_corpus_filter_map, make_corpus_sum,
-      make_corpus_quickstart, make_corpus_nested_query,
+      make_move_chain,   make_arith_mix,      make_scan_chain,
+      make_select,       make_append,         make_route_broadcast,
+      make_route_pack,   make_sbm_cartesian,  make_corpus_index,
+      make_corpus_filter_map, make_corpus_sum, make_corpus_quickstart,
+      make_corpus_nested_query,
   };
 
-  Table t({"bench", "n", "serial", "parallel", "fused serial",
-           "fused parallel"});
+  Table t({"bench", "n", "serial", "parallel"});
   for (std::size_t n : sizes) {
     for (auto make : makers) {
       Case c = make(n);
-      Program unfused = c.program;
-      unfused.fusion.clear();
       const RunResult ref = nsc::bvram::run_reference(c.program, c.inputs);
       const std::uint64_t ref_sum = checksum(ref);
       Summary s;
       s.bench = c.name;
       s.n = n;
       RunConfig run_cfgs[kConfigs];
-      const Program* progs[kConfigs];
       for (std::size_t ci = 0; ci < kConfigs; ++ci) {
-        progs[ci] = cfgs[ci].fused ? &c.program : &unfused;
-        RunConfig cfg;
+        RunConfig& cfg = run_cfgs[ci];
         cfg.parallel_backend = cfgs[ci].par;
-        // Untimed validation run: outputs + costs feed the checksum, and
-        // -- for the fused serial configuration -- a profiled pass
-        // collects the engine's fused-group counters (profiling changes
-        // no output or cost, only wall-clock bookkeeping).
-        cfg.profile = ci == kFusedSerial;
-        RunResult r = nsc::bvram::run(*progs[ci], c.inputs, cfg);
-        if (cfg.profile) {
-          s.groups = r.engine.fused_groups;
-          s.instrs = r.engine.fused_instrs;
-          s.elided = r.engine.fused_elided;
-          s.fallbacks = r.engine.fused_fallbacks;
-        }
-        cfg.profile = false;
-        run_cfgs[ci] = cfg;
+        // Untimed validation run: outputs + costs feed the checksum.
+        const RunResult r = nsc::bvram::run(c.program, c.inputs, cfg);
         Entry e;
         e.bench = c.name;
         e.n = n;
         e.backend = cfgs[ci].backend;
-        e.fusion = cfgs[ci].fused;
         e.time = r.cost.time;
         e.work = r.cost.work;
         e.checksum = checksum(r);
         if (e.checksum != ref_sum || e.time != ref.cost.time ||
             e.work != ref.cost.work) {
           std::fprintf(stderr,
-                       "MISMATCH: %s n=%zu %s%s disagrees with run_reference "
+                       "MISMATCH: %s n=%zu %s disagrees with run_reference "
                        "(checksum %016llx vs %016llx, T %llu vs %llu, W "
                        "%llu vs %llu)\n",
                        c.name.c_str(), n, e.backend,
-                       e.fusion ? "/fused" : "",
                        static_cast<unsigned long long>(e.checksum),
                        static_cast<unsigned long long>(ref_sum),
                        static_cast<unsigned long long>(e.time),
@@ -498,7 +422,7 @@ int run_bench(const Options& opt) {
       for (int rep = 0; rep < opt.reps; ++rep) {
         for (std::size_t k = 0; k < kConfigs; ++k) {
           const std::size_t ci = (static_cast<std::size_t>(rep) + k) % kConfigs;
-          ms[ci].push_back(wall_ms_once(*progs[ci], c.inputs, run_cfgs[ci]));
+          ms[ci].push_back(wall_ms_once(c.program, c.inputs, run_cfgs[ci]));
         }
       }
       for (std::size_t ci = 0; ci < kConfigs; ++ci) {
@@ -507,73 +431,52 @@ int run_bench(const Options& opt) {
       }
       summaries.push_back(s);
       t.row({c.name, std::to_string(n), cell(s.ms[kSerial]),
-             cell(s.ms[kPar]), cell(s.ms[kFusedSerial]),
-             cell(s.ms[kFusedPar])});
+             cell(s.ms[kPar])});
     }
   }
   t.print();
-  // Geometric means of the median ratios over the compiled example corpus
-  // at the largest measured n, for the configuration compile_nsc emits
-  // (plan attached): the parallel backend over serial, and the plan over
-  // no plan (serial).
+  // Geometric mean of the parallel-over-serial median ratios over the
+  // compiled example corpus at the largest measured n.
   const std::size_t n_max = sizes.back();
-  double log_par = 0, log_fused = 0;
+  double log_par = 0;
   std::size_t corpus_count = 0;
   for (const auto& s : summaries) {
     if (s.n != n_max || s.bench.rfind("compiled:", 0) != 0) continue;
-    log_par += std::log(s.ms[kFusedSerial].median / s.ms[kFusedPar].median);
-    log_fused += std::log(s.ms[kSerial].median / s.ms[kFusedSerial].median);
+    log_par += std::log(s.ms[kSerial].median / s.ms[kPar].median);
     ++corpus_count;
   }
   const double geo_par =
       corpus_count > 0 ? std::exp(log_par / corpus_count) : 0;
-  const double geo_fused =
-      corpus_count > 0 ? std::exp(log_fused / corpus_count) : 0;
   std::printf(
       "\ncompiled corpus at n=%zu (geomean of median ratios): parallel "
-      "over serial = %.2fx, fused over unfused (serial) = %.2fx\n",
-      n_max, geo_par, geo_fused);
-  std::printf("\nfusion at n=%zu (serial medians, unfused -> fused):\n",
-              n_max);
-  for (const auto& s : summaries) {
-    if (s.n != n_max || s.groups == 0) continue;
-    std::printf(
-        "  %-24s %7.2f -> %7.2f ms  (%.2fx; %llu groups / %llu instrs, "
-        "%llu buffers elided, %llu fallbacks)\n",
-        s.bench.c_str(), s.ms[kSerial].median, s.ms[kFusedSerial].median,
-        s.ms[kSerial].median / s.ms[kFusedSerial].median,
-        static_cast<unsigned long long>(s.groups),
-        static_cast<unsigned long long>(s.instrs),
-        static_cast<unsigned long long>(s.elided),
-        static_cast<unsigned long long>(s.fallbacks));
-  }
+      "over serial = %.2fx\n",
+      n_max, geo_par);
   std::printf(
       "\nreading: each cell is the median [p25-p75] ms over %d interleaved\n"
-      "reps (%zu workers for the parallel columns).  All four configurations\n"
+      "reps (%zu workers for the parallel column).  Both configurations\n"
       "matched run_reference's outputs, T, and W.\n",
       opt.reps, nsc::parallel_workers());
 
   // ---- JSON ----
-  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v4");
+  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v5");
   if (!report.ok()) return 1;
   std::FILE* f = report.out();
   std::fprintf(f, "  \"workers\": %zu,\n  \"reps\": %d,\n",
                nsc::parallel_workers(), opt.reps);
   std::fprintf(f,
                "  \"corpus_n\": %zu,\n"
-               "  \"corpus_geomean_parallel_speedup\": %.2f,\n"
-               "  \"corpus_geomean_fused_speedup\": %.2f,\n",
-               n_max, geo_par, geo_fused);
+               "  \"corpus_geomean_parallel_speedup\": %.2f,\n",
+               n_max, geo_par);
   std::fprintf(f, "  \"entries\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, \"backend\": \"%s\", "
-                 "\"fusion\": %s, \"ms_median\": %.3f, \"ms_p25\": %.3f, "
+                 "\"ms_median\": %.3f, \"ms_p25\": %.3f, "
                  "\"ms_p75\": %.3f, \"T\": %llu, \"W\": %llu, "
                  "\"checksum\": \"%016llx\"}%s\n",
-                 e.bench.c_str(), e.n, e.backend,
-                 e.fusion ? "true" : "false", e.ms.median, e.ms.p25, e.ms.p75,
+                 e.bench.c_str(), e.n, e.backend, e.ms.median, e.ms.p25,
+                 e.ms.p75,
                  static_cast<unsigned long long>(e.time),
                  static_cast<unsigned long long>(e.work),
                  static_cast<unsigned long long>(e.checksum),
@@ -585,20 +488,9 @@ int run_bench(const Options& opt) {
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, "
                  "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
-                 "\"fused_serial_ms\": %.3f, \"fused_parallel_ms\": %.3f, "
-                 "\"parallel_speedup\": %.2f, "
-                 "\"fused_serial_speedup\": %.2f, "
-                 "\"fused_groups\": %llu, \"fused_instrs\": %llu, "
-                 "\"fused_elided\": %llu, \"fused_fallbacks\": %llu}%s\n",
+                 "\"parallel_speedup\": %.2f}%s\n",
                  s.bench.c_str(), s.n, s.ms[kSerial].median,
-                 s.ms[kPar].median, s.ms[kFusedSerial].median,
-                 s.ms[kFusedPar].median,
-                 s.ms[kFusedSerial].median / s.ms[kFusedPar].median,
-                 s.ms[kSerial].median / s.ms[kFusedSerial].median,
-                 static_cast<unsigned long long>(s.groups),
-                 static_cast<unsigned long long>(s.instrs),
-                 static_cast<unsigned long long>(s.elided),
-                 static_cast<unsigned long long>(s.fallbacks),
+                 s.ms[kPar].median, s.ms[kSerial].median / s.ms[kPar].median,
                  i + 1 < summaries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mismatch\": %s\n", mismatch ? "true" : "false");
@@ -630,9 +522,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "bench_machine: the BVRAM execution engine, serial and parallel, with\n"
-      "and without fused elementwise groups; wall-clock median and\n"
-      "quartiles of %d reps, outputs/T/W checked against run_reference.\n\n",
+      "bench_machine: the BVRAM execution engine, serial and parallel;\n"
+      "wall-clock median and quartiles of %d reps, outputs/T/W checked\n"
+      "against run_reference.\n\n",
       opt.reps);
   return run_bench(opt);
 }

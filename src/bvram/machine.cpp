@@ -216,70 +216,6 @@ void arith_range(ArithOp op, std::uint64_t* out, const std::uint64_t* a,
 // (BufferPool) live in bvram/pool.hpp so the serve layer can keep a pool
 // alive across runs (RunConfig::arena).
 
-/// Structural sanity of a fusion plan against the program it claims to
-/// describe: in-bounds disjoint ranges, eligible ops in legal positions,
-/// consistent binding/commit tables, registers in range.  A plan that
-/// fails is ignored wholesale (the program just runs per-instruction).
-/// This guards against malformed hand-built plans; a *stale* plan --
-/// structurally fine but describing rewritten code -- is the caller's
-/// bug, same as stale last_use masks (the PassManager clears both).
-bool fusion_plan_valid(const Program& p) {
-  std::size_t prev_end = 0;
-  for (const FusedGroup& g : p.fusion) {
-    if (g.begin < prev_end || g.end <= g.begin || g.end > p.code.size()) {
-      return false;
-    }
-    const std::size_t n = g.end - g.begin;
-    if (n < 2 || n > FusedGroup::kMaxFusedGroup) return false;
-    if (g.bind_base.size() != n || g.commit.size() != n) return false;
-    if (g.inputs.empty()) return false;
-    for (std::uint32_t r : g.inputs) {
-      if (r >= p.num_regs) return false;
-    }
-    std::vector<bool> committed(p.num_regs, false);
-    std::size_t at = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      const Instr& in = p.code[g.begin + k];
-      switch (in.op) {
-        case Op::Move:
-        case Op::Arith:
-        case Op::Enumerate:
-          break;
-        case Op::ScanPlus:
-          if (!g.serial_only) return false;
-          break;
-        case Op::Select:
-          if (k != n - 1 || !g.has_select || !g.serial_only) return false;
-          if (g.commit[k] < 0) return false;
-          break;
-        default:
-          return false;
-      }
-      if (g.bind_base[k] != at) return false;
-      const std::size_t nsrc = Instr::src_count(in.op);
-      if (at + nsrc > g.binds.size()) return false;
-      for (std::size_t j = 0; j < nsrc; ++j) {
-        const FusedGroup::Bind& bd = g.binds[at + j];
-        if (bd.from_def) {
-          if (bd.index >= k) return false;
-          if (p.code[g.begin + bd.index].op == Op::Select) return false;
-        } else if (bd.index >= g.inputs.size()) {
-          return false;
-        }
-      }
-      at += nsrc;
-      if (g.commit[k] >= 0) {
-        const auto r = static_cast<std::size_t>(g.commit[k]);
-        if (r >= p.num_regs || committed[r]) return false;
-        committed[r] = true;
-      }
-    }
-    if (at != g.binds.size()) return false;
-    prev_end = g.end;
-  }
-  return true;
-}
-
 class Engine {
  public:
   Engine(const Program& program, const std::vector<Vec>& inputs,
@@ -314,114 +250,11 @@ class Engine {
     if (!p_.code.empty() && p_.last_use.size() == p_.code.size()) {
       last_use_ = p_.last_use.data();
     }
-    if (!p_.fusion.empty() && fusion_plan_valid(p_)) {
-      group_at_.assign(p_.code.size(), -1);
-      for (std::size_t i = 0; i < p_.fusion.size(); ++i) {
-        group_at_[p_.fusion[i].begin] = static_cast<std::int32_t>(i);
-      }
-    }
   }
 
   RunResult exec();
 
  private:
-  /// Lanes are processed in cache-sized blocks: each grouped instruction
-  /// runs its (dispatch-hoisted) kernel over one block before the next
-  /// instruction touches it, so intermediates live in an L1-resident
-  /// scratch instead of streaming through register-sized buffers.
-  static constexpr std::size_t kFuseBlock = 128;
-
-  /// Execute lanes [lo, hi) of a fused group.  `in_base[i]` is group
-  /// input i's data, `out_base[k]` the committed output buffer of def k
-  /// (nullptr: the value lives in scratch row scratch_row[k], or -- for a
-  /// Move -- is a pure alias of its source).  `scan_acc[k]` carries the
-  /// ScanPlus accumulators and `sel_out`/`sel_total` the terminal
-  /// Select's pack buffer and cursor (serial-only groups).  Division by
-  /// zero escapes as EvalError; the caller discards and falls back.
-  void run_fused_range(const FusedGroup& g,
-                       const std::uint64_t* const* in_base,
-                       std::uint64_t* const* out_base,
-                       const std::int32_t* scratch_row,
-                       std::uint64_t* scratch, std::uint64_t* scan_acc,
-                       std::uint64_t* sel_out, std::uint64_t& sel_total,
-                       std::size_t lo, std::size_t hi) const {
-    const Instr* gc = p_.code.data() + g.begin;
-    const std::size_t n = g.end - g.begin;
-    const std::uint64_t* span[FusedGroup::kMaxFusedGroup];
-    for (std::size_t base = lo; base < hi; base += kFuseBlock) {
-      const std::size_t bsz = std::min(kFuseBlock, hi - base);
-      for (std::size_t k = 0; k < n; ++k) {
-        const Instr& in = gc[k];
-        const FusedGroup::Bind* bd = g.binds.data() + g.bind_base[k];
-        const auto src = [&](std::size_t j) {
-          return bd[j].from_def ? span[bd[j].index]
-                                : in_base[bd[j].index] + base;
-        };
-        std::uint64_t* dst =
-            out_base[k] != nullptr
-                ? out_base[k] + base
-                : (scratch_row[k] >= 0
-                       ? scratch + static_cast<std::size_t>(scratch_row[k]) *
-                                       kFuseBlock
-                       : nullptr);
-        switch (in.op) {
-          case Op::Move: {
-            const std::uint64_t* a = src(0);
-            if (dst == nullptr) {
-              span[k] = a;  // elided: the value already has a home
-            } else {
-              std::memcpy(dst, a, bsz * sizeof(std::uint64_t));
-              span[k] = dst;
-            }
-            break;
-          }
-          case Op::Arith: {
-            arith_range(in.aop, dst, src(0), src(1), 0, bsz);
-            span[k] = dst;
-            break;
-          }
-          case Op::Enumerate: {
-            for (std::size_t t = 0; t < bsz; ++t) dst[t] = base + t;
-            span[k] = dst;
-            break;
-          }
-          case Op::ScanPlus: {
-            const std::uint64_t* a = src(0);
-            std::uint64_t acc = scan_acc[k];
-            for (std::size_t t = 0; t < bsz; ++t) {
-              const std::uint64_t x = a[t];
-              dst[t] = acc;
-              acc = sat_add(acc, x);
-            }
-            scan_acc[k] = acc;
-            span[k] = dst;
-            break;
-          }
-          case Op::Select: {
-            // Terminal pack: the unconditional store lands in the slack
-            // slot when the value is zero (same trick as the unfused
-            // kernel), so the loop stays branchless.
-            const std::uint64_t* a = src(0);
-            std::uint64_t at = sel_total;
-            for (std::size_t t = 0; t < bsz; ++t) {
-              const std::uint64_t v = a[t];
-              sel_out[at] = v;
-              at += v != 0 ? 1 : 0;
-            }
-            sel_total = at;
-            span[k] = nullptr;
-            break;
-          }
-          default:
-            break;  // excluded by plan validation
-        }
-      }
-    }
-  }
-
-  bool try_fused(const FusedGroup& g, std::uint64_t& executed,
-                 RunResult& result);
-
   Buf& reg_of(std::uint32_t r, const Instr& instr) {
     if (r >= regs_.size()) fail(instr, "register out of range");
     return regs_[r];
@@ -463,24 +296,6 @@ class Engine {
     const Instr::Srcs srcs = instr.srcs();
     for (std::size_t k = 0; k < srcs.n; ++k) {
       if (((mask >> k) & 1u) != 0) release(srcs.regs[k]);
-    }
-  }
-
-  /// Release every input of group g whose last use lies inside the group.
-  /// Runs after the group's kernel and before its commit, so a register
-  /// the group also commits to just receives its new value; no commit
-  /// target needs to be left out.  O(G), like the per-instruction path.
-  void release_dying_inputs(const FusedGroup& g) {
-    for (std::size_t k = 0; k < g.end - g.begin; ++k) {
-      const std::uint8_t mask = last_use_[g.begin + k];
-      if (mask == 0) continue;
-      const std::size_t nsrc = Instr::src_count(p_.code[g.begin + k].op);
-      for (std::size_t j = 0; j < nsrc; ++j) {
-        const FusedGroup::Bind& bd = g.binds[g.bind_base[k] + j];
-        if (!bd.from_def && ((mask >> j) & 1u) != 0) {
-          release(g.inputs[bd.index]);
-        }
-      }
     }
   }
 
@@ -528,232 +343,11 @@ class Engine {
   const std::uint64_t pool_misses0_;
   std::vector<Buf> regs_;
   const std::uint8_t* last_use_ = nullptr;
-  /// group_at_[pc] = index into p_.fusion of the group starting at pc,
-  /// -1 otherwise; empty when there is no plan or it didn't validate.
-  std::vector<std::int32_t> group_at_;
   // Allocator/kernel event counters, maintained unconditionally (a handful
   // of O(1) increments per instruction, lost in the noise of the kernels
   // themselves) and surfaced in RunResult::engine only when profiling.
   EngineProfile eng_;
 };
-
-/// Attempt to run group `g` (whose head is the current pc) as one fused
-/// pass.  On success: registers, T, W, trace, and per-slot profile are
-/// left exactly as per-instruction execution would leave them, and the
-/// caller jumps to g.end.  On failure (unequal input extents, budget
-/// about to expire mid-group, or a lane trap): *nothing* is mutated --
-/// the register file was never touched -- and the caller re-executes the
-/// range per-instruction, which reproduces the unfused behavior
-/// (including the exact trap instruction, element order, and message)
-/// by construction.
-bool Engine::try_fused(const FusedGroup& g, std::uint64_t& executed,
-                       RunResult& result) {
-  const std::size_t G = g.end - g.begin;
-  if (executed + G > cfg_.max_instructions) {
-    // The budget expires mid-group; the per-instruction path throws
-    // FuelExhausted at the exact instruction it should.
-    ++eng_.fused_fallbacks;
-    return false;
-  }
-  const std::size_t n = regs_[g.inputs[0]].size();
-  for (std::uint32_t r : g.inputs) {
-    if (regs_[r].size() != n) {
-      ++eng_.fused_fallbacks;
-      return false;
-    }
-  }
-
-  const bool prof = cfg_.profile;
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point t0;
-  std::uint64_t chunks_before = 0;
-  if (prof) {
-    chunks_before = parallel_chunk_count();
-    t0 = Clock::now();
-  }
-
-  const Instr* gc = p_.code.data() + g.begin;
-
-  // Stage storage: committed defs write straight into their (pooled)
-  // output buffers, everything else into L1-sized scratch rows -- except
-  // elided Moves, which need no storage at all, and the terminal Select,
-  // which packs into its own slack-slotted buffer.
-  //
-  // Rows are recycled: a def's row is free once its last in-group reader
-  // has run.  Reuse *at* the last reader (dst aliasing a source) is safe
-  // because every kernel reads its source elements before writing the
-  // destination element -- the same property the unfused engine's
-  // in-place execution relies on.  A chain cycling two temporaries then
-  // runs in two rows instead of one per def, keeping the working set in
-  // L1 no matter the group length.
-  std::vector<Buf> bufs(G);
-  std::uint64_t* out_base[FusedGroup::kMaxFusedGroup];
-  std::int32_t scratch_row[FusedGroup::kMaxFusedGroup];
-  std::int32_t last_read[FusedGroup::kMaxFusedGroup];
-  for (std::size_t k = 0; k < G; ++k) {
-    // A def nobody reads (it only exists for trap fidelity) expires
-    // immediately; its row frees for any later def.
-    last_read[k] = static_cast<std::int32_t>(k);
-    const std::size_t nsrc = Instr::src_count(gc[k].op);
-    for (std::size_t j = 0; j < nsrc; ++j) {
-      const FusedGroup::Bind& bd = g.binds[g.bind_base[k] + j];
-      if (!bd.from_def) continue;
-      // A read of an elided Move lands on its source's storage; it is
-      // the underlying producer's lifetime that must stretch to here.
-      std::uint32_t d = bd.index;
-      while (gc[d].op == Op::Move && g.commit[d] < 0 &&
-             g.binds[g.bind_base[d]].from_def) {
-        d = g.binds[g.bind_base[d]].index;
-      }
-      last_read[d] = static_cast<std::int32_t>(k);
-    }
-  }
-  Buf sel_buf;
-  std::uint64_t* sel_out = nullptr;
-  std::size_t rows = 0;
-  std::int32_t free_rows[FusedGroup::kMaxFusedGroup];
-  std::size_t num_free = 0;
-  for (std::size_t k = 0; k < G; ++k) {
-    out_base[k] = nullptr;
-    scratch_row[k] = -1;
-  }
-  for (std::size_t k = 0; k < G; ++k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (scratch_row[j] < 0) continue;
-      // Freed exactly once: at the last reader (in-place handoff), or --
-      // for a def nobody reads -- at the next instruction.
-      const auto lr = static_cast<std::size_t>(last_read[j]);
-      if ((lr == j ? j + 1 : lr) == k) {
-        free_rows[num_free++] = scratch_row[j];
-      }
-    }
-    if (gc[k].op == Op::Select) {
-      sel_buf = acquire(n + 1);
-      sel_out = sel_buf.data();
-    } else if (g.commit[k] >= 0) {
-      bufs[k] = acquire(n);
-      out_base[k] = bufs[k].data();
-    } else if (gc[k].op != Op::Move) {
-      scratch_row[k] = num_free > 0 ? free_rows[--num_free]
-                                    : static_cast<std::int32_t>(rows++);
-    }
-  }
-  std::vector<const std::uint64_t*> in_base(g.inputs.size());
-  for (std::size_t i = 0; i < g.inputs.size(); ++i) {
-    in_base[i] = regs_[g.inputs[i]].data();
-  }
-
-  std::uint64_t scan_acc[FusedGroup::kMaxFusedGroup] = {};
-  std::uint64_t sel_total = 0;
-  bool trapped = false;
-  try {
-    if (par_ && !g.serial_only) {
-      const ChunkPlan plan = ChunkPlan::make(n);
-      if (plan.chunks > 1) {
-        for_each_chunk(plan,
-                       [&](std::size_t, std::size_t lo, std::size_t hi) {
-          // Per-chunk scratch: chunks touch disjoint lanes of the
-          // shared output buffers but need private intermediates.
-          std::vector<std::uint64_t> scratch(rows * kFuseBlock);
-          std::uint64_t unused = 0;
-          run_fused_range(g, in_base.data(), out_base, scratch_row,
-                          scratch.data(), nullptr, nullptr, unused, lo, hi);
-        });
-      } else {
-        std::vector<std::uint64_t> scratch(rows * kFuseBlock);
-        run_fused_range(g, in_base.data(), out_base, scratch_row,
-                        scratch.data(), scan_acc, sel_out, sel_total, 0, n);
-      }
-    } else {
-      std::vector<std::uint64_t> scratch(rows * kFuseBlock);
-      run_fused_range(g, in_base.data(), out_base, scratch_row,
-                      scratch.data(), scan_acc, sel_out, sel_total, 0, n);
-    }
-  } catch (const EvalError&) {
-    trapped = true;  // division by zero somewhere in the group
-  }
-  if (trapped) {
-    for (std::size_t k = 0; k < G; ++k) recycle(std::move(bufs[k]));
-    recycle(std::move(sel_buf));
-    ++eng_.fused_fallbacks;
-    return false;
-  }
-
-  // Commit: hand back the inputs that died inside the group, then install
-  // every surviving value, recycling displaced buffers.  Only now does the
-  // register file change, so the live state is exactly what
-  // per-instruction execution produces.
-  if (last_use_ != nullptr) release_dying_inputs(g);
-  for (std::size_t k = 0; k < G; ++k) {
-    if (g.commit[k] < 0) {
-      ++eng_.fused_elided;
-      continue;
-    }
-    const auto dst = static_cast<std::uint32_t>(g.commit[k]);
-    if (gc[k].op == Op::Select) {
-      sel_buf.reset_size(static_cast<std::size_t>(sel_total));
-      set_reg(dst, std::move(sel_buf), gc[k]);
-    } else {
-      set_reg(dst, std::move(bufs[k]), gc[k]);
-    }
-  }
-  ++eng_.fused_groups;
-  eng_.fused_instrs += G;
-
-  // Synthesize the per-instruction charges the unfused engine would have
-  // made: every in-group value has the common extent n (the ops are all
-  // length-preserving), except the Select output, whose true length the
-  // pack cursor just measured.
-  executed += G;
-  result.cost.time = sat_add(result.cost.time, G);
-  std::uint64_t wk[FusedGroup::kMaxFusedGroup];
-  for (std::size_t k = 0; k < G; ++k) {
-    std::uint64_t w = 0;
-    std::uint64_t ml = n;
-    switch (gc[k].op) {
-      case Op::Move:
-      case Op::Enumerate:
-      case Op::ScanPlus:
-        w = sat_add(n, n);  // input + output
-        break;
-      case Op::Arith:
-        w = sat_add(sat_add(n, n), n);  // a, b, out
-        break;
-      case Op::Select:
-        w = sat_add(n, sel_total);
-        if (sel_total > ml) ml = sel_total;
-        break;
-      default:
-        break;
-    }
-    wk[k] = w;
-    result.cost.work = sat_add(result.cost.work, w);
-    if (cfg_.record_trace) {
-      result.trace.push_back(
-          {gc[k].op, w, ml, static_cast<std::uint64_t>(g.begin + k)});
-    }
-  }
-  if (prof) {
-    // count/work/bytes are the deterministic contract and synthesized
-    // exactly; wall time (one measurement for the whole group) is split
-    // evenly and the chunk delta lands on the head slot -- both are
-    // documented as run-to-run-variable.
-    const auto total_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                             t0)
-            .count());
-    for (std::size_t k = 0; k < G; ++k) {
-      InstrProfile& ip = result.profile[g.begin + k];
-      ip.count += 1;
-      ip.work = sat_add(ip.work, wk[k]);
-      ip.bytes = sat_add(ip.bytes, sat_mul(wk[k], 8));
-      ip.wall_ns += total_ns / G;
-    }
-    result.profile[g.begin].wall_ns += total_ns % G;
-    result.profile[g.begin].chunks += parallel_chunk_count() - chunks_before;
-  }
-  return true;
-}
 
 RunResult Engine::exec() {
   RunResult result;
@@ -771,16 +365,6 @@ RunResult Engine::exec() {
   }
 
   while (pc < p_.code.size()) {
-    if (!group_at_.empty() && group_at_[pc] >= 0) {
-      const FusedGroup& g =
-          p_.fusion[static_cast<std::size_t>(group_at_[pc])];
-      if (try_fused(g, executed, result)) {
-        pc = g.end;
-        continue;
-      }
-      // Fall through: the group's range executes per-instruction (the
-      // plan only ever matches the group head, so no re-entry mid-group).
-    }
     const Instr& instr = p_.code[pc];
     if (++executed > cfg_.max_instructions) {
       throw FuelExhausted("BVRAM exceeded " +
@@ -953,7 +537,7 @@ RunResult Engine::exec() {
         const std::uint64_t* cnt = counts.data();
         const std::uint64_t* dat = data.data();
         if (!par) {
-          // Fused serial kernel: the certificate pins |out| to |bound|,
+          // One-pass serial kernel: the certificate pins |out| to |bound|,
           // so allocate that up front and validate *while* scattering --
           // counts are read once instead of twice (sum pass + scatter
           // pass).  A trailing slack slot lets the count<=1 case (pack
@@ -997,7 +581,7 @@ RunResult Engine::exec() {
           break;
         }
         // Parallel: one chunked pass over counts yields the certificate
-        // sum *and* the per-chunk scatter offsets (the fused vec_sum
+        // sum *and* the per-chunk scatter offsets (the one-pass vec_sum
         // validation).
         const ChunkPlan plan = ChunkPlan::make(nt);
         std::vector<std::uint64_t> offs;

@@ -172,67 +172,24 @@ struct Instr {
   }
 };
 
-/// A fused super-instruction: a run of adjacent elementwise instructions
-/// [begin, end) -- Arith, Move, Enumerate, plus a mid-group ScanPlus or a
-/// terminal Select -- that the execution engine may run as a single pass
-/// over the lanes, staging every intermediate value in a small per-lane
-/// scratch instead of materializing it as a register-sized buffer.
-///
-/// The plan is pure annotation, produced by opt::annotate_fusion and
-/// carried alongside the instructions it describes (which are retained
-/// unchanged, so disassembly, traces, and run_reference never see it).
-/// Like Program::last_use it describes one exact instruction sequence:
-/// any mutation of `code` invalidates it (the optimizer's PassManager
-/// clears stale plans; re-run opt::annotate_fusion after hand edits).
-///
-/// Execution contract (see docs/fusion.md for the full invariants):
-/// every instruction in the group writes a register ("def" d for the
-/// group's d-th instruction) and reads only registers (no jumps, no
-/// loads).  Reads resolve statically: either to a *group input* -- a
-/// register whose value enters the group from outside -- or to an
-/// earlier def.  At run time the engine requires all group inputs to
-/// hold vectors of one common length; otherwise (or when the
-/// instruction budget would expire mid-group, or when a lane traps) it
-/// falls back to per-instruction execution of the same range, which
-/// reproduces the unfused behavior -- outputs, traps, T, W, traces --
-/// exactly, because the fused attempt never touches the register file
-/// before the group commits.
+/// The shape of a fusion-plan group, from the elementwise fusion pass
+/// that was deleted because it did not beat per-instruction execution on
+/// the corpus.  Nothing builds, attaches or reads one: it exists only
+/// until a benchmark change retires perfbench's opt.fusion_ms,
+/// bvram.fused_instr_frac and bvram.fused_fallback_ratio, which still
+/// compile against these names (ROADMAP item 3).
 struct FusedGroup {
   std::size_t begin = 0;
-  std::size_t end = 0;  ///< exclusive; end - begin <= kMaxFusedGroup
-
-  /// Largest group the executor accepts (bounds its per-lane scratch).
-  static constexpr std::size_t kMaxFusedGroup = 48;
-
-  /// Distinct registers read from the register file, in first-read order.
+  std::size_t end = 0;
   std::vector<std::uint32_t> inputs;
-
-  /// Where a source operand's value comes from: group input `index`
-  /// (from_def == false) or the group's `index`-th def (from_def == true).
   struct Bind {
     bool from_def = false;
     std::uint32_t index = 0;
   };
-  /// Operand bindings of all grouped instructions, flattened in
-  /// instruction order; instruction k's bindings start at bind_base[k]
-  /// and there are Instr::src_count(op) of them.
   std::vector<Bind> binds;
   std::vector<std::uint32_t> bind_base;
-
-  /// Per def: the register this value is installed into when the group
-  /// commits, or -1 for a pure intermediate -- a value that provably dies
-  /// inside the group (overwritten later, or liveness-dead after its last
-  /// in-group read), whose buffer is elided entirely.  A def may commit
-  /// to a register other than its instruction's dst: a committed Move of
-  /// an elided def sinks its commit onto the producer, so the copy
-  /// disappears (the Move executes as a pointer alias).
   std::vector<std::int32_t> commit;
-
-  /// Group contains ScanPlus (lane-carried accumulator) or Select (pack
-  /// cursor): the fused loop runs serially even under the parallel
-  /// backend.  Pure elementwise groups chunk with ChunkPlan.
   bool serial_only = false;
-  /// end-1 is a Select; its output length is data-dependent.
   bool has_select = false;
 };
 
@@ -254,12 +211,8 @@ struct Program {
   /// annotations; re-run opt::annotate_last_use after hand edits).
   std::vector<std::uint8_t> last_use;
 
-  /// Optional fusion plan, produced by opt::annotate_fusion (attached by
-  /// sa::compile_nsa / compile_nsc right after the last-use masks).  Pure
-  /// annotation consumed by run(); empty means "no fusion", which is
-  /// always safe, so clearing it is how a caller runs a program strictly
-  /// per-instruction.  Invalidated by any mutation of `code`, exactly
-  /// like last_use.
+  /// Always empty: run() never reads it.  Kept, like FusedGroup, only
+  /// until a benchmark change retires perfbench's fusion metrics.
   std::vector<FusedGroup> fusion;
 
   /// Interned debug sites referenced by Instr::dbg.  sa::compile_nsa /
@@ -313,14 +266,11 @@ struct EngineProfile {
   std::uint64_t par_kernels = 0;    ///< kernel invocations split into chunks
   std::uint64_t par_chunks = 0;     ///< total chunks dispatched to the pool
   std::uint64_t par_serial = 0;     ///< kernel invocations run single-chunk
-  // Fused-group counters (dynamic: counted per group *execution*, so a
-  // group inside a loop counts once per trip).
-  std::uint64_t fused_groups = 0;     ///< groups executed via the fused path
-  std::uint64_t fused_instrs = 0;     ///< instructions covered by those groups
-  std::uint64_t fused_elided = 0;     ///< intermediate buffers never built
-  std::uint64_t fused_fallbacks = 0;  ///< groups bounced to per-instruction
-                                      ///< execution (extent mismatch, trap,
-                                      ///< budget expiry)
+  // Always 0: no engine path fuses instructions.  Kept only until a
+  // benchmark change retires perfbench's fusion metrics (ROADMAP item 3).
+  std::uint64_t fused_groups = 0;
+  std::uint64_t fused_instrs = 0;
+  std::uint64_t fused_fallbacks = 0;
 };
 
 struct RunResult {
@@ -377,8 +327,7 @@ struct RunConfig {
 // ScanPlus / Select (the serial pack never writes past its read index)
 // write their result in place over a dead source operand, and a source
 // register of a page or more that dies at an instruction hands its buffer
-// back to the pool once the instruction completes (a fused group does so
-// for its dying inputs just before it commits).  None of this can be
+// back to the pool once the instruction completes.  None of this can be
 // observed through the paper's semantics:
 //
 //   * T charges 1 per executed instruction and W charges the *lengths* of
@@ -411,7 +360,7 @@ RunResult run(const Program& program,
 /// The reference interpreter: section 2's instructions and charges,
 /// executed serially with a fresh output vector per instruction.  It reads
 /// only RunConfig::max_instructions and record_trace, and ignores
-/// Program::last_use and Program::fusion.  Semantically identical to run()
+/// Program::last_use.  Semantically identical to run()
 /// (outputs, traps, T, W, trace); kept as the oracle that tests and
 /// bench/bench_machine.cpp check run() against.
 RunResult run_reference(const Program& program,

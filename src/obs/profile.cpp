@@ -174,10 +174,7 @@ std::string Profile::render_engine() const {
       << " misses; in-place " << engine.inplace_hits << "; move-swaps "
       << engine.move_swaps << "; parallel " << engine.par_kernels
       << " kernels (" << engine.par_serial << " serial, "
-      << engine.par_chunks << " chunks)"
-      << "; fused " << engine.fused_groups << " groups / "
-      << engine.fused_instrs << " instrs (" << engine.fused_elided
-      << " buffers elided, " << engine.fused_fallbacks << " fallbacks)";
+      << engine.par_chunks << " chunks)";
   return out.str();
 }
 

@@ -144,8 +144,8 @@ struct LoopForest {
   }
 };
 
-/// Generic forward dataflow fixpoint over the CFG, shared by copy-prop,
-/// gvn and the peephole constant analysis.  Block out-states start at
+/// Generic forward dataflow fixpoint over the CFG, shared by copy-prop
+/// and the peephole constant analysis.  Block out-states start at
 /// TOP ("uncomputed", the identity of the meet), so must-problems
 /// converge to their maximal fixpoint on loops.  Blocks are visited in
 /// reverse postorder (OrderedWorklist): the first pass reaches each block

@@ -1,50 +1,16 @@
-// Elementwise fusion planning: group maximal runs of adjacent
-// elementwise instructions into bvram::FusedGroup super-instructions
-// that the execution engine runs as one pass over the lanes.
-//
-// This is an *annotation* pass, not a rewrite: the instruction sequence
-// is untouched (disassembly, traces, and run_reference never see the
-// plan), so it runs after the whole O2 pipeline, on the final code --
-// sa::compile_nsa / compile_nsc attach the plan right after the
-// last-use masks.  Group formation is purely static:
-//
-//   * eligible ops: Move, Arith, Enumerate, ScanPlus (mid-group; forces
-//     the serial fused loop) and Select (terminal only -- its output
-//     extent is data-dependent, so nothing may consume it in-lane);
-//   * a group is a contiguous straight-line run: no eligible
-//     instruction is a jump, and no jump elsewhere targets the group's
-//     interior (targeting the first instruction is fine -- the engine
-//     only enters groups at their head);
-//   * every value is classified as group input (read from the register
-//     file), intermediate (dies inside the group: overwritten by a
-//     later in-group def, or liveness-dead -- Program::last_use -- after
-//     its last in-group read; its buffer is elided), or output
-//     (committed to the register file when the group ends);
-//   * a committed Move of an in-group value sinks its commit onto the
-//     ultimate producer, so the copy never happens;
-//   * groups that elide nothing (or whose only effect would be to turn
-//     the engine's O(1) move-swaps into copies) are not worth a plan
-//     and are skipped.
-//
-// Everything dynamic -- the common extent check, trap reproduction, the
-// instruction budget -- is the executor's job (see bvram::FusedGroup and
-// docs/fusion.md).
+// What is left of elementwise fusion planning.  The pass and the engine's
+// fused path were deleted: a fused group ran no faster than the same
+// instructions executed one at a time on the compiled corpus, and the
+// T/W cost model never saw it.
 #pragma once
-
-#include <vector>
 
 #include "bvram/machine.hpp"
 
 namespace nsc::opt {
 
-/// Compute the fusion plan for `p` as it stands.  Returns disjoint
-/// groups in increasing `begin` order; may be empty.
-std::vector<bvram::FusedGroup> compute_fusion(const bvram::Program& p);
-
-/// Compute and attach the plan: p.fusion = compute_fusion(p).  Uses
-/// p.last_use when present (better elision), so run it after
-/// opt::annotate_last_use.  Must be re-run after any mutation of p.code
-/// (the optimizer's PassManager clears stale plans).
-void annotate_fusion(bvram::Program& p);
+/// Does nothing.  Exists only until a benchmark change retires
+/// perfbench's opt.fusion_ms, bvram.fused_instr_frac and
+/// bvram.fused_fallback_ratio, which still call it (ROADMAP item 3).
+inline void annotate_fusion(bvram::Program&) {}
 
 }  // namespace nsc::opt

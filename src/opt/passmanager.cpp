@@ -18,12 +18,10 @@ PipelineStats PassManager::run(bvram::Program& p, std::size_t max_rounds) {
     stats.passes.push_back(PassStats{pass->name(), 0, 0});
   }
 
-  // Passes rewrite code, so any existing last-use annotation or fusion
-  // plan is about to go stale; drop them here rather than asking every
-  // pass to.  Callers re-annotate after the pipeline (sa::compile_nsa
-  // does).
+  // Passes rewrite code, so any existing last-use annotation is about to
+  // go stale; drop it here rather than asking every pass to.  Callers
+  // re-annotate after the pipeline (sa::compile_nsa does).
   p.last_use.clear();
-  p.fusion.clear();
 
   using Clock = std::chrono::steady_clock;
   const auto ns_since = [](Clock::time_point t0) {

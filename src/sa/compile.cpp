@@ -2,7 +2,6 @@
 
 #include "nsa/from_nsc.hpp"
 #include "obs/debuginfo.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 
 namespace nsc::sa {
@@ -1158,10 +1157,6 @@ bvram::Program compile_nsa(const nsa::NsaRef& f, opt::OptLevel opt,
   // execution engine uses them to recycle dead operand buffers
   // (Move-as-swap, in-place kernels) without touching the T/W accounting.
   opt::annotate_last_use(p);
-  // Then the fusion plan, which reuses the masks to prove intermediates
-  // dead (run at every OptLevel: naive emission is the most fusable code
-  // of all, and the plan is pure annotation either way).
-  opt::annotate_fusion(p);
   return p;
 }
 

@@ -114,13 +114,6 @@ void Service::register_metrics() {
   m_.eng_par_chunks = &registry_.counter(
       "nscc_engine_par_chunks_total",
       "Chunks dispatched to the worker pool (profile_runs only).");
-  m_.eng_fused_groups = &registry_.counter(
-      "nscc_engine_fused_groups_total",
-      "Instruction groups executed via the fused path (profile_runs "
-      "only).");
-  m_.eng_fused_elided = &registry_.counter(
-      "nscc_engine_fused_elided_total",
-      "Intermediate buffers elided by fused groups (profile_runs only).");
 }
 
 Service::Service(ServeConfig cfg)
@@ -337,8 +330,6 @@ void Service::note_engine(const bvram::EngineProfile& e) {
   m_.eng_move_swaps->inc(e.move_swaps);
   m_.eng_par_kernels->inc(e.par_kernels);
   m_.eng_par_chunks->inc(e.par_chunks);
-  m_.eng_fused_groups->inc(e.fused_groups);
-  m_.eng_fused_elided->inc(e.fused_elided);
 }
 
 void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,

@@ -68,7 +68,7 @@ struct ServeConfig {
   /// Admission limit: submits beyond this many queued requests are
   /// rejected immediately with Outcome::Rejected.
   std::size_t max_queue = 1024;
-  /// Largest number of same-program requests fused into one batch run.
+  /// Largest number of same-program requests merged into one batch run.
   std::size_t max_batch = 64;
   /// Per-request instruction budget (RunConfig::max_instructions); a
   /// batch of k runs under k * fuel.
@@ -98,7 +98,7 @@ struct ServeConfig {
   /// 0 disables the threshold.
   std::uint64_t slow_ms = 0;
   /// Run every machine run with RunConfig::profile and fold the engine's
-  /// counters (pool hits, in-place writes, fused groups, ...) into the
+  /// counters (pool hits, in-place writes, move swaps, ...) into the
   /// metrics registry.  Costs engine-side bookkeeping; off by default.
   bool profile_runs = false;
 };
@@ -251,8 +251,6 @@ class Service {
     obs::Counter* eng_move_swaps = nullptr;
     obs::Counter* eng_par_kernels = nullptr;
     obs::Counter* eng_par_chunks = nullptr;
-    obs::Counter* eng_fused_groups = nullptr;
-    obs::Counter* eng_fused_elided = nullptr;
   };
 
   void register_metrics();

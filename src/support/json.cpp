@@ -15,7 +15,7 @@ class Parser {
 
   Value parse_document() {
     skip_ws();
-    Value v = parse_value();
+    Value v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) err("trailing characters after the document");
     return v;
@@ -62,11 +62,15 @@ class Parser {
     return true;
   }
 
-  Value parse_value() {
+  /// `depth` counts the arrays and objects that enclose this value.
+  Value parse_value(std::size_t depth) {
     if (done()) err("unexpected end of input");
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      err("nesting deeper than " + std::to_string(kMaxDepth));
+    }
+    if (c == '{') return parse_object(depth + 1);
+    if (c == '[') return parse_array(depth + 1);
     if (c == '"') {
       Value v;
       v.kind = Value::Kind::String;
@@ -93,7 +97,7 @@ class Parser {
     err("unexpected character");
   }
 
-  Value parse_object() {
+  Value parse_object(std::size_t depth) {
     expect('{');
     Value v;
     v.kind = Value::Kind::Object;
@@ -108,7 +112,7 @@ class Parser {
       skip_ws();
       expect(':');
       skip_ws();
-      v.members.emplace_back(std::move(key), parse_value());
+      v.members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (done()) err("unterminated object");
       if (peek() == ',') {
@@ -120,7 +124,7 @@ class Parser {
     }
   }
 
-  Value parse_array() {
+  Value parse_array(std::size_t depth) {
     expect('[');
     Value v;
     v.kind = Value::Kind::Array;
@@ -131,7 +135,7 @@ class Parser {
     }
     for (;;) {
       skip_ws();
-      v.items.push_back(parse_value());
+      v.items.push_back(parse_value(depth));
       skip_ws();
       if (done()) err("unterminated array");
       if (peek() == ',') {

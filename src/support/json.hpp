@@ -12,9 +12,11 @@
 // document as written.
 //
 // parse() throws nsc::Error with a line:column position on malformed
-// input; it never aborts.
+// input, and on arrays or objects nested deeper than kMaxDepth; it never
+// aborts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -46,6 +48,11 @@ class Value {
   const std::string& as_string() const;  ///< throws on non-strings
   bool as_bool() const;  ///< throws on non-booleans
 };
+
+/// Deepest array/object nesting parse() accepts.  The parser recurses once
+/// per level, so without a bound a run of '[' overflows the stack; the
+/// repository's own documents nest fewer than ten levels.
+constexpr std::size_t kMaxDepth = 256;
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).

@@ -156,14 +156,16 @@ std::size_t effective_workers(const char* env_value, std::string* warning) {
     if (c < '0' || c > '9') digits = false;
   }
   const unsigned long v = digits ? std::strtoul(raw.c_str(), nullptr, 10) : 0;
-  if (digits && v >= 1 && v <= 256) return static_cast<std::size_t>(v);
+  if (digits && v >= 1 && v <= kMaxWorkers) {
+    return static_cast<std::size_t>(v);
+  }
   std::size_t n = hardware();
   const char* why = "is not a worker count";
   if (digits && v == 0) {
     why = "asks for zero workers";
   } else if (digits) {
     why = "exceeds the 256-worker cap";
-    n = 256;
+    n = kMaxWorkers;
   }
   if (warning != nullptr) {
     *warning = "NSCC_WORKERS='" + raw + "' " + why + "; using " +

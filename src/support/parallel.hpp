@@ -33,12 +33,16 @@ namespace nsc {
 /// concurrency.
 std::size_t parallel_workers();
 
+/// The most worker threads NSCC_WORKERS or `nscc serve --workers` may ask
+/// for.
+constexpr std::size_t kMaxWorkers = 256;
+
 /// Resolve an NSCC_WORKERS value (nullptr = unset) to an effective worker
-/// count.  Strictly-digit values in [1, 256] are taken as-is; everything
-/// else -- garbage, empty, 0, negative, out of range -- falls back to
-/// hardware concurrency (clamping overlarge values to 256) and, when
-/// `warning` is non-null, explains the rejection in one line including
-/// the effective count.  Exposed separately from the pool so the
+/// count.  Strictly-digit values in [1, kMaxWorkers] are taken as-is;
+/// everything else -- garbage, empty, 0, negative, out of range -- falls
+/// back to hardware concurrency (clamping overlarge values to kMaxWorkers)
+/// and, when `warning` is non-null, explains the rejection in one line
+/// including the effective count.  Exposed separately from the pool so the
 /// validation is unit-testable (the pool reads the env exactly once).
 std::size_t effective_workers(const char* env_value,
                               std::string* warning = nullptr);

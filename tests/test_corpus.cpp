@@ -9,10 +9,10 @@
 // the full pipeline contract.
 //
 // A second gate pins the emitted code itself: an FNV-1a-64 digest of
-// every corpus program's O2 compile (disassembly, last-use masks and
-// fusion plan), unit and lifted, under every WhileSchedule.  An
-// optimizer change that is meant to be output-neutral must leave the
-// table alone; one that is not must say which digests it moves.
+// every corpus program's O2 compile (disassembly and last-use masks),
+// unit and lifted, under every WhileSchedule.  An optimizer change that
+// is meant to be output-neutral must leave the table alone; one that is
+// not must say which digests it moves.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -153,24 +153,6 @@ std::uint64_t program_digest(const bvram::Program& p) {
   f.str(p.disassemble());
   f.u64(p.last_use.size());
   for (std::uint8_t m : p.last_use) f.byte(m);
-  f.u64(p.fusion.size());
-  for (const bvram::FusedGroup& g : p.fusion) {
-    f.u64(g.begin);
-    f.u64(g.end);
-    f.u64(g.inputs.size());
-    for (std::uint32_t r : g.inputs) f.u64(r);
-    f.u64(g.binds.size());
-    for (const auto& b : g.binds) {
-      f.byte(b.from_def ? 1 : 0);
-      f.u64(b.index);
-    }
-    f.u64(g.bind_base.size());
-    for (std::uint32_t k : g.bind_base) f.u64(k);
-    f.u64(g.commit.size());
-    for (std::int32_t c : g.commit) f.u64(static_cast<std::uint32_t>(c));
-    f.byte(g.serial_only ? 1 : 0);
-    f.byte(g.has_select ? 1 : 0);
-  }
   return f.h;
 }
 
@@ -184,78 +166,78 @@ struct PinnedDigest {
 // O2 compiles of tests/corpus/*.nsc.  Regenerate a row from the failure
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
-    {"countdown", false, "naive", 0x849e422e0e1a4d73ull},
-    {"countdown", false, "eager", 0x3fb4fc728046ba4aull},
-    {"countdown", false, "staged", 0x744c4f950279a60dull},
-    {"countdown", true, "naive", 0xfba96e09bb88c37bull},
-    {"countdown", true, "eager", 0x40e2aa2358e377baull},
-    {"countdown", true, "staged", 0xd51fdc2fd4b9bdbaull},
-    {"divide_conquer", false, "naive", 0x6ef97c69e3487803ull},
-    {"divide_conquer", false, "eager", 0x6ef97c69e3487803ull},
-    {"divide_conquer", false, "staged", 0x6ef97c69e3487803ull},
-    {"divide_conquer", true, "naive", 0x732bdcec981c29c9ull},
-    {"divide_conquer", true, "eager", 0x90ec1d393989e07aull},
-    {"divide_conquer", true, "staged", 0xa2e5ca43df588f8eull},
-    {"histogram", false, "naive", 0x24174019016ba531ull},
-    {"histogram", false, "eager", 0x24174019016ba531ull},
-    {"histogram", false, "staged", 0x24174019016ba531ull},
-    {"histogram", true, "naive", 0xc9ea74ea9e64fb82ull},
-    {"histogram", true, "eager", 0xc9ea74ea9e64fb82ull},
-    {"histogram", true, "staged", 0xc9ea74ea9e64fb82ull},
-    {"merge_sorted", false, "naive", 0x1f854407d7dca82cull},
-    {"merge_sorted", false, "eager", 0x1f854407d7dca82cull},
-    {"merge_sorted", false, "staged", 0x1f854407d7dca82cull},
-    {"merge_sorted", true, "naive", 0x8cdee2f04a0ef38eull},
-    {"merge_sorted", true, "eager", 0x8cdee2f04a0ef38eull},
-    {"merge_sorted", true, "staged", 0x8cdee2f04a0ef38eull},
-    {"nested_join", false, "naive", 0xb76b424865c78578ull},
-    {"nested_join", false, "eager", 0xb76b424865c78578ull},
-    {"nested_join", false, "staged", 0xb76b424865c78578ull},
-    {"nested_join", true, "naive", 0xacdf042ff1851a50ull},
-    {"nested_join", true, "eager", 0xacdf042ff1851a50ull},
-    {"nested_join", true, "staged", 0xacdf042ff1851a50ull},
-    {"nested_query", false, "naive", 0x3d1c0fbb6e21a2c1ull},
-    {"nested_query", false, "eager", 0x1503a7a094f7c3bdull},
-    {"nested_query", false, "staged", 0x9a9b8cf43cc56e66ull},
-    {"nested_query", true, "naive", 0xd6ef343938be8718ull},
-    {"nested_query", true, "eager", 0x1fabfd1c847bbb42ull},
-    {"nested_query", true, "staged", 0x49468019c3243276ull},
-    {"quickstart", false, "naive", 0x9bfec0200d07b8b6ull},
-    {"quickstart", false, "eager", 0x9bfec0200d07b8b6ull},
-    {"quickstart", false, "staged", 0x9bfec0200d07b8b6ull},
-    {"quickstart", true, "naive", 0x87796338a8bc29c0ull},
-    {"quickstart", true, "eager", 0x87796338a8bc29c0ull},
-    {"quickstart", true, "staged", 0x87796338a8bc29c0ull},
-    {"segmented_filter_reduce", false, "naive", 0xda95e4ae94ea975aull},
-    {"segmented_filter_reduce", false, "eager", 0x654ec5b150315041ull},
-    {"segmented_filter_reduce", false, "staged", 0x0f76ab77325a0b82ull},
-    {"segmented_filter_reduce", true, "naive", 0xcf1b16ba7a366001ull},
-    {"segmented_filter_reduce", true, "eager", 0x8965dea15e164173ull},
-    {"segmented_filter_reduce", true, "staged", 0xbc108947ea9831e4ull},
-    {"sqrt_blocks", false, "naive", 0x663370ec8c48dffcull},
-    {"sqrt_blocks", false, "eager", 0xe2a9ea6ddf9abd76ull},
-    {"sqrt_blocks", false, "staged", 0x7a159c4668a232c5ull},
-    {"sqrt_blocks", true, "naive", 0x8ef5e97f20d6351eull},
-    {"sqrt_blocks", true, "eager", 0x564751800ceb5415ull},
-    {"sqrt_blocks", true, "staged", 0x6fd285d44abe681dull},
-    {"stragglers", false, "naive", 0x52e1c6fdf8fbe1dbull},
-    {"stragglers", false, "eager", 0x6937d1ebe8d2126cull},
-    {"stragglers", false, "staged", 0x997105f265d659feull},
-    {"stragglers", true, "naive", 0x77d89cf962759ecfull},
-    {"stragglers", true, "eager", 0x430a2f07618931c3ull},
-    {"stragglers", true, "staged", 0x11f7ecdad69d5171ull},
-    {"tokenizer", false, "naive", 0x5b3fb7525d195604ull},
-    {"tokenizer", false, "eager", 0xc1377bcae2a96611ull},
-    {"tokenizer", false, "staged", 0x2edde24c4ca5823full},
-    {"tokenizer", true, "naive", 0xe02b43b1a6f449d9ull},
-    {"tokenizer", true, "eager", 0x7ddfd7590aa3765dull},
-    {"tokenizer", true, "staged", 0xe27da3c3c014a761ull},
-    {"trap_division", false, "naive", 0x60386020696c5fa2ull},
-    {"trap_division", false, "eager", 0xb2abf6c4ca2c9e20ull},
-    {"trap_division", false, "staged", 0xad2cab2352ffe949ull},
-    {"trap_division", true, "naive", 0x16eb10ab3aeaee46ull},
-    {"trap_division", true, "eager", 0x157f510035f714c6ull},
-    {"trap_division", true, "staged", 0xe4367f4d37e5025bull},
+    {"countdown", false, "naive", 0xb9bdce7ae131ab11ull},
+    {"countdown", false, "eager", 0x583e371bf235566eull},
+    {"countdown", false, "staged", 0x15bf2e18b7d4ab26ull},
+    {"countdown", true, "naive", 0x643fb57f927aa795ull},
+    {"countdown", true, "eager", 0x0f787e3e1aaf92f3ull},
+    {"countdown", true, "staged", 0xb4f0a0db6900dcf3ull},
+    {"divide_conquer", false, "naive", 0x27a90d1899fe882aull},
+    {"divide_conquer", false, "eager", 0x27a90d1899fe882aull},
+    {"divide_conquer", false, "staged", 0x27a90d1899fe882aull},
+    {"divide_conquer", true, "naive", 0x95fd8a683e338d6cull},
+    {"divide_conquer", true, "eager", 0xb77b61a3651de28eull},
+    {"divide_conquer", true, "staged", 0xc71290c18eb78e97ull},
+    {"histogram", false, "naive", 0x919c869708baff03ull},
+    {"histogram", false, "eager", 0x919c869708baff03ull},
+    {"histogram", false, "staged", 0x919c869708baff03ull},
+    {"histogram", true, "naive", 0x2b6a3b4ec29b20d7ull},
+    {"histogram", true, "eager", 0x2b6a3b4ec29b20d7ull},
+    {"histogram", true, "staged", 0x2b6a3b4ec29b20d7ull},
+    {"merge_sorted", false, "naive", 0x7c0b22fcf7571410ull},
+    {"merge_sorted", false, "eager", 0x7c0b22fcf7571410ull},
+    {"merge_sorted", false, "staged", 0x7c0b22fcf7571410ull},
+    {"merge_sorted", true, "naive", 0xc8161ec8b458d641ull},
+    {"merge_sorted", true, "eager", 0xc8161ec8b458d641ull},
+    {"merge_sorted", true, "staged", 0xc8161ec8b458d641ull},
+    {"nested_join", false, "naive", 0xca48a2131f7e13d9ull},
+    {"nested_join", false, "eager", 0xca48a2131f7e13d9ull},
+    {"nested_join", false, "staged", 0xca48a2131f7e13d9ull},
+    {"nested_join", true, "naive", 0x8bb0758eecf45c55ull},
+    {"nested_join", true, "eager", 0x8bb0758eecf45c55ull},
+    {"nested_join", true, "staged", 0x8bb0758eecf45c55ull},
+    {"nested_query", false, "naive", 0xb75c6ff01eafac28ull},
+    {"nested_query", false, "eager", 0x9e7aee4334118cceull},
+    {"nested_query", false, "staged", 0x26668ba923074b8cull},
+    {"nested_query", true, "naive", 0xf284c2d624b0b787ull},
+    {"nested_query", true, "eager", 0x65589562cdc2ed60ull},
+    {"nested_query", true, "staged", 0x557d0a5ce8cf3ce3ull},
+    {"quickstart", false, "naive", 0x8c42ca78aef3ab4bull},
+    {"quickstart", false, "eager", 0x8c42ca78aef3ab4bull},
+    {"quickstart", false, "staged", 0x8c42ca78aef3ab4bull},
+    {"quickstart", true, "naive", 0xe8c3485cbb0ad8c0ull},
+    {"quickstart", true, "eager", 0xe8c3485cbb0ad8c0ull},
+    {"quickstart", true, "staged", 0xe8c3485cbb0ad8c0ull},
+    {"segmented_filter_reduce", false, "naive", 0x44c5bbbd13fe0a9bull},
+    {"segmented_filter_reduce", false, "eager", 0x7335821ceeff3074ull},
+    {"segmented_filter_reduce", false, "staged", 0xd935f8bd9e3dcb30ull},
+    {"segmented_filter_reduce", true, "naive", 0xffbaa877ff174b55ull},
+    {"segmented_filter_reduce", true, "eager", 0x4ec52d3af3683685ull},
+    {"segmented_filter_reduce", true, "staged", 0x1f82f0753d2d0f5aull},
+    {"sqrt_blocks", false, "naive", 0x43078bcb270193d6ull},
+    {"sqrt_blocks", false, "eager", 0xf2064963b4753241ull},
+    {"sqrt_blocks", false, "staged", 0x2705073506172d94ull},
+    {"sqrt_blocks", true, "naive", 0x4e2e8eea42b22699ull},
+    {"sqrt_blocks", true, "eager", 0x067aeb811c64ebc1ull},
+    {"sqrt_blocks", true, "staged", 0x6ed8f76d5b82e7a0ull},
+    {"stragglers", false, "naive", 0x56c9d9e8b23987d7ull},
+    {"stragglers", false, "eager", 0x634def9a9c50a618ull},
+    {"stragglers", false, "staged", 0xb87e833099f1dfc4ull},
+    {"stragglers", true, "naive", 0x9021d3e31822d2ddull},
+    {"stragglers", true, "eager", 0x7ca727d603442a91ull},
+    {"stragglers", true, "staged", 0xa3599f2284c961d0ull},
+    {"tokenizer", false, "naive", 0x4d03929caf11d9c3ull},
+    {"tokenizer", false, "eager", 0x700654d374e46d3eull},
+    {"tokenizer", false, "staged", 0xed2b48731f93d9f3ull},
+    {"tokenizer", true, "naive", 0xf46dadc7dc019319ull},
+    {"tokenizer", true, "eager", 0xcf47d5f59f4c400eull},
+    {"tokenizer", true, "staged", 0x50cd62a1c69e4c77ull},
+    {"trap_division", false, "naive", 0xf72416515da45437ull},
+    {"trap_division", false, "eager", 0x55da02ffc4ecc539ull},
+    {"trap_division", false, "staged", 0x05a53f305e9f7f29ull},
+    {"trap_division", true, "naive", 0x054fd83eab8cc2f4ull},
+    {"trap_division", true, "eager", 0xafbb08c716125d84ull},
+    {"trap_division", true, "staged", 0xa7dc5b38279de4f3ull},
 };
 
 TEST(Corpus, EmittedCodeDigestsArePinned) {

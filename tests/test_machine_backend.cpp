@@ -1,24 +1,22 @@
 // Differential harness for the BVRAM execution engine: every program is
 // executed by run_reference (the section-2 interpreter, the oracle) and by
-// run() in six configurations --
+// run() in four configurations --
 //
 //     v2            serial / parallel   (no annotations: the bare engine)
 //     v2+liveness   serial / parallel   (opt::annotate_last_use: Move as
-//                                        swap, in-place kernels)
-//     v2+fusion     serial / parallel   (plus opt::annotate_fusion: fused
-//                                        elementwise groups)
+//                                        swap, in-place kernels, buffers
+//                                        released at their last use)
 //
 // each built from a copy of the program with its annotations cleared, so
-// a compiled program runs the bare engine too.  All seven must agree
+// a compiled program runs the bare engine too.  All five must agree
 // bit-for-bit on outputs, trap type *and message*, T, W, and the
 // per-instruction trace.  Covers every opcode including the trap cases
-// (length mismatch, bad bound/segment certificates, division by zero) and
-// the compiled example corpus at every OptLevel and WhileSchedule.  The
-// Fusion suite at the bottom adds group-specific adversaries:
-// trap-at-element inside a group, extent-mismatch fallback, aliased
-// dst/src, budget expiry mid-group, a dying input the group recommits,
-// and the attribution floor with fusion enabled.  The Release suite
-// checks that dead registers hand their buffers back to the pool.
+// (length mismatch, bad bound/segment certificates, division by zero),
+// multi-instruction adversaries (a trap at one element mid-chain, fuel
+// expiring mid-chain, aliased dst/src, a chain inside a loop, a dying
+// input redefined by the next instruction), and the compiled example
+// corpus at every OptLevel and WhileSchedule.  The Release suite checks
+// that dead registers hand their buffers back to the pool.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -31,7 +29,6 @@
 #include "nsc/prelude.hpp"
 #include "nsc/typecheck.hpp"
 #include "obs/profile.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
 #include "sa/compile.hpp"
@@ -55,10 +52,12 @@ struct Outcome {
 
 template <typename Runner>
 Outcome outcome_of(Runner runner, const Program& p,
-                   const std::vector<Vec>& inputs, bool parallel) {
+                   const std::vector<Vec>& inputs, bool parallel,
+                   std::uint64_t max_instructions) {
   RunConfig cfg;
   cfg.record_trace = true;
   cfg.parallel_backend = parallel;
+  cfg.max_instructions = max_instructions;
   Outcome o;
   try {
     o.result = runner(p, inputs, cfg);
@@ -92,26 +91,28 @@ void expect_same(const Outcome& base, const Outcome& got,
   }
 }
 
-/// The harness: run_reference is ground truth; the six run()
-/// configurations must match it exactly.
-void expect_identical(const Program& p, const std::vector<Vec>& inputs) {
+/// The harness: run_reference is ground truth; the four run()
+/// configurations must match it exactly, under the same instruction
+/// budget.
+void expect_identical(const Program& p, const std::vector<Vec>& inputs,
+                      std::uint64_t max_instructions =
+                          RunConfig{}.max_instructions) {
   Program bare = p;
   bare.last_use.clear();
-  bare.fusion.clear();
   Program live = bare;
   opt::annotate_last_use(live);
-  Program fused = live;
-  opt::annotate_fusion(fused);
-  const Outcome base = outcome_of(run_reference, bare, inputs, false);
+  const Outcome base =
+      outcome_of(run_reference, bare, inputs, false, max_instructions);
   const struct {
     const char* label;
     const Program& program;
-  } configs[] = {{"v2", bare}, {"v2+liveness", live}, {"v2+fusion", fused}};
+  } configs[] = {{"v2", bare}, {"v2+liveness", live}};
   for (const auto& c : configs) {
-    expect_same(base, outcome_of(run, c.program, inputs, false),
-                std::string(c.label) + "/serial");
-    expect_same(base, outcome_of(run, c.program, inputs, true),
-                std::string(c.label) + "/par");
+    for (const bool par : {false, true}) {
+      expect_same(base,
+                  outcome_of(run, c.program, inputs, par, max_instructions),
+                  std::string(c.label) + (par ? "/par" : "/serial"));
+    }
   }
 }
 
@@ -417,7 +418,7 @@ TEST(Backend, ControlFlowLoop) {
 
 TEST(Backend, SelectInPlaceOverDeadSource) {
   // The serial engine packs in place when the source dies at the select
-  // (last_use annotation) or doubles as the destination; all seven
+  // (last_use annotation) or doubles as the destination; all five
   // configurations must still agree bit-for-bit on outputs, T, W.
   Assembler a;
   auto x = a.reg();  // V0: input and final output
@@ -438,7 +439,7 @@ TEST(Backend, SelectInPlaceOverDeadSource) {
 TEST(Backend, AppendInPlaceOverDeadSource) {
   // The engine extends the left source's buffer in place when it dies at
   // the append (or doubles as the destination) and its capacity suffices;
-  // all seven configurations must agree bit-for-bit on outputs, T, W.  The
+  // all five configurations must agree bit-for-bit on outputs, T, W.  The
   // select of a zero-free vector shrinks the register without shrinking
   // its capacity, which is exactly the headroom the in-place path needs.
   Assembler a;
@@ -507,7 +508,7 @@ TEST(Backend, PoolReuseAcrossGrowShrink) {
 TEST(Backend, RandomStraightLinePrograms) {
   // Randomized differential sweep: straight-line programs over the whole
   // ISA (routes usually trap on their certificates, which is exactly the
-  // point: first-trap identity across all seven configurations).
+  // point: first-trap identity across all five configurations).
   SplitMix64 rng(1234);
   for (int trial = 0; trial < 120; ++trial) {
     Assembler a;
@@ -598,76 +599,35 @@ TEST(Backend, NotTakenBranchWithBadTargetRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// fused elementwise groups
+// multi-instruction adversaries: traps at an element, length mismatches,
+// aliasing, fuel, loops, dying-then-redefined registers
 // ---------------------------------------------------------------------------
 
-/// Annotate with liveness + a fusion plan, the way compile_nsc emits.
-Program fuse_annotated(Assembler& a, std::size_t ins, std::size_t outs) {
-  auto p = a.finish(ins, outs);
-  opt::annotate_last_use(p);
-  opt::annotate_fusion(p);
-  return p;
-}
-
-/// Counters from a profiled run: differential identity alone cannot tell
-/// whether the fused path actually executed (that's the point of
-/// cost-model invisibility), so these assertions watch the engine.
-EngineProfile fused_counters(const Program& p, const std::vector<Vec>& in,
-                             bool parallel = false) {
-  RunConfig cfg;
-  cfg.profile = true;
-  cfg.parallel_backend = parallel;
-  EngineProfile eng;
-  try {
-    eng = run(p, in, cfg).engine;
-  } catch (const Error&) {
-    // Trapping runs surface no counters; callers asserting on traps use
-    // expect_identical for the trap itself.
-  }
-  return eng;
-}
-
-TEST(Fusion, ArithChainFusesWithCounters) {
+/// A chain of elementwise ops through two temporaries: u = V0 + V1,
+/// v = u op2 V0, u = v op3 V1, v = u >> V1, then V0 <- v.
+Program arith_chain(ArithOp op2, ArithOp op3) {
   Assembler a;
   a.reserve_regs(2);
   auto u = a.reg(), v = a.reg();
   a.arith(u, ArithOp::Add, 0, 1);
-  a.arith(v, ArithOp::Mul, u, 0);
-  a.arith(u, ArithOp::Monus, v, 1);
+  a.arith(v, op2, u, 0);
+  a.arith(u, op3, v, 1);
   a.arith(v, ArithOp::Rsh, u, 1);
   a.move(0, v);
   a.halt();
-  auto p = fuse_annotated(a, 2, 1);
-  ASSERT_EQ(p.fusion.size(), 1u);
-  EXPECT_EQ(p.fusion[0].begin, 0u);
-  EXPECT_EQ(p.fusion[0].end, 5u);
+  return a.finish(2, 1);
+}
+
+TEST(Backend, ArithChain) {
+  const Program p = arith_chain(ArithOp::Mul, ArithOp::Monus);
   for (std::size_t n : kSizes) {
-    std::vector<Vec> in = {iota_mod(n, 1000), iota_mod(n, 60)};
-    const EngineProfile eng = fused_counters(p, in);
-    EXPECT_EQ(eng.fused_groups, 1u);
-    EXPECT_EQ(eng.fused_instrs, 5u);
-    EXPECT_GT(eng.fused_elided, 0u);
-    EXPECT_EQ(eng.fused_fallbacks, 0u);
-  }
-  Assembler b;
-  b.reserve_regs(2);
-  auto u2 = b.reg(), v2 = b.reg();
-  b.arith(u2, ArithOp::Add, 0, 1);
-  b.arith(v2, ArithOp::Mul, u2, 0);
-  b.arith(u2, ArithOp::Monus, v2, 1);
-  b.arith(v2, ArithOp::Rsh, u2, 1);
-  b.move(0, v2);
-  b.halt();
-  auto plain = b.finish(2, 1);
-  for (std::size_t n : kSizes) {
-    expect_identical(plain, {iota_mod(n, 1000), iota_mod(n, 60)});
+    expect_identical(p, {iota_mod(n, 1000), iota_mod(n, 60)});
   }
 }
 
-TEST(Fusion, EveryFusableOpcodeMix) {
-  // One group spanning the full fusable ISA: Enumerate head, Arith body,
-  // an elided Move, a mid-group ScanPlus (forces the serial-only path),
-  // and a terminal Select.
+TEST(Backend, ElementwiseOpcodeMix) {
+  // Enumerate, Arith, a Move, a ScanPlus and a Select feeding each other
+  // in one straight-line run.
   Assembler a;
   a.reserve_regs(1);
   auto e = a.reg(), u = a.reg(), v = a.reg();
@@ -678,73 +638,29 @@ TEST(Fusion, EveryFusableOpcodeMix) {
   a.arith(v, ArithOp::Monus, u, 0);
   a.select(0, v);
   a.halt();
-  auto annotated = fuse_annotated(a, 1, 1);
-  ASSERT_EQ(annotated.fusion.size(), 1u);
-  EXPECT_TRUE(annotated.fusion[0].serial_only);
-  EXPECT_TRUE(annotated.fusion[0].has_select);
-  for (std::size_t n : kSizes) {
-    Assembler b;
-    b.reserve_regs(1);
-    auto e2 = b.reg(), u2 = b.reg(), v2 = b.reg();
-    b.enumerate(e2, 0);
-    b.arith(u2, ArithOp::Add, 0, e2);
-    b.move(v2, u2);
-    b.scan_plus(u2, v2);
-    b.arith(v2, ArithOp::Monus, u2, 0);
-    b.select(0, v2);
-    b.halt();
-    auto p = b.finish(1, 1);
-    expect_identical(p, {iota_mod(n, 97)});
-  }
+  const Program p = a.finish(1, 1);
+  for (std::size_t n : kSizes) expect_identical(p, {iota_mod(n, 97)});
 }
 
-TEST(Fusion, TrapAtElementInsideGroup) {
-  // Division by zero on the *third* instruction of a fused group, with
-  // the poisoned element at the front, deep inside, and at the tail.
-  // The fused attempt discards and the per-instruction replay must
-  // charge the first two instructions and trap at the exact element.
+TEST(Backend, DivByZeroMidChainTrapsAtElement) {
+  // Division by zero on the *third* instruction of a chain, with the
+  // poisoned element at the front, deep inside, and at the tail: every
+  // configuration must charge the first two instructions and trap at the
+  // exact element with the exact message.
+  const Program p = arith_chain(ArithOp::Mul, ArithOp::Div);
+  const Vec num(20000, 7);
   for (std::size_t poison : {std::size_t{0}, std::size_t{12345},
                              std::size_t{19999}}) {
-    Assembler a;
-    a.reserve_regs(2);
-    auto u = a.reg(), v = a.reg();
-    a.arith(u, ArithOp::Add, 0, 1);
-    a.arith(v, ArithOp::Mul, u, 0);
-    a.arith(u, ArithOp::Div, v, 1);
-    a.move(0, u);
-    a.halt();
-    auto p = a.finish(2, 1);
-    Vec num(20000, 7);
     Vec den(20000, 3);
     den[poison] = 0;
-    // The identity assertions are the whole contract here: the fused
-    // attempt discards its buffers and the per-instruction replay must
-    // charge the first two instructions and trap at the exact element
-    // with the exact message.  (A trapping run produces no RunResult,
-    // so the fallback counter itself is not observable -- the healthy
-    // variant below confirms this plan does take the fused path.)
     expect_identical(p, {num, den});
-    Assembler b;
-    b.reserve_regs(2);
-    auto u2 = b.reg(), v2 = b.reg();
-    b.arith(u2, ArithOp::Add, 0, 1);
-    b.arith(v2, ArithOp::Mul, u2, 0);
-    b.arith(u2, ArithOp::Div, v2, 1);
-    b.move(0, u2);
-    b.halt();
-    auto annotated = fuse_annotated(b, 2, 1);
-    ASSERT_EQ(annotated.fusion.size(), 1u);
-    const EngineProfile healthy =
-        fused_counters(annotated, {num, Vec(20000, 3)});
-    EXPECT_EQ(healthy.fused_groups, 1u);
-    EXPECT_EQ(healthy.fused_fallbacks, 0u);
   }
+  expect_identical(p, {num, Vec(20000, 3)});
 }
 
-TEST(Fusion, ExtentMismatchFallsBack) {
-  // Group inputs of unequal length: the fused entry check bounces the
-  // group to per-instruction execution, which reproduces the unfused
-  // length-mismatch trap on the first Arith.
+TEST(Backend, ChainLengthMismatchTraps) {
+  // Operands of unequal length: the length-mismatch trap fires on the
+  // chain's first Arith.
   Assembler a;
   a.reserve_regs(2);
   auto u = a.reg(), v = a.reg();
@@ -752,14 +668,14 @@ TEST(Fusion, ExtentMismatchFallsBack) {
   a.arith(v, ArithOp::Mul, u, 1);
   a.move(0, v);
   a.halt();
-  auto p = a.finish(2, 1);
+  const Program p = a.finish(2, 1);
   expect_identical(p, {Vec(10, 1), Vec(11, 1)});
   expect_identical(p, {Vec{}, Vec{1}});
 }
 
-TEST(Fusion, AliasedDstAndSrc) {
+TEST(Backend, AliasedDstAndSrc) {
   // Aliasing adversaries: dst == src arithmetic, dst == both srcs, a
-  // self-Move inside the group, and ScanPlus over its own destination.
+  // self-Move, and ScanPlus over its own destination.
   Assembler a;
   a.reserve_regs(1);
   auto x = a.reg();
@@ -769,51 +685,28 @@ TEST(Fusion, AliasedDstAndSrc) {
   a.scan_plus(x, x);
   a.arith(0, ArithOp::Monus, x, 0);
   a.halt();
-  auto p = a.finish(1, 1);
+  const Program p = a.finish(1, 1);
   for (std::size_t n : kSizes) expect_identical(p, {iota_mod(n, 50)});
 }
 
-TEST(Fusion, BudgetExpiryMidGroup) {
-  // max_instructions lands in the middle of a group: the precheck
-  // bounces to the per-instruction path, which throws FuelExhausted at
-  // the same instruction as the reference engine.
-  Assembler a;
-  a.reserve_regs(2);
-  auto u = a.reg(), v = a.reg();
-  a.arith(u, ArithOp::Add, 0, 1);
-  a.arith(v, ArithOp::Mul, u, 0);
-  a.arith(u, ArithOp::Monus, v, 1);
-  a.arith(v, ArithOp::Add, u, u);
-  a.move(0, v);
-  a.halt();
-  auto p = a.finish(2, 1);
-  opt::annotate_last_use(p);
-  opt::annotate_fusion(p);
-  ASSERT_EQ(p.fusion.size(), 1u);
+TEST(Backend, BudgetExpiryMidChain) {
+  // max_instructions lands in the middle of a chain: every configuration
+  // throws FuelExhausted at the same instruction as the reference, and a
+  // budget that covers the whole program changes nothing.
+  const Program p = arith_chain(ArithOp::Mul, ArithOp::Monus);
   const std::vector<Vec> in = {iota_mod(100, 10), iota_mod(100, 10)};
   for (std::uint64_t budget : {1ull, 2ull, 4ull}) {
     RunConfig cfg;
     cfg.max_instructions = budget;
-    std::string ref_err, v2_err;
-    try {
-      run_reference(p, in, cfg);
-    } catch (const Error& e) {
-      ref_err = std::string(typeid(e).name()) + ": " + e.what();
-    }
-    try {
-      run(p, in, cfg);
-    } catch (const Error& e) {
-      v2_err = std::string(typeid(e).name()) + ": " + e.what();
-    }
-    EXPECT_FALSE(ref_err.empty()) << "budget " << budget;
-    EXPECT_EQ(ref_err, v2_err) << "budget " << budget;
+    EXPECT_THROW(run_reference(p, in, cfg), FuelExhausted) << budget;
+    expect_identical(p, in, budget);
   }
+  expect_identical(p, in, p.code.size());
 }
 
-TEST(Fusion, LoopBodyGroupCountsPerTrip) {
-  // A fused group inside a natural loop executes once per trip; the
-  // counters are dynamic, and the back-edge target breaks the group at
-  // the loop head (control may re-enter there).
+TEST(Backend, LoopBodyChain) {
+  // An elementwise chain inside a natural loop, re-executed on each of
+  // 12 trips; the back edge targets the loop head.
   Assembler a;
   auto acc = a.reg();
   auto n = a.reg();
@@ -833,81 +726,28 @@ TEST(Fusion, LoopBodyGroupCountsPerTrip) {
   a.jump(top);
   a.bind(done);
   a.halt();
-  auto p = a.finish(2, 1);
+  const Program p = a.finish(2, 1);
   expect_identical(p, {Vec{}, Vec{12}});
-  Assembler b;
-  auto acc2 = b.reg();
-  auto n2 = b.reg();
-  auto one2 = b.reg();
-  auto nz2 = b.reg();
-  auto t2 = b.reg();
-  b.load_const(acc2, 1);
-  b.load_const(one2, 1);
-  auto top2 = b.fresh_label();
-  auto done2 = b.fresh_label();
-  b.bind(top2);
-  b.select(nz2, n2);
-  b.jump_if_empty(nz2, done2);
-  b.arith(t2, ArithOp::Add, acc2, acc2);
-  b.arith(acc2, ArithOp::Add, t2, t2);
-  b.arith(n2, ArithOp::Monus, n2, one2);
-  b.jump(top2);
-  b.bind(done2);
-  b.halt();
-  auto annotated = fuse_annotated(b, 2, 1);
-  if (!annotated.fusion.empty()) {
-    const EngineProfile eng = fused_counters(annotated, {Vec{}, Vec{12}});
-    EXPECT_EQ(eng.fused_groups, 12u);
-  }
 }
 
-TEST(Fusion, DyingInputRecommittedByTheGroup) {
-  // V0 dies at the group's first instruction and its second commits a new
-  // V0.  The engine releases the group's dying inputs before the commit;
-  // released after it, V0 would lose its new value and the output would
-  // read an empty register.
+TEST(Backend, DyingInputRedefined) {
+  // V0 dies at the first instruction and the second writes a new V0.
+  // Its old buffer goes back to the pool after the first instruction;
+  // handed back any later, V0 would lose its new value and the output
+  // would read an empty register.
   Assembler a;
   a.reserve_regs(2);
   const auto t = a.reg();
   a.arith(t, ArithOp::Add, 0, 1);
   a.arith(0, ArithOp::Mul, t, 1);
   a.halt();
-  auto p = a.finish(2, 1);
-  Program annotated = p;
-  opt::annotate_last_use(annotated);
-  opt::annotate_fusion(annotated);
-  ASSERT_EQ(annotated.fusion.size(), 1u);
-  EXPECT_EQ(annotated.last_use[0] & 1u, 1u);
-  EXPECT_EQ(annotated.fusion[0].commit, (std::vector<std::int32_t>{-1, 0}));
+  const Program p = a.finish(2, 1);
+  Program live = p;
+  opt::annotate_last_use(live);
+  EXPECT_EQ(live.last_use[0] & 1u, 1u);
   for (std::size_t n : kSizes) {
-    const std::vector<Vec> in = {iota_mod(n, 1000), iota_mod(n, 60)};
-    expect_identical(p, in);
-    EXPECT_EQ(fused_counters(annotated, in).fused_groups, 1u);
+    expect_identical(p, {iota_mod(n, 1000), iota_mod(n, 60)});
   }
-}
-
-TEST(Fusion, AttributionStaysAbove95Percent) {
-  // The profiling contract with fusion enabled: a compiled program keeps
-  // >= 95% of executed instructions attributed to source lines (the CI
-  // profile-smoke gate), because fused execution books each constituent
-  // instruction against its own debug site.  Source attribution needs
-  // the textual frontend -- lang-built trees carry no line:col.
-  const front::SourceFile src("fusion_attr.nsc",
-                              "fn main(xs : [nat]) : [nat] =\n"
-                              "  let small = [x | x <- xs, x < 512] in\n"
-                              "  [3 * v + 7 | v <- small]\n");
-  const front::ResolvedModule mod = front::compile_file(src);
-  const front::ResolvedFn& fn = mod.main();
-  auto p = sa::compile_nsc(fn.fn);
-  SplitMix64 rng(11);
-  RunConfig cfg;
-  cfg.profile = true;
-  cfg.record_trace = true;
-  const RunResult r = run(
-      p, sa::encode_value(Value::nat_seq(rng.vec(5000, 1024)), fn.dom), cfg);
-  EXPECT_GT(r.engine.fused_groups, 0u);
-  const obs::Profile prof = obs::Profile::build(p, r);
-  EXPECT_GE(prof.attributed_frac, 0.95);
 }
 
 // ---------------------------------------------------------------------------
@@ -917,10 +757,8 @@ TEST(Fusion, AttributionStaysAbove95Percent) {
 /// k Arith into fresh registers, in pairs B <- A + C; A' <- A + B.  The
 /// second of each pair runs in place over the dying A, and B dies beside
 /// it, so B's buffer is free for the next pair's acquire.  C (V1) is an
-/// output and stays live.  With `fuse`, the chain runs as groups of up to
-/// FusedGroup::kMaxFusedGroup instructions, each committing only the A
-/// the next group reads.
-Program release_chain(std::size_t k, bool fuse = false) {
+/// output and stays live.
+Program release_chain(std::size_t k) {
   Assembler a;
   a.reserve_regs(2);
   std::uint32_t acc = 0;
@@ -935,16 +773,14 @@ Program release_chain(std::size_t k, bool fuse = false) {
   a.halt();
   auto p = a.finish(2, 2);
   opt::annotate_last_use(p);
-  if (fuse) opt::annotate_fusion(p);
   return p;
 }
 
-std::uint64_t chain_misses(std::size_t k, std::size_t n, bool fuse = false) {
+std::uint64_t chain_misses(std::size_t k, std::size_t n) {
   RunConfig cfg;
   cfg.profile = true;
-  const RunResult r = run(release_chain(k, fuse),
-                          {iota_mod(n, 1000), iota_mod(n, 60)}, cfg);
-  EXPECT_EQ(r.engine.fused_groups > 0, fuse);
+  const RunResult r =
+      run(release_chain(k), {iota_mod(n, 1000), iota_mod(n, 60)}, cfg);
   return r.engine.pool_misses;
 }
 
@@ -956,14 +792,6 @@ TEST(Release, DeadRegistersFeedThePool) {
   for (std::size_t n : kSizes) {
     expect_identical(release_chain(8), {iota_mod(n, 1000), iota_mod(n, 60)});
   }
-}
-
-TEST(Release, FusedGroupsFeedThePool) {
-  // A group hands back the inputs that die inside it before it commits,
-  // so the next group's output reuses the buffer: a chain of 3 groups and
-  // one of 11 allocate alike.  Kept to the end of the run instead, each
-  // group's output would be a fresh allocation.
-  EXPECT_EQ(chain_misses(96, 4096, true), chain_misses(480, 4096, true));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@
 //     trap type *and message*, T, W, and the per-instruction trace are
 //     bit-identical at every OptLevel x WhileSchedule on the corpus;
 //   * the deterministic profile fields (per-pc count / work / bytes)
-//     equal the totals summed from run_reference's trace in all six
-//     engine configurations (bare, +liveness, +liveness+fusion, each
-//     serial and parallel) -- only wall times, chunk counts, and engine
-//     counters may differ;
+//     equal the totals summed from run_reference's trace in all four
+//     engine configurations (bare and +liveness, each serial and
+//     parallel) -- only wall times, chunk counts, and engine counters may
+//     differ;
 //   * every TraceEntry carries the executed instruction's index;
 //   * >= 95% of *executed* instructions on the O2-compiled corpus carry
 //     surface attribution (the CI profile-smoke gate, measured here via
@@ -27,7 +27,6 @@
 #include "nsc/typecheck.hpp"
 #include "obs/debuginfo.hpp"
 #include "obs/profile.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
 #include "sa/compile.hpp"
@@ -183,24 +182,21 @@ TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// deterministic profile fields match the reference trace in all six
+// deterministic profile fields match the reference trace in all four
 // engine configurations
 // ---------------------------------------------------------------------------
 
-TEST(Profile, DeterministicFieldsAcrossSixConfigs) {
+TEST(Profile, DeterministicFieldsAcrossFourConfigs) {
   for (const auto& cp : compiled_corpus(opt::OptLevel::O2, {})) {
     SCOPED_TRACE(cp.path);
     bvram::Program bare = cp.program;
     bare.last_use.clear();
-    bare.fusion.clear();
     bvram::Program live = bare;
     opt::annotate_last_use(live);
-    bvram::Program fused = live;
-    opt::annotate_fusion(fused);
     const struct {
       const char* label;
       const bvram::Program& program;
-    } configs[] = {{"v2", bare}, {"v2+liveness", live}, {"v2+fusion", fused}};
+    } configs[] = {{"v2", bare}, {"v2+liveness", live}};
     for (std::size_t i = 0; i < cp.inputs.size(); ++i) {
       SCOPED_TRACE("input " + std::to_string(i));
       const Outcome base = outcome_of(bvram::run_reference, bare,

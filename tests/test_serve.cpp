@@ -6,9 +6,8 @@
 //     (EngineProfile::pool_misses == 0 on the second run) and stops
 //     growing (spare count and bytes hold from the third run on);
 //   * one immutable compiled Program is safe to execute from many
-//     threads at once (with and without its fusion plan x serial/parallel
-//     backends), each
-//     run bit-identical to the sequential baseline -- this test is the
+//     threads at once (serial and parallel backends), each run
+//     bit-identical to the sequential baseline -- this test is the
 //     target of the CI ThreadSanitizer job;
 //   * segment-descriptor batching returns per-request values
 //     bit-identical to solo runs, and a trapping or fuel-exhausted
@@ -263,32 +262,25 @@ TEST(Serve, ConcurrentSharedProgram) {
       nat_seq({4, 25, 7, 1, 13, 9}), nat_seq({}), nat_seq({10, 10, 10}),
       nat_seq({0, 9, 100, 3})};
 
-  // Sequential baselines, one per (arg, plan, backend) configuration.
-  bvram::Program unfused = prog->unit;
-  unfused.fusion.clear();
-  struct Cfg {
-    const bvram::Program* program;
-    bool parallel;
-  };
-  const Cfg cfgs[] = {{&prog->unit, false}, {&unfused, false},
-                      {&prog->unit, true}, {&unfused, true}};
-  std::vector<std::vector<ValueRef>> baseline(4);
-  std::vector<std::vector<Cost>> baseline_cost(4);
-  for (std::size_t c = 0; c < 4; ++c) {
+  // Sequential baselines, one per (arg, backend) configuration.
+  const bool backends[] = {false, true};
+  std::vector<std::vector<ValueRef>> baseline(2);
+  std::vector<std::vector<Cost>> baseline_cost(2);
+  for (std::size_t c = 0; c < 2; ++c) {
     for (const ValueRef& arg : args) {
       bvram::RunConfig rc;
-      rc.parallel_backend = cfgs[c].parallel;
+      rc.parallel_backend = backends[c];
       const sa::CompiledRun r =
-          sa::run_compiled(*cfgs[c].program, prog->dom, prog->cod, arg, rc);
+          sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, rc);
       baseline[c].push_back(r.value);
       baseline_cost[c].push_back(r.cost);
     }
   }
 
-  // 8 threads hammer the SAME two Program objects concurrently, mixing
-  // all four configurations, each with its own arena.  Any engine mutation
-  // of shared Program state is a data race here (the TSan gate) and any
-  // cross-talk shows up as a value/cost mismatch.
+  // 8 threads hammer the SAME Program object concurrently, mixing both
+  // backends, each with its own arena.  Any engine mutation of shared
+  // Program state is a data race here (the TSan gate) and any cross-talk
+  // shows up as a value/cost mismatch.
   constexpr int kThreads = 8;
   constexpr int kReps = 16;
   std::vector<std::future<bool>> oks;
@@ -296,13 +288,13 @@ TEST(Serve, ConcurrentSharedProgram) {
     oks.push_back(std::async(std::launch::async, [&, t] {
       bvram::BufferPool arena;
       for (int rep = 0; rep < kReps; ++rep) {
-        const std::size_t c = static_cast<std::size_t>(t + rep) % 4;
+        const std::size_t c = static_cast<std::size_t>(t + rep) % 2;
         const std::size_t a = static_cast<std::size_t>(rep) % args.size();
         bvram::RunConfig rc;
-        rc.parallel_backend = cfgs[c].parallel;
+        rc.parallel_backend = backends[c];
         rc.arena = &arena;
         const sa::CompiledRun r = sa::run_compiled(
-            *cfgs[c].program, prog->dom, prog->cod, args[a], rc);
+            prog->unit, prog->dom, prog->cod, args[a], rc);
         if (!Value::equal(r.value, baseline[c][a])) return false;
         if (!(r.cost == baseline_cost[c][a])) return false;
       }

@@ -1,9 +1,18 @@
 // Unit tests for the support library: checked arithmetic, epsilon helpers,
-// PRNG determinism, parallel_for, the table printer, and the JSON string
-// escaper against the JSON reader.
+// PRNG determinism, parallel_for, the table printer, the JSON string
+// escaper against the JSON reader, and the reader's nesting bound.  The
+// Cli case drives the nscc binary: values that would switch off a CI gate
+// (a nan tolerance, a baseline nested past the reader's bound) exit 2.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -340,6 +349,90 @@ TEST(Json, EscapeRoundTripsEveryAsciiByte) {
         << "byte " << b;
   }
   EXPECT_EQ(json::parse("\"" + json::escape(all) + "\"").as_string(), all);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  const auto nested = [](char open, char close, std::size_t depth) {
+    return std::string(depth, open) + std::string(depth, close);
+  };
+  EXPECT_NO_THROW(json::parse(nested('[', ']', json::kMaxDepth)));
+  std::string objects;
+  for (std::size_t d = 0; d < json::kMaxDepth; ++d) objects += "{\"k\": ";
+  EXPECT_NO_THROW(json::parse(objects + "1" +
+                              std::string(json::kMaxDepth, '}')));
+  try {
+    json::parse(nested('[', ']', json::kMaxDepth + 1));
+    ADD_FAILURE() << "one level past the bound parsed";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "json: nesting deeper than " + std::to_string(json::kMaxDepth) +
+                  " at 1:" + std::to_string(json::kMaxDepth + 1));
+  }
+  EXPECT_THROW(json::parse("{\"k\": " + objects + "1" +
+                           std::string(json::kMaxDepth + 1, '}')),
+               Error);
+  // Unbounded, this many levels overflowed the stack.
+  EXPECT_THROW(json::parse(std::string(100000, '[')), Error);
+}
+
+/// Runs the nscc binary with `args` (already shell-quoted); returns its
+/// exit status and sets `err` to what it wrote to stderr.
+int run_nscc(const std::string& args, std::string& err) {
+  const std::filesystem::path err_path =
+      std::filesystem::temp_directory_path() /
+      ("nscc-test-support-" + std::to_string(::getpid()) + ".err");
+  const std::string cmd = std::string("'") + NSCC_CLI + "' " + args +
+                          " > /dev/null 2> '" + err_path.string() + "'";
+  const int raw = std::system(cmd.c_str());
+  std::ifstream in(err_path);
+  std::stringstream text;
+  text << in.rdbuf();
+  err = text.str();
+  std::filesystem::remove(err_path);
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+TEST(Cli, GateDisablingValuesExit2) {
+  const std::string repo = NSCC_REPO_DIR;
+  const std::string file = "'" + repo + "/tests/corpus/quickstart.nsc'";
+  const std::string baseline =
+      "'" + repo + "/bench/baseline/quickstart.json'";
+  const std::filesystem::path deep =
+      std::filesystem::temp_directory_path() /
+      ("nscc-test-support-" + std::to_string(::getpid()) + "-deep.json");
+  std::ofstream(deep) << std::string(100000, '[');
+  const struct {
+    std::string args;
+    const char* diagnostic;
+  } cases[] = {
+      {"bench " + file + " --compare '" + deep.string() + "'",
+       "nesting deeper than"},
+      {"bench " + file + " --compare " + baseline + " --tolerance nan",
+       "bad --tolerance 'nan'"},
+      {"bench " + file + " --compare " + baseline + " --tolerance inf",
+       "bad --tolerance 'inf'"},
+      {"bench " + file + " --compare " + baseline + " --tolerance 5abc",
+       "bad --tolerance '5abc'"},
+      {"profile " + file + " --min-attribution nan",
+       "bad --min-attribution 'nan'"},
+      {"profile " + file + " --min-attribution 95x",
+       "bad --min-attribution '95x'"},
+      {"serve " + file + " --workers 257", "--workers must be at most 256"},
+  };
+  for (const auto& c : cases) {
+    std::string err;
+    EXPECT_EQ(run_nscc(c.args, err), 2) << c.args << "\n" << err;
+    EXPECT_NE(err.find(c.diagnostic), std::string::npos)
+        << c.args << "\n" << err;
+  }
+  std::filesystem::remove(deep);
+  // The same baseline still passes at a well-formed tolerance.
+  std::string err;
+  EXPECT_EQ(run_nscc("bench " + file + " --compare " + baseline +
+                         " --tolerance 0.5",
+                     err),
+            0)
+      << err;
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -42,7 +42,7 @@
 //   --requests PATH one request expression per line ('-' = stdin); these
 //                   join the module's `input` lines and --input values
 //   --repeat K      submit the whole request list K times (default 1)
-//   --workers N     worker threads (default: min(cores, 4))
+//   --workers N     worker threads (default: min(cores, 4); at most 256)
 //   --max-batch K   largest segment-descriptor batch (default 64)
 //   --no-batch      disable batching (solo runs only)
 //   --max-queue N   admission limit on queued requests (default 1024)
@@ -64,7 +64,7 @@
 //                   completed requests (0 = only at exit)
 //   --slow-ms T     emit a serve.slow event for requests slower than T ms
 //   --profile       serve: fold the engine's execution counters (pool
-//                   hits, fused groups, ...) into the metrics registry
+//                   hits, in-place writes, ...) into the metrics registry
 //
 // profile options (see docs/observability.md):
 //   --by-line       per-source-line table only (the default prints all views)
@@ -100,6 +100,7 @@
 #include "support/checked.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/parallel.hpp"
 #include "support/prng.hpp"
 
 namespace {
@@ -168,6 +169,23 @@ struct Options {
 [[noreturn]] void fail(const std::string& message) {
   std::fprintf(stderr, "nscc: %s\n", message.c_str());
   std::exit(2);
+}
+
+/// A flag's percentage: at most 32 digits with at most one decimal point
+/// and nothing else, so the value is finite.  std::stod alone would read
+/// "5abc" as 5 and accept nan and inf, which pass (or skip) every gate
+/// the value feeds.
+double parse_percent(const std::string& flag, const std::string& v) {
+  const bool decimal =
+      !v.empty() && v.size() <= 32 &&
+      v.find_first_not_of("0123456789.") == std::string::npos &&
+      v.find_first_of("0123456789") != std::string::npos &&
+      v.find('.') == v.rfind('.');
+  if (!decimal) {
+    fail("bad " + flag + " '" + v + "' (expected a percentage such as 5 "
+         "or 0.5)");
+  }
+  return std::stod(v);
 }
 
 Options parse_args(int argc, char** argv) {
@@ -262,13 +280,9 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--chrome") {
       o.chrome_path = need_value("--chrome");
     } else if (arg == "--min-attribution") {
-      const std::string v = need_value("--min-attribution");
-      try {
-        o.min_attribution = std::stod(v);
-      } catch (...) {
-        fail("bad --min-attribution '" + v + "' (expected a percentage)");
-      }
-      if (o.min_attribution < 0.0 || o.min_attribution > 100.0) {
+      o.min_attribution =
+          parse_percent("--min-attribution", need_value("--min-attribution"));
+      if (o.min_attribution > 100.0) {
         fail("--min-attribution must be in [0, 100]");
       }
     } else if (arg == "--requests") {
@@ -286,6 +300,9 @@ Options parse_args(int argc, char** argv) {
         if (n == 0) fail("--repeat must be positive");
         o.repeat = static_cast<std::size_t>(n);
       } else if (arg == "--workers") {
+        if (n > kMaxWorkers) {
+          fail("--workers must be at most " + std::to_string(kMaxWorkers));
+        }
         o.workers = static_cast<std::size_t>(n);
       } else if (arg == "--max-batch") {
         if (n == 0) fail("--max-batch must be positive");
@@ -323,13 +340,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--compare") {
       o.compare_path = need_value("--compare");
     } else if (arg == "--tolerance") {
-      const std::string v = need_value("--tolerance");
-      try {
-        o.tolerance_pct = std::stod(v);
-      } catch (...) {
-        fail("bad --tolerance '" + v + "' (expected a percentage)");
-      }
-      if (o.tolerance_pct < 0.0) fail("--tolerance must be nonnegative");
+      o.tolerance_pct = parse_percent("--tolerance", need_value("--tolerance"));
     } else {
       fail("unknown option '" + arg + "'");
     }
@@ -755,11 +766,7 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
             << prof.engine.pool_hits << ", \"pool_misses\": "
             << prof.engine.pool_misses << ", \"inplace_hits\": "
             << prof.engine.inplace_hits << ", \"move_swaps\": "
-            << prof.engine.move_swaps << ", \"fused_groups\": "
-            << prof.engine.fused_groups << ", \"fused_instrs\": "
-            << prof.engine.fused_instrs << ", \"fused_elided\": "
-            << prof.engine.fused_elided << ", \"fused_fallbacks\": "
-            << prof.engine.fused_fallbacks << "}";
+            << prof.engine.move_swaps << "}";
       }
       out << "}";
     }
