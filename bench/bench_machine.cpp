@@ -1,11 +1,9 @@
 // The execution-engine benchmark harness: runs the compiled example
-// corpus plus adversarial route/scan microbenchmarks on run() with the
-// serial and the parallel backend, verifies that outputs, T, and W agree
-// bit-for-bit with the untimed run_reference oracle in both (exit code 1
-// on any mismatch: the CI perf-smoke gate), and writes each
-// configuration's median and quartiles over the interleaved reps to a
-// JSON file so future changes can compare machine-readable numbers
-// instead of prose.
+// corpus plus adversarial route/scan microbenchmarks on run(), verifies
+// that outputs, T, and W agree bit-for-bit with the untimed run_reference
+// oracle (exit code 1 on any mismatch: the CI perf-smoke gate), and
+// writes each case's median and quartiles over the reps to a JSON file so
+// future changes can compare machine-readable numbers instead of prose.
 //
 //   bench_machine [--json PATH] [--reps K] [--scale N] [--full]
 //
@@ -15,7 +13,6 @@
 // mismatches against the oracle fail.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +27,6 @@
 #include "opt/liveness.hpp"
 #include "sa/compile.hpp"
 #include "sa/layout.hpp"
-#include "support/parallel.hpp"
 #include "support/prng.hpp"
 #include "support/table.hpp"
 
@@ -76,7 +72,6 @@ struct Quartiles {
 struct Entry {
   std::string bench;
   std::size_t n;
-  const char* backend;
   Quartiles ms;
   std::uint64_t time = 0;
   std::uint64_t work = 0;
@@ -349,21 +344,7 @@ int run_bench(const Options& opt) {
   if (opt.full) sizes.push_back(10000000);
   if (opt.scale != 0) sizes = {opt.scale};
 
-  struct Config {
-    const char* backend;
-    bool par;
-  };
-  constexpr std::size_t kConfigs = 2;
-  constexpr std::size_t kSerial = 0, kPar = 1;
-  const Config cfgs[kConfigs] = {{"serial", false}, {"parallel", true}};
-
   std::vector<Entry> entries;
-  struct Summary {
-    std::string bench;
-    std::size_t n;
-    Quartiles ms[kConfigs];
-  };
-  std::vector<Summary> summaries;
   bool mismatch = false;
 
   using Maker = Case (*)(std::size_t);
@@ -375,123 +356,71 @@ int run_bench(const Options& opt) {
       make_corpus_nested_query,
   };
 
-  Table t({"bench", "n", "serial", "parallel"});
+  Table t({"bench", "n", "ms"});
   for (std::size_t n : sizes) {
     for (auto make : makers) {
       Case c = make(n);
       const RunResult ref = nsc::bvram::run_reference(c.program, c.inputs);
       const std::uint64_t ref_sum = checksum(ref);
-      Summary s;
-      s.bench = c.name;
-      s.n = n;
-      RunConfig run_cfgs[kConfigs];
-      for (std::size_t ci = 0; ci < kConfigs; ++ci) {
-        RunConfig& cfg = run_cfgs[ci];
-        cfg.parallel_backend = cfgs[ci].par;
-        // Untimed validation run: outputs + costs feed the checksum.
-        const RunResult r = nsc::bvram::run(c.program, c.inputs, cfg);
-        Entry e;
-        e.bench = c.name;
-        e.n = n;
-        e.backend = cfgs[ci].backend;
-        e.time = r.cost.time;
-        e.work = r.cost.work;
-        e.checksum = checksum(r);
-        if (e.checksum != ref_sum || e.time != ref.cost.time ||
-            e.work != ref.cost.work) {
-          std::fprintf(stderr,
-                       "MISMATCH: %s n=%zu %s disagrees with run_reference "
-                       "(checksum %016llx vs %016llx, T %llu vs %llu, W "
-                       "%llu vs %llu)\n",
-                       c.name.c_str(), n, e.backend,
-                       static_cast<unsigned long long>(e.checksum),
-                       static_cast<unsigned long long>(ref_sum),
-                       static_cast<unsigned long long>(e.time),
-                       static_cast<unsigned long long>(ref.cost.time),
-                       static_cast<unsigned long long>(e.work),
-                       static_cast<unsigned long long>(ref.cost.work));
-          mismatch = true;
-        }
-        entries.push_back(std::move(e));
+      const RunConfig cfg;
+      // Untimed validation run: outputs + costs feed the checksum.
+      const RunResult r = nsc::bvram::run(c.program, c.inputs, cfg);
+      Entry e;
+      e.bench = c.name;
+      e.n = n;
+      e.time = r.cost.time;
+      e.work = r.cost.work;
+      e.checksum = checksum(r);
+      if (e.checksum != ref_sum || e.time != ref.cost.time ||
+          e.work != ref.cost.work) {
+        std::fprintf(stderr,
+                     "MISMATCH: %s n=%zu disagrees with run_reference "
+                     "(checksum %016llx vs %016llx, T %llu vs %llu, W "
+                     "%llu vs %llu)\n",
+                     c.name.c_str(), n,
+                     static_cast<unsigned long long>(e.checksum),
+                     static_cast<unsigned long long>(ref_sum),
+                     static_cast<unsigned long long>(e.time),
+                     static_cast<unsigned long long>(ref.cost.time),
+                     static_cast<unsigned long long>(e.work),
+                     static_cast<unsigned long long>(ref.cost.work));
+        mismatch = true;
       }
-      // Timing rounds are interleaved across configurations (rep-major,
-      // with the starting configuration rotating each rep) so slow clock
-      // drift or a noisy co-tenant biases every configuration equally
-      // instead of whichever ran last.
-      std::vector<double> ms[kConfigs];
+      std::vector<double> ms;
       for (int rep = 0; rep < opt.reps; ++rep) {
-        for (std::size_t k = 0; k < kConfigs; ++k) {
-          const std::size_t ci = (static_cast<std::size_t>(rep) + k) % kConfigs;
-          ms[ci].push_back(wall_ms_once(c.program, c.inputs, run_cfgs[ci]));
-        }
+        ms.push_back(wall_ms_once(c.program, c.inputs, cfg));
       }
-      for (std::size_t ci = 0; ci < kConfigs; ++ci) {
-        s.ms[ci] = Quartiles::of(ms[ci]);
-        entries[entries.size() - kConfigs + ci].ms = s.ms[ci];
-      }
-      summaries.push_back(s);
-      t.row({c.name, std::to_string(n), cell(s.ms[kSerial]),
-             cell(s.ms[kPar])});
+      e.ms = Quartiles::of(ms);
+      t.row({c.name, std::to_string(n), cell(e.ms)});
+      entries.push_back(std::move(e));
     }
   }
   t.print();
-  // Geometric mean of the parallel-over-serial median ratios over the
-  // compiled example corpus at the largest measured n.
-  const std::size_t n_max = sizes.back();
-  double log_par = 0;
-  std::size_t corpus_count = 0;
-  for (const auto& s : summaries) {
-    if (s.n != n_max || s.bench.rfind("compiled:", 0) != 0) continue;
-    log_par += std::log(s.ms[kSerial].median / s.ms[kPar].median);
-    ++corpus_count;
-  }
-  const double geo_par =
-      corpus_count > 0 ? std::exp(log_par / corpus_count) : 0;
-  std::printf(
-      "\ncompiled corpus at n=%zu (geomean of median ratios): parallel "
-      "over serial = %.2fx\n",
-      n_max, geo_par);
-  std::printf(
-      "\nreading: each cell is the median [p25-p75] ms over %d interleaved\n"
-      "reps (%zu workers for the parallel column).  Both configurations\n"
-      "matched run_reference's outputs, T, and W.\n",
-      opt.reps, nsc::parallel_workers());
+  std::printf("\nreading: each cell is the median [p25-p75] ms over %d "
+              "reps.\n%s\n",
+              opt.reps,
+              mismatch ? "MISMATCH against run_reference (see above)."
+                       : "Every case matched run_reference's outputs, T, "
+                         "and W.");
 
   // ---- JSON ----
-  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v5");
+  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v6");
   if (!report.ok()) return 1;
   std::FILE* f = report.out();
-  std::fprintf(f, "  \"workers\": %zu,\n  \"reps\": %d,\n",
-               nsc::parallel_workers(), opt.reps);
-  std::fprintf(f,
-               "  \"corpus_n\": %zu,\n"
-               "  \"corpus_geomean_parallel_speedup\": %.2f,\n",
-               n_max, geo_par);
+  std::fprintf(f, "  \"reps\": %d,\n", opt.reps);
   std::fprintf(f, "  \"entries\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
     std::fprintf(f,
-                 "    {\"bench\": \"%s\", \"n\": %zu, \"backend\": \"%s\", "
+                 "    {\"bench\": \"%s\", \"n\": %zu, "
                  "\"ms_median\": %.3f, \"ms_p25\": %.3f, "
                  "\"ms_p75\": %.3f, \"T\": %llu, \"W\": %llu, "
                  "\"checksum\": \"%016llx\"}%s\n",
-                 e.bench.c_str(), e.n, e.backend, e.ms.median, e.ms.p25,
-                 e.ms.p75,
+                 e.bench.c_str(), e.n, e.ms.median, e.ms.p25, e.ms.p75,
                  static_cast<unsigned long long>(e.time),
                  static_cast<unsigned long long>(e.work),
                  static_cast<unsigned long long>(e.checksum),
                  i + 1 < entries.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"summary\": [\n");
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    const auto& s = summaries[i];
-    std::fprintf(f,
-                 "    {\"bench\": \"%s\", \"n\": %zu, "
-                 "\"serial_ms\": %.3f, \"parallel_ms\": %.3f, "
-                 "\"parallel_speedup\": %.2f}%s\n",
-                 s.bench.c_str(), s.n, s.ms[kSerial].median,
-                 s.ms[kPar].median, s.ms[kSerial].median / s.ms[kPar].median,
-                 i + 1 < summaries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mismatch\": %s\n", mismatch ? "true" : "false");
   report.close();
@@ -522,9 +451,8 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "bench_machine: the BVRAM execution engine, serial and parallel;\n"
-      "wall-clock median and quartiles of %d reps, outputs/T/W checked\n"
-      "against run_reference.\n\n",
+      "bench_machine: the BVRAM execution engine; wall-clock median and\n"
+      "quartiles of %d reps, outputs/T/W checked against run_reference.\n\n",
       opt.reps);
   return run_bench(opt);
 }

@@ -1,6 +1,5 @@
 #include "bvram/machine.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -9,7 +8,6 @@
 #include <utility>
 
 #include "support/checked.hpp"
-#include "support/parallel.hpp"
 
 namespace nsc::bvram {
 
@@ -172,41 +170,60 @@ void check_io_shape(const Program& program, const std::vector<Vec>& inputs) {
 // cost of the actual operation.  Each loop below is semantically identical
 // to calling arith_apply per element, including the EvalError on division
 // by zero (same message, raised at the first offending element in index
-// order within a chunk).
+// order).
 template <typename F>
 void arith_loop(std::uint64_t* out, const std::uint64_t* a,
-                const std::uint64_t* b, std::size_t lo, std::size_t hi, F f) {
-  for (std::size_t i = lo; i < hi; ++i) out[i] = f(a[i], b[i]);
+                const std::uint64_t* b, std::size_t n, F f) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = f(a[i], b[i]);
 }
 
-void arith_range(ArithOp op, std::uint64_t* out, const std::uint64_t* a,
-                 const std::uint64_t* b, std::size_t lo, std::size_t hi) {
+void arith_into(ArithOp op, std::uint64_t* out, const std::uint64_t* a,
+                const std::uint64_t* b, std::size_t n) {
   using U = std::uint64_t;
   switch (op) {
     case ArithOp::Add:
-      arith_loop(out, a, b, lo, hi, [](U x, U y) { return sat_add(x, y); });
+      arith_loop(out, a, b, n, [](U x, U y) { return sat_add(x, y); });
       return;
     case ArithOp::Monus:
-      arith_loop(out, a, b, lo, hi, [](U x, U y) { return monus(x, y); });
+      arith_loop(out, a, b, n, [](U x, U y) { return monus(x, y); });
       return;
     case ArithOp::Mul:
-      arith_loop(out, a, b, lo, hi, [](U x, U y) { return sat_mul(x, y); });
+      arith_loop(out, a, b, n, [](U x, U y) { return sat_mul(x, y); });
       return;
     case ArithOp::Div:
-      arith_loop(out, a, b, lo, hi, [](U x, U y) {
+      arith_loop(out, a, b, n, [](U x, U y) {
         if (y == 0) throw EvalError("division by zero");
         return x / y;
       });
       return;
     case ArithOp::Rsh:
-      arith_loop(out, a, b, lo, hi,
+      arith_loop(out, a, b, n,
                  [](U x, U y) { return y >= 64 ? U{0} : x >> y; });
       return;
     case ArithOp::Log2:
-      arith_loop(out, a, b, lo, hi, [](U x, U) { return ilog2(x); });
+      arith_loop(out, a, b, n, [](U x, U) { return ilog2(x); });
       return;
   }
   throw EvalError("unknown arithmetic op");
+}
+
+void enumerate_into(std::uint64_t* out, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) out[i] = i;
+}
+
+/// Exclusive saturating prefix sums of a[0, n) into out (which may alias
+/// a: each element is read before its slot is written).
+void scan_into(std::uint64_t* out, const std::uint64_t* a, std::size_t n) {
+  std::uint64_t acc = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t x = a[i];
+    out[i] = acc;
+    acc = sat_add(acc, x);
+  }
+}
+
+void copy_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
+  if (n != 0) std::memcpy(dst, src, n * sizeof(std::uint64_t));
 }
 
 // ---------------------------------------------------------------------------
@@ -222,11 +239,6 @@ class Engine {
          const RunConfig& cfg)
       : p_(program),
         cfg_(cfg),
-        // A one-worker pool makes every chunked kernel collapse to a
-        // single chunk anyway; taking the serial fast paths outright
-        // skips the two-pass scans' extra traversals.  Outputs are
-        // identical either way (chunking-independence).
-        par_(cfg.parallel_backend && parallel_workers() > 1),
         pool_(cfg.arena != nullptr ? cfg.arena : &own_pool_),
         pool_hits0_(pool_->hits()),
         pool_misses0_(pool_->misses()),
@@ -320,21 +332,8 @@ class Engine {
     d = std::move(out);
   }
 
-  void copy_range(std::uint64_t* dst, const std::uint64_t* src,
-                  std::size_t n) const {
-    if (n == 0) return;
-    if (!par_) {
-      std::memcpy(dst, src, n * sizeof(std::uint64_t));
-      return;
-    }
-    parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-      std::memcpy(dst + lo, src + lo, (hi - lo) * sizeof(std::uint64_t));
-    });
-  }
-
   const Program& p_;
   const RunConfig& cfg_;
-  const bool par_;
   /// The run's buffer source: the caller's cross-run arena when
   /// RunConfig::arena is set, else a private per-run pool.
   BufferPool own_pool_;
@@ -353,14 +352,11 @@ RunResult Engine::exec() {
   RunResult result;
   std::size_t pc = 0;
   std::uint64_t executed = 0;
-  const bool par = par_;
   const bool prof = cfg_.profile;
   using Clock = std::chrono::steady_clock;
   Clock::time_point run_start;
-  ParallelCounters par_before;
   if (prof) {
     result.profile.assign(p_.code.size(), InstrProfile{});
-    par_before = parallel_counters();
     run_start = Clock::now();
   }
 
@@ -378,12 +374,8 @@ RunResult Engine::exec() {
       if (len > max_len) max_len = len;
     };
     std::size_t next = pc + 1;
-    std::uint64_t chunks_before = 0;
     Clock::time_point instr_start;
-    if (prof) {
-      chunks_before = parallel_chunk_count();
-      instr_start = Clock::now();
-    }
+    if (prof) instr_start = Clock::now();
 
     switch (instr.op) {
       case Op::Move: {
@@ -401,7 +393,7 @@ RunResult Engine::exec() {
           reg_of(instr.dst, instr).swap(a);
         } else {
           Buf out = acquire(n);
-          copy_range(out.data(), a.data(), n);
+          copy_words(out.data(), a.data(), n);
           set_reg(instr.dst, std::move(out), instr);
         }
         break;
@@ -411,17 +403,8 @@ RunResult Engine::exec() {
         Buf& b = reg_of(instr.b, instr);
         if (a.size() != b.size()) fail(instr, "length mismatch");
         const std::size_t n = a.size();
-        const ArithOp op = instr.aop;
-        const std::uint64_t* pa = a.data();
-        const std::uint64_t* pb = b.data();
         auto compute_into = [&](std::uint64_t* out) {
-          if (par) {
-            parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-              arith_range(op, out, pa, pb, lo, hi);
-            });
-          } else {
-            arith_range(op, out, pa, pb, 0, n);
-          }
+          arith_into(instr.aop, out, a.data(), b.data(), n);
         };
         charge(n);
         charge(n);
@@ -478,13 +461,13 @@ RunResult Engine::exec() {
           ++eng_.inplace_hits;
           const std::uint64_t* pb = b.data();
           a.reset_size(na + nb);
-          copy_range(a.data() + na, pb, nb);
+          copy_words(a.data() + na, pb, nb);
           if (instr.dst != instr.a) set_reg(instr.dst, std::move(a), instr);
           break;
         }
         Buf out = acquire(na + nb);
-        copy_range(out.data(), a.data(), na);
-        copy_range(out.data() + na, b.data(), nb);
+        copy_words(out.data(), a.data(), na);
+        copy_words(out.data() + na, b.data(), nb);
         set_reg(instr.dst, std::move(out), instr);
         break;
       }
@@ -501,27 +484,18 @@ RunResult Engine::exec() {
       case Op::Enumerate: {
         Buf& a = reg_of(instr.a, instr);
         const std::size_t n = a.size();
-        auto fill = [&](std::uint64_t* out) {
-          if (par) {
-            parallel_for(n, [&](std::size_t lo, std::size_t hi) {
-              for (std::size_t i = lo; i < hi; ++i) out[i] = i;
-            });
-          } else {
-            for (std::size_t i = 0; i < n; ++i) out[i] = i;
-          }
-        };
         charge(n);
         charge(n);  // input + output
         if (instr.dst == instr.a) {
           ++eng_.inplace_hits;
-          fill(a.data());
+          enumerate_into(a.data(), n);
         } else if (operand_dies(pc, 0)) {
           ++eng_.inplace_hits;
-          fill(a.data());
+          enumerate_into(a.data(), n);
           set_reg(instr.dst, std::move(a), instr);
         } else {
           Buf out = acquire(n);
-          fill(out.data());
+          enumerate_into(out.data(), n);
           set_reg(instr.dst, std::move(out), instr);
         }
         break;
@@ -536,114 +510,46 @@ RunResult Engine::exec() {
         const std::size_t nt = counts.size();
         const std::uint64_t* cnt = counts.data();
         const std::uint64_t* dat = data.data();
-        if (!par) {
-          // One-pass serial kernel: the certificate pins |out| to |bound|,
-          // so allocate that up front and validate *while* scattering --
-          // counts are read once instead of twice (sum pass + scatter
-          // pass).  A trailing slack slot lets the count<=1 case (pack
-          // bits, the catalog's dominant shape) store unconditionally;
-          // the guard branches are never taken unless the certificate is
-          // about to fail.
-          const std::uint64_t bsize = bound.size();
-          Buf out = acquire(static_cast<std::size_t>(bsize) + 2);
-          out.reset_size(bsize);
-          std::uint64_t* po = out.data();
-          std::uint64_t at = 0;
-          std::size_t t = 0;
-          for (; t < nt; ++t) {
-            if (at > bsize) break;  // sum already exceeds the bound
-            const std::uint64_t c = cnt[t];
-            if (c <= 1) {
-              po[at] = dat[t];  // slack slot absorbs the at == bsize store
-              at += c;
-            } else if (c == 2 && at < bsize) {
-              // Pairwise duplication (the seg-sum ladder): two
-              // unconditional stores, the second into slack if need be.
-              const std::uint64_t x = dat[t];
-              po[at] = x;
-              po[at + 1] = x;
-              at += 2;
-            } else if (c <= bsize - at) {
-              const std::uint64_t x = dat[t];
-              for (std::uint64_t r = 0; r < c; ++r) po[at++] = x;
-            } else {
-              break;  // this count alone overruns the bound
-            }
+        // One-pass kernel: the certificate pins |out| to |bound|, so
+        // allocate that up front and validate *while* scattering -- counts
+        // are read once instead of twice (sum pass + scatter pass).  A
+        // trailing slack slot lets the count<=1 case (pack bits, the
+        // catalog's dominant shape) store unconditionally; the guard
+        // branches are never taken unless the certificate is about to
+        // fail.
+        const std::uint64_t bsize = bound.size();
+        Buf out = acquire(static_cast<std::size_t>(bsize) + 2);
+        out.reset_size(bsize);
+        std::uint64_t* po = out.data();
+        std::uint64_t at = 0;
+        std::size_t t = 0;
+        for (; t < nt; ++t) {
+          if (at > bsize) break;  // sum already exceeds the bound
+          const std::uint64_t c = cnt[t];
+          if (c <= 1) {
+            po[at] = dat[t];  // slack slot absorbs the at == bsize store
+            at += c;
+          } else if (c == 2 && at < bsize) {
+            // Pairwise duplication (the seg-sum ladder): two
+            // unconditional stores, the second into slack if need be.
+            const std::uint64_t x = dat[t];
+            po[at] = x;
+            po[at + 1] = x;
+            at += 2;
+          } else if (c <= bsize - at) {
+            const std::uint64_t x = dat[t];
+            for (std::uint64_t r = 0; r < c; ++r) po[at++] = x;
+          } else {
+            break;  // this count alone overruns the bound
           }
-          if (t < nt || at != bsize) {
-            fail(instr, "bm-route: bound length != sum of counts");
-          }
-          charge(bsize);
-          charge(nt);
-          charge(nt);
-          charge(bsize);
-          set_reg(instr.dst, std::move(out), instr);
-          break;
         }
-        // Parallel: one chunked pass over counts yields the certificate
-        // sum *and* the per-chunk scatter offsets (the one-pass vec_sum
-        // validation).
-        const ChunkPlan plan = ChunkPlan::make(nt);
-        std::vector<std::uint64_t> offs;
-        const std::uint64_t total = parallel_scan(
-            plan,
-            [&](std::size_t lo, std::size_t hi) {
-              std::uint64_t s = 0;
-              for (std::size_t i = lo; i < hi; ++i) s = sat_add(s, cnt[i]);
-              return s;
-            },
-            offs);
-        if (total != bound.size()) {
+        if (t < nt || at != bsize) {
           fail(instr, "bm-route: bound length != sum of counts");
         }
-        Buf out = acquire(total);  // exact: total == |bound|
-        std::uint64_t* po = out.data();
-        if (total <= nt) {
-          // Contraction-heavy: walk counts in order, chunked.
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t at = offs[c];
-            for (std::size_t t = lo; t < hi; ++t) {
-              const std::uint64_t x = dat[t];
-              for (std::uint64_t r = 0; r < cnt[t]; ++r) po[at++] = x;
-            }
-          });
-        } else {
-          // Skew-robust parallel scatter (the Prop 2.1 balanced routing):
-          // chunking over *counts* serializes skewed routes -- the
-          // compiler's broadcast (a single count of n) being the extreme
-          // case -- so materialize the per-element offsets and partition
-          // the *output* space instead; each output chunk binary-searches
-          // its starting element.
-          Buf off = acquire(nt);
-          std::uint64_t* poff = off.data();
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t at = offs[c];
-            for (std::size_t t = lo; t < hi; ++t) {
-              poff[t] = at;
-              at = sat_add(at, cnt[t]);
-            }
-          });
-          parallel_for(static_cast<std::size_t>(total),
-                       [&](std::size_t lo, std::size_t hi) {
-            std::size_t t = static_cast<std::size_t>(
-                std::upper_bound(poff, poff + nt, lo) - poff) - 1;
-            std::size_t pos = lo;
-            while (pos < hi) {
-              const std::size_t run_end = static_cast<std::size_t>(
-                  std::min<std::uint64_t>(hi, poff[t] + cnt[t]));
-              const std::uint64_t x = dat[t];
-              for (; pos < run_end; ++pos) po[pos] = x;
-              ++t;
-            }
-          });
-          recycle(std::move(off));
-        }
-        charge(bound.size());
+        charge(bsize);
         charge(nt);
         charge(nt);
-        charge(total);
+        charge(bsize);
         set_reg(instr.dst, std::move(out), instr);
         break;
       }
@@ -659,43 +565,13 @@ RunResult Engine::exec() {
         const std::uint64_t* cnt = counts.data();
         const std::uint64_t* seg = segs.data();
         const std::uint64_t* dat = data.data();
-        // One pass computes all three sums (both route certificates plus
-        // the output size); in the parallel path it runs chunked and the
-        // serial chunk-combine derives the scatter offsets.
-        const ChunkPlan plan = par ? ChunkPlan::make(nt)
-                                   : ChunkPlan::serial(nt);
+        // One pass computes all three sums: both route certificates plus
+        // the output size.
         std::uint64_t csum = 0, ssum = 0, total = 0;
-        std::vector<std::uint64_t> seg_off(plan.chunks, 0);
-        std::vector<std::uint64_t> out_off(plan.chunks, 0);
-        if (plan.chunks <= 1) {
-          for (std::size_t t = 0; t < nt; ++t) {
-            csum = sat_add(csum, cnt[t]);
-            ssum = sat_add(ssum, seg[t]);
-            total = sat_add(total, sat_mul(cnt[t], seg[t]));
-          }
-        } else {
-          std::vector<std::uint64_t> csums(plan.chunks, 0);
-          std::vector<std::uint64_t> ssums(plan.chunks, 0);
-          std::vector<std::uint64_t> psums(plan.chunks, 0);
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t cs = 0, ss = 0, ps = 0;
-            for (std::size_t t = lo; t < hi; ++t) {
-              cs = sat_add(cs, cnt[t]);
-              ss = sat_add(ss, seg[t]);
-              ps = sat_add(ps, sat_mul(cnt[t], seg[t]));
-            }
-            csums[c] = cs;
-            ssums[c] = ss;
-            psums[c] = ps;
-          });
-          for (std::size_t c = 0; c < plan.chunks; ++c) {
-            seg_off[c] = ssum;
-            out_off[c] = total;
-            csum = sat_add(csum, csums[c]);
-            ssum = sat_add(ssum, ssums[c]);
-            total = sat_add(total, psums[c]);
-          }
+        for (std::size_t t = 0; t < nt; ++t) {
+          csum = sat_add(csum, cnt[t]);
+          ssum = sat_add(ssum, seg[t]);
+          total = sat_add(total, sat_mul(cnt[t], seg[t]));
         }
         if (csum != bound.size()) {
           fail(instr, "sbm-route: bound length != sum of counts");
@@ -705,82 +581,15 @@ RunResult Engine::exec() {
         }
         Buf out = acquire(total);
         std::uint64_t* po = out.data();
-        if (plan.chunks <= 1 && (!par || total <= nt)) {
-          std::uint64_t at = 0;
-          std::uint64_t dat_at = 0;
-          for (std::size_t t = 0; t < nt; ++t) {
-            const std::uint64_t len = seg[t];
-            for (std::uint64_t r = 0; r < cnt[t]; ++r) {
-              if (len != 0) {
-                std::memcpy(po + at, dat + dat_at,
-                            len * sizeof(std::uint64_t));
-              }
-              at += len;
-            }
-            dat_at += len;
+        std::uint64_t at = 0;
+        std::uint64_t dat_at = 0;
+        for (std::size_t t = 0; t < nt; ++t) {
+          const std::uint64_t len = seg[t];
+          for (std::uint64_t r = 0; r < cnt[t]; ++r) {
+            copy_words(po + at, dat + dat_at, len);
+            at += len;
           }
-        } else if (!par || total <= nt) {
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t at = out_off[c];
-            std::uint64_t dat_at = seg_off[c];
-            for (std::size_t t = lo; t < hi; ++t) {
-              const std::uint64_t len = seg[t];
-              for (std::uint64_t r = 0; r < cnt[t]; ++r) {
-                if (len != 0) {
-                  std::memcpy(po + at, dat + dat_at,
-                              len * sizeof(std::uint64_t));
-                }
-                at += len;
-              }
-              dat_at += len;
-            }
-          });
-        } else {
-          // Skew-robust parallel scatter over the *output* space (see
-          // BmRoute): a single segment replicated n times -- the flattened
-          // cartesian product -- would otherwise run on one chunk.
-          Buf off = acquire(nt);       // output offset per segment t
-          Buf doff = acquire(nt);      // data offset per segment t
-          std::uint64_t* poff = off.data();
-          std::uint64_t* pdoff = doff.data();
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t at = out_off[c];
-            std::uint64_t dat_at = seg_off[c];
-            for (std::size_t t = lo; t < hi; ++t) {
-              poff[t] = at;
-              pdoff[t] = dat_at;
-              at = sat_add(at, sat_mul(cnt[t], seg[t]));
-              dat_at = sat_add(dat_at, seg[t]);
-            }
-          });
-          parallel_for(static_cast<std::size_t>(total),
-                       [&](std::size_t lo, std::size_t hi) {
-            std::size_t t = static_cast<std::size_t>(
-                std::upper_bound(poff, poff + nt, lo) - poff) - 1;
-            std::size_t pos = lo;
-            while (pos < hi) {
-              const std::uint64_t len = seg[t];
-              const std::uint64_t block_end =
-                  poff[t] + sat_mul(cnt[t], len);
-              while (pos < hi && pos < block_end) {
-                // Position inside segment t's replicated block: copy to
-                // the end of the current repetition (or the chunk).
-                const std::uint64_t rel = pos - poff[t];
-                const std::uint64_t within = rel % len;
-                const std::size_t stop = static_cast<std::size_t>(
-                    std::min<std::uint64_t>({hi, block_end,
-                                             pos + (len - within)}));
-                std::memcpy(po + pos, dat + pdoff[t] + within,
-                            (stop - pos) * sizeof(std::uint64_t));
-                pos = stop;
-              }
-              ++t;
-            }
-          });
-          recycle(std::move(off));
-          recycle(std::move(doff));
+          dat_at += len;
         }
         charge(bound.size());
         charge(counts.size());
@@ -794,12 +603,8 @@ RunResult Engine::exec() {
         Buf& a = reg_of(instr.a, instr);
         const std::size_t n = a.size();
         const std::uint64_t* pa = a.data();
-        const ChunkPlan plan =
-            par ? ChunkPlan::make(n) : ChunkPlan::serial(n);
-        Buf out;
         std::uint64_t total = 0;
-        if (plan.chunks <= 1 &&
-            (instr.dst == instr.a || operand_dies(pc, 0))) {
+        if (instr.dst == instr.a || operand_dies(pc, 0)) {
           // The source dies here (or doubles as dst): pack in place over
           // its own buffer.  The write index never passes the read index
           // (total <= i), so the unconditional store stays behind the
@@ -818,41 +623,16 @@ RunResult Engine::exec() {
           }
           break;
         }
-        if (plan.chunks <= 1) {
-          // One-pass branchless pack into an upper-bound buffer (plus one
-          // slack slot for the unconditional store); shrinking afterwards
-          // is free (capacity is kept).
-          out = acquire(n + 1);
-          std::uint64_t* po = out.data();
-          for (std::size_t i = 0; i < n; ++i) {
-            po[total] = pa[i];
-            total += pa[i] != 0 ? 1 : 0;
-          }
-          out.reset_size(total);
-        } else {
-          // Count / scan / scatter: the count pass doubles as the offset
-          // computation, the scatter preserves order within each chunk.
-          std::vector<std::uint64_t> offs;
-          total = parallel_scan(
-              plan,
-              [&](std::size_t lo, std::size_t hi) {
-                std::uint64_t k = 0;
-                for (std::size_t i = lo; i < hi; ++i) {
-                  k += pa[i] != 0 ? 1 : 0;
-                }
-                return k;
-              },
-              offs);
-          out = acquire(total);
-          std::uint64_t* po = out.data();
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t at = offs[c];
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (pa[i] != 0) po[at++] = pa[i];
-            }
-          });
+        // One-pass branchless pack into an upper-bound buffer (plus one
+        // slack slot for the unconditional store); shrinking afterwards is
+        // free (capacity is kept).
+        Buf out = acquire(n + 1);
+        std::uint64_t* po = out.data();
+        for (std::size_t i = 0; i < n; ++i) {
+          po[total] = pa[i];
+          total += pa[i] != 0 ? 1 : 0;
         }
+        out.reset_size(total);
         charge(n);
         charge(total);
         set_reg(instr.dst, std::move(out), instr);
@@ -861,52 +641,18 @@ RunResult Engine::exec() {
       case Op::ScanPlus: {
         Buf& a = reg_of(instr.a, instr);
         const std::size_t n = a.size();
-        const std::uint64_t* pa = a.data();
-        auto scan_into = [&](std::uint64_t* out) {
-          const ChunkPlan plan =
-              par ? ChunkPlan::make(n) : ChunkPlan::serial(n);
-          if (plan.chunks <= 1) {
-            std::uint64_t acc = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              const std::uint64_t x = pa[i];  // read before an aliased write
-              out[i] = acc;
-              acc = sat_add(acc, x);
-            }
-            return;
-          }
-          // Two-pass block scan; the sum pass completes (a barrier) before
-          // the emit pass writes, so in-place aliasing is safe.
-          std::vector<std::uint64_t> offs;
-          parallel_scan(
-              plan,
-              [&](std::size_t lo, std::size_t hi) {
-                std::uint64_t s = 0;
-                for (std::size_t i = lo; i < hi; ++i) s = sat_add(s, pa[i]);
-                return s;
-              },
-              offs);
-          for_each_chunk(plan, [&](std::size_t c, std::size_t lo,
-                                   std::size_t hi) {
-            std::uint64_t acc = offs[c];
-            for (std::size_t i = lo; i < hi; ++i) {
-              const std::uint64_t x = pa[i];
-              out[i] = acc;
-              acc = sat_add(acc, x);
-            }
-          });
-        };
         charge(n);
         charge(n);  // input + output
         if (instr.dst == instr.a) {
           ++eng_.inplace_hits;
-          scan_into(a.data());
+          scan_into(a.data(), a.data(), n);
         } else if (operand_dies(pc, 0)) {
           ++eng_.inplace_hits;
-          scan_into(a.data());
+          scan_into(a.data(), a.data(), n);
           set_reg(instr.dst, std::move(a), instr);
         } else {
           Buf out = acquire(n);
-          scan_into(out.data());
+          scan_into(out.data(), a.data(), n);
           set_reg(instr.dst, std::move(out), instr);
         }
         break;
@@ -952,7 +698,6 @@ RunResult Engine::exec() {
               .count());
       ip.work = sat_add(ip.work, work);
       ip.bytes = sat_add(ip.bytes, sat_mul(work, 8));
-      ip.chunks += parallel_chunk_count() - chunks_before;
     }
     if (cfg_.record_trace) {
       result.trace.push_back(
@@ -975,10 +720,6 @@ RunResult Engine::exec() {
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              run_start)
             .count());
-    const ParallelCounters after = parallel_counters();
-    eng_.par_kernels = after.calls - par_before.calls;
-    eng_.par_chunks = after.chunks - par_before.chunks;
-    eng_.par_serial = after.serial_calls - par_before.serial_calls;
     eng_.pool_hits = pool_->hits() - pool_hits0_;
     eng_.pool_misses = pool_->misses() - pool_misses0_;
     result.engine = eng_;

@@ -243,29 +243,23 @@ struct TraceEntry {
 
 /// Accumulated profile for one instruction *slot* (indexed by position in
 /// Program::code), collected by run() only under RunConfig::profile.
-/// `wall_ns` and `chunks` vary run to run; count, work, and bytes are
-/// deterministic: they equal the totals of the slot's TraceEntry records,
-/// on every backend and annotation (the test_profile gate).
+/// `wall_ns` varies run to run; count, work, and bytes are deterministic:
+/// they equal the totals of the slot's TraceEntry records, with or without
+/// last-use masks (the test_profile gate).
 struct InstrProfile {
   std::uint64_t count = 0;    ///< times this slot executed
   std::uint64_t wall_ns = 0;  ///< accumulated wall-clock nanoseconds
   std::uint64_t work = 0;     ///< accumulated W charged by this slot
   std::uint64_t bytes = 0;    ///< cost-model memory traffic: 8 * work
-  std::uint64_t chunks = 0;   ///< parallel chunks dispatched by its kernels
 };
 
 /// Engine-level counters, collected by run() only under RunConfig::profile.
-/// The par_* counters are deltas of the process-wide support/parallel
-/// statistics.
 struct EngineProfile {
   std::uint64_t wall_ns = 0;        ///< whole-run wall clock
   std::uint64_t pool_hits = 0;      ///< acquire() served from a pooled buffer
   std::uint64_t pool_misses = 0;    ///< acquire() had to touch the allocator
   std::uint64_t inplace_hits = 0;   ///< kernel wrote over a dying operand
   std::uint64_t move_swaps = 0;     ///< Move executed as an O(1) buffer swap
-  std::uint64_t par_kernels = 0;    ///< kernel invocations split into chunks
-  std::uint64_t par_chunks = 0;     ///< total chunks dispatched to the pool
-  std::uint64_t par_serial = 0;     ///< kernel invocations run single-chunk
   // Always 0: no engine path fuses instructions.  Kept only until a
   // benchmark change retires perfbench's fusion metrics (ROADMAP item 3).
   std::uint64_t fused_groups = 0;
@@ -286,16 +280,6 @@ struct RunResult {
 struct RunConfig {
   std::uint64_t max_instructions = std::uint64_t{1} << 32;
   bool record_trace = false;
-  /// Execute the vector kernels with the thread pool (experiment E10's
-  /// "real hardware" backend).  Every one of the 11 vector opcodes runs
-  /// parallel under this flag -- elementwise ops by chunking, scan-plus by
-  /// two-pass block scan, select by count/scan/scatter, the routes by a
-  /// prefix sum over counts plus parallel scatter (the Prop 2.1 butterfly
-  /// decomposition realized on the pool).  Outputs, traps, T, and W are
-  /// bit-identical to the serial backend: the per-chunk partial sums
-  /// combine with saturating addition, which is associative, so no result
-  /// depends on the chunk decomposition.
-  bool parallel_backend = false;
   /// Collect per-instruction wall time / work / traffic samples and the
   /// engine counters into RunResult::profile / RunResult::engine.  Opt-in
   /// observability: when false (the default) the engine takes no
@@ -324,7 +308,7 @@ struct RunConfig {
 // run() executes programs with a pooled register file: freed buffers are
 // recycled instead of returned to the allocator, Move executes as a buffer
 // swap when Program::last_use proves the source dead, Arith / Enumerate /
-// ScanPlus / Select (the serial pack never writes past its read index)
+// ScanPlus / Select (the pack never writes past its read index)
 // write their result in place over a dead source operand, and a source
 // register of a page or more that dies at an instruction hands its buffer
 // back to the pool once the instruction completes.  None of this can be

@@ -153,9 +153,7 @@ void write_info_metric(std::ostream& out, const Provenance& prov) {
   out << "# TYPE nscc_build_info gauge\n";
   out << "nscc_build_info{compiler=\"" << Registry::escape_label(prov.compiler)
       << "\",git_sha=\"" << Registry::escape_label(prov.git_sha)
-      << "\",host_cores=\"" << prov.host_cores << "\",workers=\""
-      << prov.workers << "\",workers_env=\""
-      << Registry::escape_label(prov.workers_env) << "\"} 1\n";
+      << "\",host_cores=\"" << prov.host_cores << "\"} 1\n";
 }
 
 }  // namespace

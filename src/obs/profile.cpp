@@ -35,7 +35,6 @@ void accumulate(ProfileRow& row, const bvram::InstrProfile& ip) {
   row.wall_ns += ip.wall_ns;
   row.work = sat_add(row.work, ip.work);
   row.bytes = sat_add(row.bytes, ip.bytes);
-  row.chunks += ip.chunks;
 }
 
 std::string ms(std::uint64_t ns) {
@@ -51,8 +50,8 @@ std::string render_rows(const char* key_header,
   std::ostringstream out;
   out << std::left << std::setw(24) << key_header << std::right
       << std::setw(10) << "count" << std::setw(14) << "work"
-      << std::setw(14) << "bytes" << std::setw(10) << "chunks"
-      << std::setw(12) << "wall(ms)" << std::setw(8) << "wall%" << "\n";
+      << std::setw(14) << "bytes" << std::setw(12) << "wall(ms)"
+      << std::setw(8) << "wall%" << "\n";
   for (const auto& r : rows) {
     const double pct =
         total_wall == 0
@@ -61,7 +60,7 @@ std::string render_rows(const char* key_header,
                   static_cast<double>(total_wall);
     out << std::left << std::setw(24) << r.key << std::right << std::setw(10)
         << r.count << std::setw(14) << r.work << std::setw(14) << r.bytes
-        << std::setw(10) << r.chunks << std::setw(12) << ms(r.wall_ns)
+        << std::setw(12) << ms(r.wall_ns)
         << std::setw(7) << std::fixed << std::setprecision(1) << pct << "%"
         << "\n";
   }
@@ -172,9 +171,7 @@ std::string Profile::render_engine() const {
   out << "wall " << ms(engine.wall_ns) << "ms"
       << "; pool " << engine.pool_hits << " hits / " << engine.pool_misses
       << " misses; in-place " << engine.inplace_hits << "; move-swaps "
-      << engine.move_swaps << "; parallel " << engine.par_kernels
-      << " kernels (" << engine.par_serial << " serial, "
-      << engine.par_chunks << " chunks)";
+      << engine.move_swaps;
   return out.str();
 }
 

@@ -34,7 +34,6 @@ struct ProfileRow {
   std::uint64_t wall_ns = 0;  ///< total wall time
   std::uint64_t work = 0;     ///< paper W charged
   std::uint64_t bytes = 0;    ///< cost-model traffic (8 bytes per W unit)
-  std::uint64_t chunks = 0;   ///< pool chunks dispatched
 };
 
 struct LoopRow {

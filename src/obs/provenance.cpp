@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "support/json.hpp"
-#include "support/parallel.hpp"
 
 namespace nsc::obs {
 
@@ -56,9 +55,6 @@ std::string git_head_sha() {
 Provenance Provenance::collect() {
   Provenance p;
   p.host_cores = static_cast<std::size_t>(std::thread::hardware_concurrency());
-  p.workers = parallel_workers();
-  const char* env = std::getenv("NSCC_WORKERS");
-  p.workers_env = env != nullptr ? env : "";
   p.compiler = compiler_id();
   const char* sha = std::getenv("NSCC_GIT_SHA");
   if (sha == nullptr || *sha == '\0') sha = std::getenv("GITHUB_SHA");
@@ -75,9 +71,8 @@ Provenance Provenance::collect() {
 
 std::string Provenance::to_json() const {
   std::ostringstream out;
-  out << "{\"host_cores\":" << host_cores << ",\"workers\":" << workers
-      << ",\"workers_env\":\"" << json::escape(workers_env)
-      << "\",\"compiler\":\"" << json::escape(compiler) << "\",\"git_sha\":\""
+  out << "{\"host_cores\":" << host_cores << ",\"compiler\":\""
+      << json::escape(compiler) << "\",\"git_sha\":\""
       << json::escape(git_sha) << "\"}";
   return out.str();
 }

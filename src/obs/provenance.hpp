@@ -10,8 +10,6 @@ namespace nsc::obs {
 
 struct Provenance {
   std::size_t host_cores = 0;  ///< std::thread::hardware_concurrency
-  std::size_t workers = 0;     ///< the pool's effective worker count
-  std::string workers_env;     ///< raw NSCC_WORKERS value ("" if unset)
   std::string compiler;        ///< compiler id, e.g. "gcc 13.2.0"
   std::string git_sha;         ///< NSCC_GIT_SHA / GITHUB_SHA, else "unknown"
 
@@ -19,7 +17,7 @@ struct Provenance {
   static Provenance collect();
 
   /// One flat JSON object (no trailing newline), e.g.
-  /// {"host_cores":8,"workers":4,...} -- for embedding in bench reports.
+  /// {"host_cores":8,"compiler":...} -- for embedding in bench reports.
   std::string to_json() const;
 };
 

@@ -8,7 +8,6 @@
 #include "front/front.hpp"
 #include "sa/compile.hpp"
 #include "support/error.hpp"
-#include "support/parallel.hpp"
 
 namespace nsc::serve {
 
@@ -108,12 +107,6 @@ void Service::register_metrics() {
   m_.eng_move_swaps = &registry_.counter(
       "nscc_engine_move_swaps_total",
       "Moves executed as O(1) buffer swaps (profile_runs only).");
-  m_.eng_par_kernels = &registry_.counter(
-      "nscc_engine_par_kernels_total",
-      "Kernel invocations split into parallel chunks (profile_runs only).");
-  m_.eng_par_chunks = &registry_.counter(
-      "nscc_engine_par_chunks_total",
-      "Chunks dispatched to the worker pool (profile_runs only).");
 }
 
 Service::Service(ServeConfig cfg)
@@ -328,8 +321,6 @@ void Service::note_engine(const bvram::EngineProfile& e) {
   m_.eng_pool_misses->inc(e.pool_misses);
   m_.eng_inplace_hits->inc(e.inplace_hits);
   m_.eng_move_swaps->inc(e.move_swaps);
-  m_.eng_par_kernels->inc(e.par_kernels);
-  m_.eng_par_chunks->inc(e.par_chunks);
 }
 
 void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
@@ -385,7 +376,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
 
     bvram::RunConfig rc;
     rc.max_instructions = sat_mul_u64(cfg_.fuel, k);
-    rc.parallel_backend = cfg_.parallel_backend;
     rc.arena = arena;
     rc.profile = cfg_.profile_runs;
 
@@ -460,7 +450,6 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
                           const char* phase) {
   bvram::RunConfig rc;
   rc.max_instructions = cfg_.fuel;
-  rc.parallel_backend = cfg_.parallel_backend;
   rc.arena = arena;
   rc.profile = cfg_.profile_runs;
 
@@ -579,19 +568,6 @@ obs::Registry& Service::metrics() {
       .gauge("nscc_serve_arena_idle_bytes",
              "Spare capacity held by parked arenas.")
       .set(a.idle_bytes);
-  const ParallelCounters pc = parallel_counters();
-  registry_
-      .gauge("nscc_parallel_calls",
-             "Process-wide parallel_for/scan/reduce calls.")
-      .set(pc.calls);
-  registry_
-      .gauge("nscc_parallel_serial_calls",
-             "Parallel calls collapsed to one chunk.")
-      .set(pc.serial_calls);
-  registry_
-      .gauge("nscc_parallel_chunks",
-             "Chunks dispatched to the process-wide worker pool.")
-      .set(pc.chunks);
   registry_
       .gauge("nscc_serve_uptime_ns", "Nanoseconds since Service start.")
       .set(ns_between(started_, Clock::now()));
@@ -633,15 +609,13 @@ ServeStats Service::stats() const {
 
 std::string Service::stats_json() const {
   const ServeStats s = stats();
-  const ParallelCounters pc = parallel_counters();
   std::ostringstream os;
   os << "{\n";
-  os << "  \"schema\": \"nscc-serve-stats/v2\",\n";
+  os << "  \"schema\": \"nscc-serve-stats/v3\",\n";
   os << "  \"config\": {\"workers\": " << cfg_.workers
      << ", \"max_queue\": " << cfg_.max_queue
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
      << ", \"batching\": " << (cfg_.batching ? "true" : "false")
-     << ", \"parallel_backend\": " << (cfg_.parallel_backend ? "true" : "false")
      << ", \"profile_runs\": " << (cfg_.profile_runs ? "true" : "false")
      << "},\n";
   os << "  \"requests\": {\"submitted\": " << s.submitted
@@ -660,9 +634,6 @@ std::string Service::stats_json() const {
      << ", \"p95\": " << s.latency_p95_ns << ", \"p99\": " << s.latency_p99_ns
      << ", \"mean\": " << s.latency_mean_ns
      << ", \"source\": \"log2-histogram\"},\n";
-  os << "  \"parallel\": {\"calls\": " << pc.calls
-     << ", \"serial_calls\": " << pc.serial_calls
-     << ", \"chunks\": " << pc.chunks << "},\n";
   os << "  \"throughput_rps\": "
      << (s.uptime_ns > 0
              ? static_cast<double>(s.completed) * 1e9 /

@@ -62,6 +62,9 @@
 
 namespace nsc::serve {
 
+/// The most worker threads `nscc serve --workers` accepts.
+constexpr std::size_t kMaxWorkers = 256;
+
 struct ServeConfig {
   /// Worker threads; 0 picks min(hardware_concurrency, 4).
   std::size_t workers = 0;
@@ -76,8 +79,6 @@ struct ServeConfig {
   /// Coalesce same-program requests into segment-descriptor batches.
   /// Off = every request runs the unit program individually.
   bool batching = true;
-  /// RunConfig::parallel_backend for every run the service issues.
-  bool parallel_backend = false;
   /// ProgramCache capacity, in compiled artifacts.
   std::size_t cache_capacity = 64;
 
@@ -204,12 +205,12 @@ class Service {
   void resume();
 
   ServeStats stats() const;
-  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v2;
-  /// v1's exact ring-buffer percentiles became histogram quantiles).
+  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v3;
+  /// latency percentiles are histogram quantiles).
   std::string stats_json() const;
 
   /// The metrics registry, with the derived gauges (queue depth, cache,
-  /// arena, parallel pool, uptime) refreshed to the current instant.
+  /// arena, uptime) refreshed to the current instant.
   /// Write with registry.write_prometheus() / write_json().
   obs::Registry& metrics();
 
@@ -249,8 +250,6 @@ class Service {
     obs::Counter* eng_pool_misses = nullptr;
     obs::Counter* eng_inplace_hits = nullptr;
     obs::Counter* eng_move_swaps = nullptr;
-    obs::Counter* eng_par_kernels = nullptr;
-    obs::Counter* eng_par_chunks = nullptr;
   };
 
   void register_metrics();

@@ -241,52 +241,6 @@ TEST(Bvram, TraceRecordsPerInstructionWork) {
   EXPECT_EQ(r.trace[1].work, 32u);
 }
 
-TEST(Bvram, ParallelBackendMatchesSerial) {
-  Assembler a;
-  auto x = a.reg();
-  auto y = a.reg();
-  auto z = a.reg();
-  a.arith(z, ArithOp::Mul, x, y);
-  a.enumerate(y, z);
-  a.halt();
-  auto p = a.finish(2, 3);
-  Vec big1(50000), big2(50000);
-  for (std::size_t i = 0; i < big1.size(); ++i) {
-    big1[i] = i;
-    big2[i] = 2 * i + 1;
-  }
-  auto serial = run(p, {big1, big2});
-  RunConfig cfg;
-  cfg.parallel_backend = true;
-  auto parallel = run(p, {big1, big2}, cfg);
-  EXPECT_EQ(serial.outputs, parallel.outputs);
-  EXPECT_EQ(serial.cost.work, parallel.cost.work);
-}
-
-TEST(Bvram, ParallelBackendPropagatesEvalError) {
-  // Regression: a Div by zero evaluated on a pool worker used to escape
-  // into the worker thread and std::terminate the interpreter; the
-  // EvalError must surface on the calling thread exactly as it does under
-  // the serial backend.
-  Assembler a;
-  auto x = a.reg();
-  auto y = a.reg();
-  a.arith(x, ArithOp::Div, x, y);
-  a.halt();
-  auto p = a.finish(2, 1);
-  Vec num(50000, 7);
-  Vec den(50000, 3);
-  den[12345] = 0;  // one poisoned slot deep inside a parallel chunk
-  RunConfig cfg;
-  cfg.parallel_backend = true;
-  EXPECT_THROW(run(p, {num, den}), EvalError);        // serial reference
-  EXPECT_THROW(run(p, {num, den}, cfg), EvalError);   // pool must match
-  // The backend stays healthy after the failure.
-  den[12345] = 3;
-  auto r = run(p, {num, den}, cfg);
-  EXPECT_EQ(r.outputs[0], Vec(50000, 2));
-}
-
 TEST(Bvram, UnboundLabelRejected) {
   Assembler a;
   auto l = a.fresh_label();

@@ -1,14 +1,13 @@
 // Differential harness for the BVRAM execution engine: every program is
 // executed by run_reference (the section-2 interpreter, the oracle) and by
-// run() in four configurations --
+// run() in two configurations --
 //
-//     v2            serial / parallel   (no annotations: the bare engine)
-//     v2+liveness   serial / parallel   (opt::annotate_last_use: Move as
-//                                        swap, in-place kernels, buffers
-//                                        released at their last use)
+//     v2            no annotations: the bare engine
+//     v2+liveness   opt::annotate_last_use: Move as swap, in-place
+//                   kernels, buffers released at their last use
 //
 // each built from a copy of the program with its annotations cleared, so
-// a compiled program runs the bare engine too.  All five must agree
+// a compiled program runs the bare engine too.  All three must agree
 // bit-for-bit on outputs, trap type *and message*, T, W, and the
 // per-instruction trace.  Covers every opcode including the trap cases
 // (length mismatch, bad bound/segment certificates, division by zero),
@@ -35,7 +34,6 @@
 #include "sa/layout.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
-#include "pin_workers.hpp"
 
 namespace nsc::bvram {
 namespace {
@@ -52,11 +50,10 @@ struct Outcome {
 
 template <typename Runner>
 Outcome outcome_of(Runner runner, const Program& p,
-                   const std::vector<Vec>& inputs, bool parallel,
+                   const std::vector<Vec>& inputs,
                    std::uint64_t max_instructions) {
   RunConfig cfg;
   cfg.record_trace = true;
-  cfg.parallel_backend = parallel;
   cfg.max_instructions = max_instructions;
   Outcome o;
   try {
@@ -91,7 +88,7 @@ void expect_same(const Outcome& base, const Outcome& got,
   }
 }
 
-/// The harness: run_reference is ground truth; the four run()
+/// The harness: run_reference is ground truth; both run()
 /// configurations must match it exactly, under the same instruction
 /// budget.
 void expect_identical(const Program& p, const std::vector<Vec>& inputs,
@@ -102,22 +99,19 @@ void expect_identical(const Program& p, const std::vector<Vec>& inputs,
   Program live = bare;
   opt::annotate_last_use(live);
   const Outcome base =
-      outcome_of(run_reference, bare, inputs, false, max_instructions);
+      outcome_of(run_reference, bare, inputs, max_instructions);
   const struct {
     const char* label;
     const Program& program;
   } configs[] = {{"v2", bare}, {"v2+liveness", live}};
   for (const auto& c : configs) {
-    for (const bool par : {false, true}) {
-      expect_same(base,
-                  outcome_of(run, c.program, inputs, par, max_instructions),
-                  std::string(c.label) + (par ? "/par" : "/serial"));
-    }
+    expect_same(base, outcome_of(run, c.program, inputs, max_instructions),
+                c.label);
   }
 }
 
-// Sizes straddle the parallel grain (4096) so both the serial fallback
-// and real pool dispatch are exercised.
+// Sizes from empty to past the engine's one-page release cutoff (512
+// slots), so the kernels run on empty, tiny, and page-spanning registers.
 const std::size_t kSizes[] = {0, 1, 7, 4096, 20011};
 
 Vec iota_mod(std::size_t n, std::uint64_t mod) {
@@ -199,7 +193,7 @@ TEST(Backend, ArithDivByZeroTraps) {
   auto p = a.finish(2, 1);
   Vec num(20000, 7);
   Vec den(20000, 3);
-  den[12345] = 0;  // poisoned slot deep inside a parallel chunk
+  den[12345] = 0;  // poisoned slot deep inside the vector
   expect_identical(p, {num, den});
   den[0] = 0;  // and at the very front
   expect_identical(p, {num, den});
@@ -349,9 +343,8 @@ TEST(Backend, SbmRouteValidAndTraps) {
 }
 
 TEST(Backend, BmRouteSkewedBroadcast) {
-  // The compiler's broadcast: a single count of n (maximum skew).  The
-  // parallel backend must partition the *output* space, and the result
-  // must stay bit-identical to the serial walk.
+  // The compiler's broadcast: a single count of n (maximum skew), which
+  // the kernel writes through its count > 2 replication loop.
   Assembler a;
   auto bound = a.reg();
   auto counts = a.reg();
@@ -392,8 +385,7 @@ TEST(Backend, SbmRouteSkewedCartesian) {
 }
 
 TEST(Backend, ControlFlowLoop) {
-  // The countdown loop from test_bvram, at a size where the loop body's
-  // vector ops cross the parallel grain.
+  // The countdown loop from test_bvram.
   Assembler a;
   auto acc = a.reg();
   auto n = a.reg();
@@ -418,7 +410,7 @@ TEST(Backend, ControlFlowLoop) {
 
 TEST(Backend, SelectInPlaceOverDeadSource) {
   // The serial engine packs in place when the source dies at the select
-  // (last_use annotation) or doubles as the destination; all five
+  // (last_use annotation) or doubles as the destination; all three
   // configurations must still agree bit-for-bit on outputs, T, W.
   Assembler a;
   auto x = a.reg();  // V0: input and final output
@@ -439,7 +431,7 @@ TEST(Backend, SelectInPlaceOverDeadSource) {
 TEST(Backend, AppendInPlaceOverDeadSource) {
   // The engine extends the left source's buffer in place when it dies at
   // the append (or doubles as the destination) and its capacity suffices;
-  // all five configurations must agree bit-for-bit on outputs, T, W.  The
+  // all three configurations must agree bit-for-bit on outputs, T, W.  The
   // select of a zero-free vector shrinks the register without shrinking
   // its capacity, which is exactly the headroom the in-place path needs.
   Assembler a;
@@ -508,7 +500,7 @@ TEST(Backend, PoolReuseAcrossGrowShrink) {
 TEST(Backend, RandomStraightLinePrograms) {
   // Randomized differential sweep: straight-line programs over the whole
   // ISA (routes usually trap on their certificates, which is exactly the
-  // point: first-trap identity across all five configurations).
+  // point: first-trap identity across all three configurations).
   SplitMix64 rng(1234);
   for (int trial = 0; trial < 120; ++trial) {
     Assembler a;

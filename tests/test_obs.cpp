@@ -27,7 +27,6 @@
 #include "obs/provenance.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
-#include "pin_workers.hpp"
 
 namespace nsc {
 namespace {
@@ -121,7 +120,6 @@ TEST(Metrics, PrometheusExposition) {
   prov.compiler = "g\"cc";
   prov.git_sha = "abc123";
   prov.host_cores = 8;
-  prov.workers = 4;
   std::ostringstream out;
   reg.write_prometheus(out, &prov);
   const std::string text = out.str();

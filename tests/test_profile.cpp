@@ -5,10 +5,9 @@
 //     trap type *and message*, T, W, and the per-instruction trace are
 //     bit-identical at every OptLevel x WhileSchedule on the corpus;
 //   * the deterministic profile fields (per-pc count / work / bytes)
-//     equal the totals summed from run_reference's trace in all four
-//     engine configurations (bare and +liveness, each serial and
-//     parallel) -- only wall times, chunk counts, and engine counters may
-//     differ;
+//     equal the totals summed from run_reference's trace in both engine
+//     configurations (bare and +liveness) -- only wall times and engine
+//     counters may differ;
 //   * every TraceEntry carries the executed instruction's index;
 //   * >= 95% of *executed* instructions on the O2-compiled corpus carry
 //     surface attribution (the CI profile-smoke gate, measured here via
@@ -34,7 +33,6 @@
 #include "support/checked.hpp"
 #include "support/error.hpp"
 #include "corpus_files.hpp"
-#include "pin_workers.hpp"
 
 namespace nsc {
 namespace {
@@ -54,11 +52,9 @@ struct Outcome {
 
 template <typename Runner>
 Outcome outcome_of(Runner runner, const bvram::Program& p,
-                   const std::vector<Vec>& inputs, bool parallel,
-                   bool profile) {
+                   const std::vector<Vec>& inputs, bool profile) {
   bvram::RunConfig cfg;
   cfg.record_trace = true;
-  cfg.parallel_backend = parallel;
   cfg.profile = profile;
   Outcome o;
   try {
@@ -165,10 +161,10 @@ TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
         SCOPED_TRACE(cp.path);
         for (std::size_t i = 0; i < cp.inputs.size(); ++i) {
           SCOPED_TRACE("input " + std::to_string(i));
-          const Outcome off = outcome_of(bvram::run, cp.program, cp.inputs[i],
-                                         false, false);
-          const Outcome on = outcome_of(bvram::run, cp.program, cp.inputs[i],
-                                        false, true);
+          const Outcome off =
+              outcome_of(bvram::run, cp.program, cp.inputs[i], false);
+          const Outcome on =
+              outcome_of(bvram::run, cp.program, cp.inputs[i], true);
           expect_same_semantics(off, on, "profile on/off");
           // Off: no samples allocated.  On: one slot per instruction.
           EXPECT_TRUE(off.result.profile.empty());
@@ -182,11 +178,11 @@ TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
 }
 
 // ---------------------------------------------------------------------------
-// deterministic profile fields match the reference trace in all four
-// engine configurations
+// deterministic profile fields match the reference trace in both engine
+// configurations
 // ---------------------------------------------------------------------------
 
-TEST(Profile, DeterministicFieldsAcrossFourConfigs) {
+TEST(Profile, DeterministicFieldsAcrossEngineConfigs) {
   for (const auto& cp : compiled_corpus(opt::OptLevel::O2, {})) {
     SCOPED_TRACE(cp.path);
     bvram::Program bare = cp.program;
@@ -199,19 +195,15 @@ TEST(Profile, DeterministicFieldsAcrossFourConfigs) {
     } configs[] = {{"v2", bare}, {"v2+liveness", live}};
     for (std::size_t i = 0; i < cp.inputs.size(); ++i) {
       SCOPED_TRACE("input " + std::to_string(i));
-      const Outcome base = outcome_of(bvram::run_reference, bare,
-                                      cp.inputs[i], false, false);
+      const Outcome base =
+          outcome_of(bvram::run_reference, bare, cp.inputs[i], false);
       const std::vector<bvram::InstrProfile> expected =
           totals_from_trace(base.result.trace, bare.code.size());
       for (const auto& c : configs) {
-        for (const bool par : {false, true}) {
-          const std::string label =
-              std::string(c.label) + (par ? "/par" : "/serial");
-          const Outcome got =
-              outcome_of(bvram::run, c.program, cp.inputs[i], par, true);
-          expect_same_semantics(base, got, label);
-          if (!got.trapped) expect_same_profile(expected, got, label);
-        }
+        const Outcome got =
+            outcome_of(bvram::run, c.program, cp.inputs[i], true);
+        expect_same_semantics(base, got, c.label);
+        if (!got.trapped) expect_same_profile(expected, got, c.label);
       }
     }
   }
@@ -225,8 +217,7 @@ TEST(Profile, TraceEntriesCarryInstructionIndex) {
   for (const auto& cp : compiled_corpus(opt::OptLevel::O2, {})) {
     SCOPED_TRACE(cp.path);
     for (const auto& inputs : cp.inputs) {
-      const Outcome o = outcome_of(bvram::run, cp.program, inputs, false,
-                                   true);
+      const Outcome o = outcome_of(bvram::run, cp.program, inputs, true);
       for (const auto& te : o.result.trace) {
         ASSERT_LT(te.instr, cp.program.code.size());
         EXPECT_EQ(cp.program.code[te.instr].op, te.op);
@@ -245,8 +236,7 @@ TEST(Profile, ExecutedAttributionAtLeast95PercentOnO2Corpus) {
     SCOPED_TRACE(cp.path);
     std::vector<std::uint64_t> counts(cp.program.code.size(), 0);
     for (const auto& inputs : cp.inputs) {
-      const Outcome o = outcome_of(bvram::run, cp.program, inputs, false,
-                                   true);
+      const Outcome o = outcome_of(bvram::run, cp.program, inputs, true);
       if (o.trapped) continue;  // a trapped run yields no RunResult
       ASSERT_EQ(o.result.profile.size(), counts.size());
       for (std::size_t pc = 0; pc < counts.size(); ++pc) {

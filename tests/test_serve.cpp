@@ -6,9 +6,8 @@
 //     (EngineProfile::pool_misses == 0 on the second run) and stops
 //     growing (spare count and bytes hold from the third run on);
 //   * one immutable compiled Program is safe to execute from many
-//     threads at once (serial and parallel backends), each run
-//     bit-identical to the sequential baseline -- this test is the
-//     target of the CI ThreadSanitizer job;
+//     threads at once, each run bit-identical to the sequential
+//     baseline -- this test is the target of the CI ThreadSanitizer job;
 //   * segment-descriptor batching returns per-request values
 //     bit-identical to solo runs, and a trapping or fuel-exhausted
 //     request inside a batch is isolated by replay: the offender fails,
@@ -39,7 +38,6 @@
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
-#include "pin_workers.hpp"
 
 namespace nsc {
 namespace {
@@ -262,25 +260,20 @@ TEST(Serve, ConcurrentSharedProgram) {
       nat_seq({4, 25, 7, 1, 13, 9}), nat_seq({}), nat_seq({10, 10, 10}),
       nat_seq({0, 9, 100, 3})};
 
-  // Sequential baselines, one per (arg, backend) configuration.
-  const bool backends[] = {false, true};
-  std::vector<std::vector<ValueRef>> baseline(2);
-  std::vector<std::vector<Cost>> baseline_cost(2);
-  for (std::size_t c = 0; c < 2; ++c) {
-    for (const ValueRef& arg : args) {
-      bvram::RunConfig rc;
-      rc.parallel_backend = backends[c];
-      const sa::CompiledRun r =
-          sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, rc);
-      baseline[c].push_back(r.value);
-      baseline_cost[c].push_back(r.cost);
-    }
+  // Sequential baselines, one per arg.
+  std::vector<ValueRef> baseline;
+  std::vector<Cost> baseline_cost;
+  for (const ValueRef& arg : args) {
+    const sa::CompiledRun r =
+        sa::run_compiled(prog->unit, prog->dom, prog->cod, arg);
+    baseline.push_back(r.value);
+    baseline_cost.push_back(r.cost);
   }
 
-  // 8 threads hammer the SAME Program object concurrently, mixing both
-  // backends, each with its own arena.  Any engine mutation of shared
-  // Program state is a data race here (the TSan gate) and any cross-talk
-  // shows up as a value/cost mismatch.
+  // 8 threads hammer the SAME Program object concurrently, each with its
+  // own arena.  Any engine mutation of shared Program state is a data
+  // race here (the TSan gate) and any cross-talk shows up as a value/cost
+  // mismatch.
   constexpr int kThreads = 8;
   constexpr int kReps = 16;
   std::vector<std::future<bool>> oks;
@@ -288,15 +281,13 @@ TEST(Serve, ConcurrentSharedProgram) {
     oks.push_back(std::async(std::launch::async, [&, t] {
       bvram::BufferPool arena;
       for (int rep = 0; rep < kReps; ++rep) {
-        const std::size_t c = static_cast<std::size_t>(t + rep) % 2;
-        const std::size_t a = static_cast<std::size_t>(rep) % args.size();
+        const std::size_t a = static_cast<std::size_t>(t + rep) % args.size();
         bvram::RunConfig rc;
-        rc.parallel_backend = backends[c];
         rc.arena = &arena;
         const sa::CompiledRun r = sa::run_compiled(
             prog->unit, prog->dom, prog->cod, args[a], rc);
-        if (!Value::equal(r.value, baseline[c][a])) return false;
-        if (!(r.cost == baseline_cost[c][a])) return false;
+        if (!Value::equal(r.value, baseline[a])) return false;
+        if (!(r.cost == baseline_cost[a])) return false;
       }
       return true;
     }));
@@ -498,11 +489,10 @@ TEST(Serve, StatsJsonCoherent) {
   EXPECT_GE(st.latency_p95_ns, st.latency_p50_ns);
   EXPECT_GE(st.latency_p99_ns, st.latency_p95_ns);
   const std::string json = svc.stats_json();
-  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v2\""),
+  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v3\""),
             std::string::npos);
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"source\": \"log2-histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"parallel\""), std::string::npos);
   EXPECT_NE(json.find("\"cache\""), std::string::npos);
   EXPECT_NE(json.find("\"batch_occupancy\""), std::string::npos);
 }
@@ -670,7 +660,6 @@ TEST(Serve, MetricsRegistryCoherent) {
   EXPECT_NE(text.find("nscc_serve_latency_ns_count 10"), std::string::npos);
   EXPECT_NE(text.find("nscc_serve_cache_hits"), std::string::npos);
   EXPECT_NE(text.find("nscc_serve_arena_leases"), std::string::npos);
-  EXPECT_NE(text.find("nscc_parallel_calls"), std::string::npos);
 }
 
 }  // namespace

@@ -47,8 +47,7 @@
 //   --no-batch      disable batching (solo runs only)
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
-//   --parallel      run the vector kernels on the thread pool
-//   --stats-json PATH   write the nscc-serve-stats/v2 snapshot there
+//   --stats-json PATH   write the nscc-serve-stats/v3 snapshot there
 //
 // serve telemetry (all pure observers; see docs/observability.md):
 //   --metrics PATH  write the metrics registry as Prometheus text
@@ -100,7 +99,6 @@
 #include "support/checked.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
-#include "support/parallel.hpp"
 #include "support/prng.hpp"
 
 namespace {
@@ -134,7 +132,6 @@ struct Options {
   std::size_t max_queue = 1024;    // --max-queue
   std::uint64_t fuel = std::uint64_t{1} << 32;  // --fuel
   bool no_batch = false;           // --no-batch
-  bool parallel = false;           // --parallel
   std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
@@ -157,7 +154,7 @@ struct Options {
                "[--scale N] [--profile] [--by-line] [--by-opcode] [--passes] "
                "[--chrome PATH] [--min-attribution PCT] "
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
-               "[--no-batch] [--max-queue N] [--fuel N] [--parallel] "
+               "[--no-batch] [--max-queue N] [--fuel N] "
                "[--stats-json PATH] [--metrics PATH] "
                "[--events PATH] [--trace PATH] [--snapshot-every N] "
                "[--slow-ms T] [--compare BASELINE.json] [--tolerance PCT]\n"
@@ -300,8 +297,9 @@ Options parse_args(int argc, char** argv) {
         if (n == 0) fail("--repeat must be positive");
         o.repeat = static_cast<std::size_t>(n);
       } else if (arg == "--workers") {
-        if (n > kMaxWorkers) {
-          fail("--workers must be at most " + std::to_string(kMaxWorkers));
+        if (n > serve::kMaxWorkers) {
+          fail("--workers must be at most " +
+               std::to_string(serve::kMaxWorkers));
         }
         o.workers = static_cast<std::size_t>(n);
       } else if (arg == "--max-batch") {
@@ -316,8 +314,6 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (arg == "--no-batch") {
       o.no_batch = true;
-    } else if (arg == "--parallel") {
-      o.parallel = true;
     } else if (arg == "--stats-json") {
       o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
@@ -613,21 +609,27 @@ int cmd_dump(const F::SourceFile& src, const Options& o) {
 ///
 /// Improvements (lower T/W or code size) pass and are reported.  Configs
 /// in the baseline but missing from the fresh report fail the comparison.
+/// A baseline that does not parse, or lacks a key or holds a malformed
+/// value where the comparison reads one, exits 2 like any other bad
+/// argument: exit 1 means a real regression.
 int compare_bench(const std::string& fresh_text, const Options& o) {
   std::ifstream f(o.compare_path, std::ios::binary);
   if (!f) fail("cannot read " + o.compare_path);
   std::stringstream buf;
   buf << f.rdbuf();
-  json::Value fresh, base;
-  try {
-    fresh = json::parse(fresh_text);
-    base = json::parse(buf.str());
-  } catch (const Error& e) {
-    fail(std::string("--compare: ") + e.what());
-  }
 
   const auto config_key = [](const json::Value& c) {
     return c.at("opt").as_string() + "/" + c.at("sched").as_string();
+  };
+  // An array member's elements.  Any other kind is malformed, not an
+  // empty list that would compare vacuously.
+  const auto items_at = [](const json::Value& v, const char* key)
+      -> const std::vector<json::Value>& {
+    const json::Value& a = v.at(key);
+    if (!a.is(json::Value::Kind::Array)) {
+      throw Error(std::string("json: '") + key + "' is not an array");
+    }
+    return a.items;
   };
   int regressions = 0;
   const auto regress = [&](const std::string& what) {
@@ -650,45 +652,53 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
     }
   };
 
-  const json::Value& base_cfgs = base.at("configs");
-  for (const json::Value& bc : base_cfgs.items) {
-    const std::string key = config_key(bc);
-    const json::Value* fc = nullptr;
-    for (const json::Value& c : fresh.at("configs").items) {
-      if (config_key(c) == key) {
-        fc = &c;
-        break;
+  std::size_t compared = 0;
+  try {
+    const json::Value fresh = json::parse(fresh_text);
+    const json::Value base = json::parse(buf.str());
+    const std::vector<json::Value>& base_cfgs = items_at(base, "configs");
+    if (base_cfgs.empty()) throw Error("json: 'configs' is empty");
+    compared = base_cfgs.size();
+    for (const json::Value& bc : base_cfgs) {
+      const std::string key = config_key(bc);
+      const json::Value* fc = nullptr;
+      for (const json::Value& c : items_at(fresh, "configs")) {
+        if (config_key(c) == key) {
+          fc = &c;
+          break;
+        }
+      }
+      if (fc == nullptr) {
+        regress("config " + key + " is in the baseline but not this run");
+        continue;
+      }
+      const std::vector<json::Value>& base_runs = items_at(bc, "runs");
+      const std::vector<json::Value>& fresh_runs = items_at(*fc, "runs");
+      if (fresh_runs.size() < base_runs.size()) {
+        regress("config " + key + " ran " + std::to_string(fresh_runs.size()) +
+                " inputs, baseline " + std::to_string(base_runs.size()));
+        continue;
+      }
+      gate(key, "static_instrs", bc.at("static_instrs").as_u64(),
+           fc->at("static_instrs").as_u64());
+      for (std::size_t i = 0; i < base_runs.size(); ++i) {
+        const json::Value& br = base_runs[i];
+        const json::Value& fr = fresh_runs[i];
+        const std::string at = key + " input " + std::to_string(i);
+        if (br.at("trap").as_bool() != fr.at("trap").as_bool()) {
+          regress(at + ": trap " +
+                  (fr.at("trap").as_bool() ? "appeared" : "disappeared"));
+        }
+        if (br.at("agree").as_bool() && !fr.at("agree").as_bool()) {
+          regress(at + ": eval/compiled agreement lost");
+        }
+        for (const char* dim : {"executed_T", "executed_W"}) {
+          gate(at, dim, br.at(dim).as_u64(), fr.at(dim).as_u64());
+        }
       }
     }
-    if (fc == nullptr) {
-      regress("config " + key + " is in the baseline but not this run");
-      continue;
-    }
-    const json::Value& base_runs = bc.at("runs");
-    const json::Value& fresh_runs = fc->at("runs");
-    if (fresh_runs.items.size() < base_runs.items.size()) {
-      regress("config " + key + " ran " +
-              std::to_string(fresh_runs.items.size()) + " inputs, baseline " +
-              std::to_string(base_runs.items.size()));
-      continue;
-    }
-    gate(key, "static_instrs", bc.at("static_instrs").as_u64(),
-         fc->at("static_instrs").as_u64());
-    for (std::size_t i = 0; i < base_runs.items.size(); ++i) {
-      const json::Value& br = base_runs.items[i];
-      const json::Value& fr = fresh_runs.items[i];
-      const std::string at = key + " input " + std::to_string(i);
-      if (br.at("trap").as_bool() != fr.at("trap").as_bool()) {
-        regress(at + ": trap " +
-                (fr.at("trap").as_bool() ? "appeared" : "disappeared"));
-      }
-      if (br.at("agree").as_bool() && !fr.at("agree").as_bool()) {
-        regress(at + ": eval/compiled agreement lost");
-      }
-      for (const char* dim : {"executed_T", "executed_W"}) {
-        gate(at, dim, br.at(dim).as_u64(), fr.at(dim).as_u64());
-      }
-    }
+  } catch (const Error& e) {
+    fail(std::string("--compare: ") + e.what());
   }
   if (regressions > 0) {
     std::fprintf(stderr, "bench --compare: %d regression%s vs %s\n",
@@ -698,8 +708,7 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
   }
   std::printf("bench --compare: no regressions vs %s (%zu configs, "
               "tolerance %.1f%%)\n",
-              o.compare_path.c_str(), base_cfgs.items.size(),
-              o.tolerance_pct);
+              o.compare_path.c_str(), compared, o.tolerance_pct);
   return 0;
 }
 
@@ -911,7 +920,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.max_batch = o.max_batch;
   cfg.fuel = o.fuel;
   cfg.batching = !o.no_batch;
-  cfg.parallel_backend = o.parallel;
 
   // Telemetry sinks (pure observers; declared before the Service so they
   // outlive the worker threads that write into them).
