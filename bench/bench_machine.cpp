@@ -1,9 +1,11 @@
 // The execution-engine benchmark harness: runs the compiled example
 // corpus plus adversarial route/scan microbenchmarks on run(), verifies
 // that outputs, T, and W agree bit-for-bit with the untimed run_reference
-// oracle (exit code 1 on any mismatch: the CI perf-smoke gate), and
-// writes each case's median and quartiles over the reps to a JSON file so
-// future changes can compare machine-readable numbers instead of prose.
+// oracle -- and, for the case that traps, that both throw the same
+// exception type and message -- (exit code 1 on any mismatch: the CI
+// perf-smoke gate), and writes each case's median and quartiles over the
+// reps to a JSON file so future changes can compare machine-readable
+// numbers instead of prose.
 //
 //   bench_machine [--json PATH] [--reps K] [--scale N] [--full]
 //
@@ -17,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "bvram/machine.hpp"
@@ -27,6 +30,8 @@
 #include "opt/liveness.hpp"
 #include "sa/compile.hpp"
 #include "sa/layout.hpp"
+#include "support/error.hpp"
+#include "support/json.hpp"
 #include "support/prng.hpp"
 #include "support/table.hpp"
 
@@ -50,6 +55,7 @@ struct Case {
   std::string name;
   Program program;  // annotated with last-use masks
   std::vector<Vec> inputs;
+  bool traps = false;  // run_reference must throw on these inputs
 };
 
 /// Wall-clock milliseconds over the reps: median and quartiles (linear
@@ -76,6 +82,7 @@ struct Entry {
   std::uint64_t time = 0;
   std::uint64_t work = 0;
   std::uint64_t checksum = 0;
+  std::string trap;  // the trap's message; empty when the run returns
 };
 
 std::uint64_t checksum(const RunResult& r) {
@@ -256,6 +263,18 @@ Case make_corpus_index(std::size_t n) {
   return make_compiled("compiled:index", P::index(Type::nat()), arg);
 }
 
+Case make_corpus_index_trap(std::size_t n) {
+  // A position past the end: the compiled program's out-of-range trap is
+  // a certificate whose result is never read, so run() executes it as its
+  // check alone, on registers of n elements.
+  Vec c(n);
+  for (std::size_t i = 0; i < n; ++i) c[i] = 2 * i;
+  auto arg = Value::pair(Value::nat_seq(c), Value::nat_seq({0, n / 3, n}));
+  Case k = make_compiled("compiled:index-trap", P::index(Type::nat()), arg);
+  k.traps = true;
+  return k;
+}
+
 Case make_corpus_filter_map(std::size_t n) {
   const TypeRef N = Type::nat();
   auto keep = L::lam(N, [](L::TermRef v) { return L::lt(v, L::nat(512)); });
@@ -318,12 +337,25 @@ Case make_corpus_nested_query(std::size_t n) {
 // driver
 // ---------------------------------------------------------------------------
 
-double wall_ms_once(const Program& p, const std::vector<Vec>& in,
-                    const RunConfig& cfg) {
+using Runner = RunResult (*)(const Program&, const std::vector<Vec>&,
+                             const RunConfig&);
+
+/// Runs c with `runner`: the dynamic type and message of the nsc::Error
+/// it throws, or "" when it returns (the result lands in `out`).
+std::string run_case(Runner runner, const Case& c, RunResult& out) {
+  try {
+    out = runner(c.program, c.inputs, RunConfig{});
+    return "";
+  } catch (const nsc::Error& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+}
+
+double wall_ms_once(const Case& c) {
+  RunResult res;
   const auto t0 = std::chrono::steady_clock::now();
-  RunResult res = nsc::bvram::run(p, in, cfg);
+  run_case(nsc::bvram::run, c, res);
   const auto t1 = std::chrono::steady_clock::now();
-  (void)res;
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
@@ -352,34 +384,46 @@ int run_bench(const Options& opt) {
       make_move_chain,   make_arith_mix,      make_scan_chain,
       make_select,       make_append,         make_route_broadcast,
       make_route_pack,   make_sbm_cartesian,  make_corpus_index,
-      make_corpus_filter_map, make_corpus_sum, make_corpus_quickstart,
-      make_corpus_nested_query,
+      make_corpus_index_trap, make_corpus_filter_map, make_corpus_sum,
+      make_corpus_quickstart, make_corpus_nested_query,
   };
 
   Table t({"bench", "n", "ms"});
   for (std::size_t n : sizes) {
     for (auto make : makers) {
       Case c = make(n);
-      const RunResult ref = nsc::bvram::run_reference(c.program, c.inputs);
-      const std::uint64_t ref_sum = checksum(ref);
-      const RunConfig cfg;
+      RunResult ref, r;
+      const std::string ref_trap =
+          run_case(nsc::bvram::run_reference, c, ref);
       // Untimed validation run: outputs + costs feed the checksum.
-      const RunResult r = nsc::bvram::run(c.program, c.inputs, cfg);
+      const std::string trap = run_case(nsc::bvram::run, c, r);
       Entry e;
       e.bench = c.name;
       e.n = n;
       e.time = r.cost.time;
       e.work = r.cost.work;
       e.checksum = checksum(r);
-      if (e.checksum != ref_sum || e.time != ref.cost.time ||
-          e.work != ref.cost.work) {
+      e.trap = trap;
+      if (c.traps == ref_trap.empty()) {
+        std::fprintf(stderr, "MISMATCH: %s n=%zu: run_reference %s%s\n",
+                     c.name.c_str(), n,
+                     c.traps ? "did not trap" : "trapped: ", ref_trap.c_str());
+        mismatch = true;
+      } else if (trap != ref_trap) {
+        std::fprintf(stderr,
+                     "MISMATCH: %s n=%zu traps differently from "
+                     "run_reference (\"%s\" vs \"%s\")\n",
+                     c.name.c_str(), n, trap.c_str(), ref_trap.c_str());
+        mismatch = true;
+      } else if (e.checksum != checksum(ref) || e.time != ref.cost.time ||
+                 e.work != ref.cost.work) {
         std::fprintf(stderr,
                      "MISMATCH: %s n=%zu disagrees with run_reference "
                      "(checksum %016llx vs %016llx, T %llu vs %llu, W "
                      "%llu vs %llu)\n",
                      c.name.c_str(), n,
                      static_cast<unsigned long long>(e.checksum),
-                     static_cast<unsigned long long>(ref_sum),
+                     static_cast<unsigned long long>(checksum(ref)),
                      static_cast<unsigned long long>(e.time),
                      static_cast<unsigned long long>(ref.cost.time),
                      static_cast<unsigned long long>(e.work),
@@ -387,9 +431,7 @@ int run_bench(const Options& opt) {
         mismatch = true;
       }
       std::vector<double> ms;
-      for (int rep = 0; rep < opt.reps; ++rep) {
-        ms.push_back(wall_ms_once(c.program, c.inputs, cfg));
-      }
+      for (int rep = 0; rep < opt.reps; ++rep) ms.push_back(wall_ms_once(c));
       e.ms = Quartiles::of(ms);
       t.row({c.name, std::to_string(n), cell(e.ms)});
       entries.push_back(std::move(e));
@@ -401,25 +443,27 @@ int run_bench(const Options& opt) {
               opt.reps,
               mismatch ? "MISMATCH against run_reference (see above)."
                        : "Every case matched run_reference's outputs, T, "
-                         "and W.");
+                         "and W, or its trap.");
 
   // ---- JSON ----
-  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v6");
+  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v7");
   if (!report.ok()) return 1;
   std::FILE* f = report.out();
   std::fprintf(f, "  \"reps\": %d,\n", opt.reps);
   std::fprintf(f, "  \"entries\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];
+    const std::string trap =
+        e.trap.empty() ? "null" : "\"" + nsc::json::escape(e.trap) + "\"";
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, "
                  "\"ms_median\": %.3f, \"ms_p25\": %.3f, "
                  "\"ms_p75\": %.3f, \"T\": %llu, \"W\": %llu, "
-                 "\"checksum\": \"%016llx\"}%s\n",
+                 "\"checksum\": \"%016llx\", \"trap\": %s}%s\n",
                  e.bench.c_str(), e.n, e.ms.median, e.ms.p25, e.ms.p75,
                  static_cast<unsigned long long>(e.time),
                  static_cast<unsigned long long>(e.work),
-                 static_cast<unsigned long long>(e.checksum),
+                 static_cast<unsigned long long>(e.checksum), trap.c_str(),
                  i + 1 < entries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mismatch\": %s\n", mismatch ? "true" : "false");

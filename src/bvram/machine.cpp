@@ -134,11 +134,13 @@ using Vec = std::vector<std::uint64_t>;
   throw MachineError(what + " in `" + instr.show() + "`");
 }
 
-std::uint64_t vec_sum(const Vec& v) {
+std::uint64_t sat_sum(const std::uint64_t* p, std::size_t n) {
   std::uint64_t s = 0;
-  for (auto x : v) s = sat_add(s, x);
+  for (std::size_t i = 0; i < n; ++i) s = sat_add(s, p[i]);
   return s;
 }
+
+std::uint64_t vec_sum(const Vec& v) { return sat_sum(v.data(), v.size()); }
 
 void check_io_shape(const Program& program, const std::vector<Vec>& inputs) {
   if (inputs.size() != program.num_inputs) {
@@ -207,6 +209,26 @@ void arith_into(ArithOp op, std::uint64_t* out, const std::uint64_t* a,
   throw EvalError("unknown arithmetic op");
 }
 
+/// The traps arith_into would raise over n elements with divisors b,
+/// without computing anything: the check of an Arith whose result is
+/// never read.
+void arith_check(ArithOp op, const std::uint64_t* b, std::size_t n) {
+  switch (op) {
+    case ArithOp::Div:
+      for (std::size_t i = 0; i < n; ++i) {
+        if (b[i] == 0) throw EvalError("division by zero");
+      }
+      return;
+    case ArithOp::Add:
+    case ArithOp::Monus:
+    case ArithOp::Mul:
+    case ArithOp::Rsh:
+    case ArithOp::Log2:
+      return;
+  }
+  throw EvalError("unknown arithmetic op");
+}
+
 void enumerate_into(std::uint64_t* out, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = i;
 }
@@ -270,13 +292,6 @@ class Engine {
   Buf& reg_of(std::uint32_t r, const Instr& instr) {
     if (r >= regs_.size()) fail(instr, "register out of range");
     return regs_[r];
-  }
-
-  /// True iff source operand k of the instruction at `at` reads a register
-  /// whose value is dead after the instruction on every path (so its
-  /// buffer may be stolen or overwritten in place).
-  bool operand_dies(std::size_t at, unsigned k) const {
-    return last_use_ != nullptr && ((last_use_[at] >> k) & 1u) != 0;
   }
 
   /// Pooled allocation (BufferPool, bvram/pool.hpp): reuse a spare from
@@ -374,6 +389,15 @@ RunResult Engine::exec() {
       if (len > max_len) max_len = len;
     };
     std::size_t next = pc + 1;
+    const std::uint8_t dying = last_use_ != nullptr ? last_use_[pc] : 0;
+    // True iff source operand k reads a register whose value is dead after
+    // the instruction on every path (so its buffer may be stolen or
+    // overwritten in place).
+    auto operand_dies = [dying](unsigned k) {
+      return ((dying >> k) & 1u) != 0;
+    };
+    // The result is never read: a certificate runs as its checks alone.
+    const bool dead_result = (dying & kDeadResult) != 0;
     Clock::time_point instr_start;
     if (prof) instr_start = Clock::now();
 
@@ -384,7 +408,7 @@ RunResult Engine::exec() {
         charge(n);
         charge(n);  // input + output
         if (instr.dst == instr.a) break;
-        if (operand_dies(pc, 0)) {
+        if (operand_dies(0)) {
           // The source is dead: dst takes its buffer, and the displaced
           // dst buffer lands in the (dead) source register, which the
           // last-use release below hands back to the pool if it spans a
@@ -409,15 +433,18 @@ RunResult Engine::exec() {
         charge(n);
         charge(n);
         charge(n);  // a, b, out: all length n
-        if (instr.dst == instr.a || instr.dst == instr.b) {
+        if (dead_result) {
+          arith_check(instr.aop, b.data(), n);
+          reg_of(instr.dst, instr);
+        } else if (instr.dst == instr.a || instr.dst == instr.b) {
           // dst aliases a source: index-aligned in-place update.
           ++eng_.inplace_hits;
           compute_into(reg_of(instr.dst, instr).data());
-        } else if (operand_dies(pc, 0)) {
+        } else if (operand_dies(0)) {
           ++eng_.inplace_hits;
           compute_into(a.data());
           set_reg(instr.dst, std::move(a), instr);
-        } else if (operand_dies(pc, 1)) {
+        } else if (operand_dies(1)) {
           ++eng_.inplace_hits;
           compute_into(b.data());
           set_reg(instr.dst, std::move(b), instr);
@@ -449,7 +476,7 @@ RunResult Engine::exec() {
         charge(na);
         charge(nb);
         charge(na + nb);
-        if ((instr.dst == instr.a || operand_dies(pc, 0)) &&
+        if ((instr.dst == instr.a || operand_dies(0)) &&
             a.capacity() >= na + nb) {
           // The left source dies here (or doubles as dst) and its buffer
           // already has room: keep the first na slots in place and copy
@@ -489,7 +516,7 @@ RunResult Engine::exec() {
         if (instr.dst == instr.a) {
           ++eng_.inplace_hits;
           enumerate_into(a.data(), n);
-        } else if (operand_dies(pc, 0)) {
+        } else if (operand_dies(0)) {
           ++eng_.inplace_hits;
           enumerate_into(a.data(), n);
           set_reg(instr.dst, std::move(a), instr);
@@ -510,6 +537,18 @@ RunResult Engine::exec() {
         const std::size_t nt = counts.size();
         const std::uint64_t* cnt = counts.data();
         const std::uint64_t* dat = data.data();
+        const std::uint64_t bsize = bound.size();
+        charge(bsize);
+        charge(nt);
+        charge(nt);
+        charge(bsize);  // bound, counts, data, out: |out| = |bound|
+        if (dead_result) {
+          if (sat_sum(cnt, nt) != bsize) {
+            fail(instr, "bm-route: bound length != sum of counts");
+          }
+          reg_of(instr.dst, instr);
+          break;
+        }
         // One-pass kernel: the certificate pins |out| to |bound|, so
         // allocate that up front and validate *while* scattering -- counts
         // are read once instead of twice (sum pass + scatter pass).  A
@@ -517,7 +556,6 @@ RunResult Engine::exec() {
         // catalog's dominant shape) store unconditionally; the guard
         // branches are never taken unless the certificate is about to
         // fail.
-        const std::uint64_t bsize = bound.size();
         Buf out = acquire(static_cast<std::size_t>(bsize) + 2);
         out.reset_size(bsize);
         std::uint64_t* po = out.data();
@@ -546,10 +584,6 @@ RunResult Engine::exec() {
         if (t < nt || at != bsize) {
           fail(instr, "bm-route: bound length != sum of counts");
         }
-        charge(bsize);
-        charge(nt);
-        charge(nt);
-        charge(bsize);
         set_reg(instr.dst, std::move(out), instr);
         break;
       }
@@ -579,6 +613,15 @@ RunResult Engine::exec() {
         if (ssum != data.size()) {
           fail(instr, "sbm-route: segment sizes don't cover the data");
         }
+        charge(bound.size());
+        charge(counts.size());
+        charge(data.size());
+        charge(segs.size());
+        charge(total);
+        if (dead_result) {
+          reg_of(instr.dst, instr);
+          break;
+        }
         Buf out = acquire(total);
         std::uint64_t* po = out.data();
         std::uint64_t at = 0;
@@ -591,11 +634,6 @@ RunResult Engine::exec() {
           }
           dat_at += len;
         }
-        charge(bound.size());
-        charge(counts.size());
-        charge(data.size());
-        charge(segs.size());
-        charge(total);
         set_reg(instr.dst, std::move(out), instr);
         break;
       }
@@ -604,7 +642,7 @@ RunResult Engine::exec() {
         const std::size_t n = a.size();
         const std::uint64_t* pa = a.data();
         std::uint64_t total = 0;
-        if (instr.dst == instr.a || operand_dies(pc, 0)) {
+        if (instr.dst == instr.a || operand_dies(0)) {
           // The source dies here (or doubles as dst): pack in place over
           // its own buffer.  The write index never passes the read index
           // (total <= i), so the unconditional store stays behind the
@@ -646,7 +684,7 @@ RunResult Engine::exec() {
         if (instr.dst == instr.a) {
           ++eng_.inplace_hits;
           scan_into(a.data(), a.data(), n);
-        } else if (operand_dies(pc, 0)) {
+        } else if (operand_dies(0)) {
           ++eng_.inplace_hits;
           scan_into(a.data(), a.data(), n);
           set_reg(instr.dst, std::move(a), instr);
@@ -679,12 +717,14 @@ RunResult Engine::exec() {
         break;
       }
     }
-    // Sources that die here hand their buffers back to the pool.
-    // Compiled code is close to SSA, so most registers are written once:
-    // kept until Halt, every buffer a run produces would be a fresh
-    // allocation, and past cache sizes a fresh set of page faults.
-    if (last_use_ != nullptr && last_use_[pc] != 0) {
-      release_dying_srcs(instr, last_use_[pc]);
+    // Sources that die here, and a result that is never read, hand their
+    // buffers back to the pool.  Compiled code is close to SSA, so most
+    // registers are written once: kept until Halt, every buffer a run
+    // produces would be a fresh allocation, and past cache sizes a fresh
+    // set of page faults.
+    if (dying != 0) {
+      release_dying_srcs(instr, dying);
+      if (dead_result) release(instr.dst);
     }
 
     result.cost.time = sat_add(result.cost.time, 1);

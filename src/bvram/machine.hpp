@@ -193,6 +193,10 @@ struct FusedGroup {
   bool has_select = false;
 };
 
+/// Bit 7 of a Program::last_use mask: the instruction's destination
+/// register is dead after it on every path, so its result is never read.
+inline constexpr std::uint8_t kDeadResult = 0x80;
+
 /// A program plus its machine shape (register count, I/O arity).
 struct Program {
   std::size_t num_regs = 0;
@@ -200,11 +204,13 @@ struct Program {
   std::size_t num_outputs = 0;  // outputs read from V_0 .. V_{num_outputs-1}
   std::vector<Instr> code;
 
-  /// Optional per-instruction source-operand death masks, produced by
+  /// Optional per-instruction death masks, produced by
   /// opt::annotate_last_use (sa::compile_nsa / compile_nsc attach them as
-  /// their final step): bit k of last_use[i] is set iff the register read
-  /// by source operand k of code[i] is dead on every path after i.  The
-  /// execution engine uses the masks to recycle operand buffers (see the
+  /// their final step): bit k (k < 4) of last_use[i] is set iff the
+  /// register read by source operand k of code[i] is dead on every path
+  /// after i, and bit 7 (kDeadResult) iff code[i]'s destination is.  The
+  /// execution engine uses the masks to recycle operand buffers and to run
+  /// a certificate whose result is never read as its checks alone (see the
   /// cost-model note below); empty means "unknown", which is always safe.
   /// The masks describe this exact instruction sequence -- any mutation of
   /// `code` invalidates them (the optimizer's PassManager clears stale
@@ -309,26 +315,34 @@ struct RunConfig {
 // recycled instead of returned to the allocator, Move executes as a buffer
 // swap when Program::last_use proves the source dead, Arith / Enumerate /
 // ScanPlus / Select (the pack never writes past its read index)
-// write their result in place over a dead source operand, and a source
-// register of a page or more that dies at an instruction hands its buffer
-// back to the pool once the instruction completes.  None of this can be
-// observed through the paper's semantics:
+// write their result in place over a dead source operand, and a register
+// of a page or more that dies at an instruction -- a source read for the
+// last time, or a destination whose result is never read -- hands its
+// buffer back to the pool once the instruction completes.  An Arith,
+// BmRoute or SbmRoute whose result is never read (DCE keeps them for
+// their trap: they are the compiler's runtime certificates) runs as its
+// certificate alone: the same checks in the same order, and no output.
+// None of this can be observed through the paper's semantics:
 //
 //   * T charges 1 per executed instruction and W charges the *lengths* of
 //     the registers an instruction touches (section 2).  Both are functions
 //     of the register *contents*, never of where those contents live in
 //     host memory.  Buffer reuse changes addresses only, so the engine
 //     charges exactly the costs the naive interpreter charges -- a Move
-//     executed as an O(1) pointer swap still charges 2*|V_j|.
-//   * Stealing or releasing a buffer mutates only registers that liveness
-//     proved dead on every path (opt/liveness.hpp), so no later read --
+//     executed as an O(1) pointer swap still charges 2*|V_j|, and a
+//     certificate that builds no output still charges its output's length.
+//   * Stealing or releasing a buffer, or writing no result, touches only
+//     registers that liveness proved dead on every path
+//     (opt/liveness.hpp), so no later read --
 //     including the output extraction at Halt, where V_0..V_{num_outputs-1}
 //     are live by the boundary condition -- can see the difference.
 //   * Trap order is preserved: every certificate (operand bounds, length
 //     equalities, route sums) is checked before the first byte of any
 //     register is overwritten, and in-place elementwise kernels are
 //     index-aligned, so a mid-kernel EvalError aborts the run exactly as
-//     it does with a fresh output buffer.
+//     it does with a fresh output buffer.  A certificate run alone raises
+//     the same exceptions with the same messages, and checks its
+//     destination register after them, as the full kernel does.
 //
 // The machine therefore runs at hardware speed (register buffers are
 // recycled, not reallocated, and never deep-copied by Move) while

@@ -9,11 +9,14 @@
 //   BufferPool  a recycling allocator of Bufs.  Within one run it takes
 //               the buffers displaced by overwrites and, when the program
 //               carries last-use masks, the buffer of each register of a
-//               page or more at its last use, so the run's footprint
+//               page or more at its last use -- or right after its def,
+//               when the def is never read -- so the run's footprint
 //               follows the registers live at once rather than every
-//               register it writes.  Registers under a page, defs that
-//               are never read, and every register of a program without
-//               masks keep their buffers until overwritten or Halt.
+//               register it writes.  Registers under a page, registers
+//               carried around a loop, registers that die on a control
+//               flow edge rather than at an instruction, and every
+//               register of a program without masks keep their buffers
+//               until overwritten or Halt.
 //               Kept across runs of the same program it serves every
 //               register buffer of a steady-state run from the previous
 //               run's spares: the allocator is touched for registers only

@@ -9,7 +9,9 @@
 // register AND cannot trap: Arith and the routing instructions double
 // as the compiler's runtime certificates (zip length checks, the Omega
 // trap is literally an Arith of [1] with []), so they survive even when
-// their result is dead.
+// their result is dead.  Their result stays unread, so the last-use
+// export marks it (bvram::kDeadResult) and the engine runs each such
+// survivor as its checks alone, with no output buffer.
 #include <cstdint>
 #include <vector>
 

@@ -62,12 +62,15 @@ std::vector<std::uint8_t> compute_last_use(const Program& p) {
       const Instr& in = p.code[i];
       // `live` is the live-after set of instruction i.  A source register
       // that is dead here (note: if it doubles as dst, liveness of the
-      // *new* value keeps the bit clear) may be recycled by the engine.
+      // *new* value keeps the bit clear) may be recycled by the engine,
+      // and so may a destination that is dead here: its result is never
+      // read.
       const auto srcs = in.srcs();
       std::uint8_t m = 0;
       for (std::size_t k = 0; k < srcs.n; ++k) {
         if (!live.test(srcs.regs[k])) m |= static_cast<std::uint8_t>(1u << k);
       }
+      if (in.has_dst() && !live.test(in.dst)) m |= bvram::kDeadResult;
       mask[i] = m;
       if (in.has_dst()) live.reset(in.dst);
       for (std::uint32_t r : in.srcs()) live.set(r);

@@ -53,14 +53,20 @@ struct Liveness {
                      std::size_t b) const;
 };
 
-/// Per-instruction source-operand death masks for the execution engine
+/// Per-instruction death masks for the execution engine
 /// (bvram::Program::last_use): bit k of mask[i] is set iff the register
 /// read by source operand k of instruction i is dead immediately after i
 /// on every path -- its value can never be observed again -- so the
 /// engine may recycle that operand's buffer (Move-as-swap, in-place
 /// Arith/Enumerate/ScanPlus) without the rewrite being visible in
-/// outputs, traps, or the T/W cost accounting.  Instructions in
-/// unreachable code get an all-clear (conservative) mask.
+/// outputs, traps, or the T/W cost accounting.  Bit 7
+/// (bvram::kDeadResult) is set iff instruction i's destination is dead
+/// immediately after i on every path: the engine then runs a certificate
+/// (Arith, BmRoute, SbmRoute) as its checks alone and hands any other
+/// instruction's result back to the pool.  It is never set for a jump or
+/// Halt (no destination), for an output register live at exit, or for a
+/// def read again around a loop.  Instructions in unreachable code get an
+/// all-clear (conservative) mask.
 std::vector<std::uint8_t> compute_last_use(const bvram::Program& p);
 
 /// Compute and attach the masks: p.last_use = compute_last_use(p).

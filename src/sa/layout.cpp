@@ -36,6 +36,14 @@ std::size_t seqrep_width(const Type& t) {
   return 0;
 }
 
+namespace {
+
+template <typename Ref>
+void encode_seqrep(const std::vector<Ref>& elems, const Type& t,
+                   std::vector<Vec>& out);
+
+}  // namespace
+
 void encode_rep(const Value& v, const Type& t, std::vector<Vec>& out) {
   switch (t.kind()) {
     case TypeKind::Unit:
@@ -65,8 +73,17 @@ void encode_rep(const Value& v, const Type& t, std::vector<Vec>& out) {
   }
 }
 
-void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
+namespace {
+
+/// Encode a sequence of elements of type t into SEQREP(t) vectors.  The
+/// component lists of products, sums and nested sequences hold plain
+/// pointers into the encoded value, which outlives the encode: a ValueRef
+/// copy per element would cost two atomic reference-count updates.  Ref
+/// is ValueRef for the top-level sequence, `const Value*` below it.
+template <typename Ref>
+void encode_seqrep(const std::vector<Ref>& elems, const Type& t,
                    std::vector<Vec>& out) {
+  using Elems = std::vector<const Value*>;
   switch (t.kind()) {
     case TypeKind::Unit: {
       out.push_back(Vec(elems.size(), 0));
@@ -80,12 +97,12 @@ void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
       return;
     }
     case TypeKind::Prod: {
-      std::vector<ValueRef> lefts, rights;
+      Elems lefts, rights;
       lefts.reserve(elems.size());
       rights.reserve(elems.size());
       for (const auto& e : elems) {
-        lefts.push_back(e->first());
-        rights.push_back(e->second());
+        lefts.push_back(e->first().get());
+        rights.push_back(e->second().get());
       }
       encode_seqrep(lefts, *t.left(), out);
       encode_seqrep(rights, *t.right(), out);
@@ -94,14 +111,14 @@ void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
     case TypeKind::Sum: {
       Vec flags;
       flags.reserve(elems.size());
-      std::vector<ValueRef> lefts, rights;
+      Elems lefts, rights;
       for (const auto& e : elems) {
         if (e->is(ValueKind::In1)) {
           flags.push_back(1);
-          lefts.push_back(e->injected());
+          lefts.push_back(e->injected().get());
         } else {
           flags.push_back(0);
-          rights.push_back(e->injected());
+          rights.push_back(e->injected().get());
         }
       }
       out.push_back(std::move(flags));
@@ -112,11 +129,15 @@ void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
     case TypeKind::Seq: {
       Vec lens;
       lens.reserve(elems.size());
-      std::vector<ValueRef> inner;
+      std::size_t total = 0;
       for (const auto& e : elems) {
         lens.push_back(e->length());
-        const auto& es = e->elems();
-        inner.insert(inner.end(), es.begin(), es.end());
+        total += e->length();
+      }
+      Elems inner;
+      inner.reserve(total);
+      for (const auto& e : elems) {
+        for (const ValueRef& x : e->elems()) inner.push_back(x.get());
       }
       out.push_back(std::move(lens));
       encode_seqrep(inner, *t.elem(), out);
@@ -124,6 +145,8 @@ void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
     }
   }
 }
+
+}  // namespace
 
 ValueRef decode_rep(const Type& t, const std::vector<Vec>& regs,
                     std::size_t& at) {

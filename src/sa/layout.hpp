@@ -44,10 +44,6 @@ std::size_t seqrep_width(const Type& t);
 /// Encode a value of type t into REP(t) vectors (appended to `out`).
 void encode_rep(const Value& v, const Type& t, std::vector<Vec>& out);
 
-/// Encode a sequence of elements of type t into SEQREP(t) vectors.
-void encode_seqrep(const std::vector<ValueRef>& elems, const Type& t,
-                   std::vector<Vec>& out);
-
 /// Decode REP(t) / SEQREP(t) back into values.  `at` is advanced past the
 /// consumed registers.
 ValueRef decode_rep(const Type& t, const std::vector<Vec>& regs,

@@ -80,6 +80,32 @@ TEST(Layout, SumFlagsArePackedSides) {
   EXPECT_EQ(regs[2], (std::vector<std::uint64_t>{0}));        // unit zeros
 }
 
+TEST(Layout, NestedRegistersArePinned) {
+  using V = std::vector<std::uint64_t>;
+  const TypeRef NN = Type::seq(NSeq);
+  // [[N]]: [[4,5],[],[6]] -> lengths ++ data.
+  EXPECT_EQ(encode_value(Value::seq({Value::nat_seq({4, 5}), Value::nat_seq({}),
+                                     Value::nat_seq({6})}),
+                         NN),
+            (std::vector<V>{{2, 0, 1}, {4, 5, 6}}));
+  // [(N x [N])]: the firsts, then the seconds' lengths and data.
+  EXPECT_EQ(encode_value(
+                Value::seq({Value::pair(Value::nat(1), Value::nat_seq({7, 8})),
+                            Value::pair(Value::nat(2), Value::nat_seq({})),
+                            Value::pair(Value::nat(3), Value::nat_seq({9}))}),
+                Type::seq(Type::prod(N, NSeq))),
+            (std::vector<V>{{1, 2, 3}, {2, 0, 1}, {7, 8, 9}}));
+  // [N + [N]]: flags, the packed in1 values, then the packed in2
+  // sequences' lengths and data.
+  EXPECT_EQ(encode_value(Value::seq({Value::in2(Value::nat_seq({3, 4})),
+                                     Value::in1(Value::nat(5)),
+                                     Value::in2(Value::nat_seq({})),
+                                     Value::in1(Value::nat(6)),
+                                     Value::in2(Value::nat_seq({7}))}),
+                         Type::seq(Type::sum(N, NSeq))),
+            (std::vector<V>{{0, 1, 0, 1, 0}, {5, 6}, {2, 0, 1}, {3, 4, 7}}));
+}
+
 // ---------------------------------------------------------------------------
 // differential pipeline checks
 // ---------------------------------------------------------------------------

@@ -166,78 +166,78 @@ struct PinnedDigest {
 // O2 compiles of tests/corpus/*.nsc.  Regenerate a row from the failure
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
-    {"countdown", false, "naive", 0xb9bdce7ae131ab11ull},
-    {"countdown", false, "eager", 0x583e371bf235566eull},
-    {"countdown", false, "staged", 0x15bf2e18b7d4ab26ull},
-    {"countdown", true, "naive", 0x643fb57f927aa795ull},
-    {"countdown", true, "eager", 0x0f787e3e1aaf92f3ull},
-    {"countdown", true, "staged", 0xb4f0a0db6900dcf3ull},
-    {"divide_conquer", false, "naive", 0x27a90d1899fe882aull},
-    {"divide_conquer", false, "eager", 0x27a90d1899fe882aull},
-    {"divide_conquer", false, "staged", 0x27a90d1899fe882aull},
-    {"divide_conquer", true, "naive", 0x95fd8a683e338d6cull},
-    {"divide_conquer", true, "eager", 0xb77b61a3651de28eull},
-    {"divide_conquer", true, "staged", 0xc71290c18eb78e97ull},
-    {"histogram", false, "naive", 0x919c869708baff03ull},
-    {"histogram", false, "eager", 0x919c869708baff03ull},
-    {"histogram", false, "staged", 0x919c869708baff03ull},
-    {"histogram", true, "naive", 0x2b6a3b4ec29b20d7ull},
-    {"histogram", true, "eager", 0x2b6a3b4ec29b20d7ull},
-    {"histogram", true, "staged", 0x2b6a3b4ec29b20d7ull},
-    {"merge_sorted", false, "naive", 0x7c0b22fcf7571410ull},
-    {"merge_sorted", false, "eager", 0x7c0b22fcf7571410ull},
-    {"merge_sorted", false, "staged", 0x7c0b22fcf7571410ull},
-    {"merge_sorted", true, "naive", 0xc8161ec8b458d641ull},
-    {"merge_sorted", true, "eager", 0xc8161ec8b458d641ull},
-    {"merge_sorted", true, "staged", 0xc8161ec8b458d641ull},
-    {"nested_join", false, "naive", 0xca48a2131f7e13d9ull},
-    {"nested_join", false, "eager", 0xca48a2131f7e13d9ull},
-    {"nested_join", false, "staged", 0xca48a2131f7e13d9ull},
-    {"nested_join", true, "naive", 0x8bb0758eecf45c55ull},
-    {"nested_join", true, "eager", 0x8bb0758eecf45c55ull},
-    {"nested_join", true, "staged", 0x8bb0758eecf45c55ull},
-    {"nested_query", false, "naive", 0xb75c6ff01eafac28ull},
-    {"nested_query", false, "eager", 0x9e7aee4334118cceull},
-    {"nested_query", false, "staged", 0x26668ba923074b8cull},
-    {"nested_query", true, "naive", 0xf284c2d624b0b787ull},
-    {"nested_query", true, "eager", 0x65589562cdc2ed60ull},
-    {"nested_query", true, "staged", 0x557d0a5ce8cf3ce3ull},
-    {"quickstart", false, "naive", 0x8c42ca78aef3ab4bull},
-    {"quickstart", false, "eager", 0x8c42ca78aef3ab4bull},
-    {"quickstart", false, "staged", 0x8c42ca78aef3ab4bull},
-    {"quickstart", true, "naive", 0xe8c3485cbb0ad8c0ull},
-    {"quickstart", true, "eager", 0xe8c3485cbb0ad8c0ull},
-    {"quickstart", true, "staged", 0xe8c3485cbb0ad8c0ull},
-    {"segmented_filter_reduce", false, "naive", 0x44c5bbbd13fe0a9bull},
-    {"segmented_filter_reduce", false, "eager", 0x7335821ceeff3074ull},
-    {"segmented_filter_reduce", false, "staged", 0xd935f8bd9e3dcb30ull},
-    {"segmented_filter_reduce", true, "naive", 0xffbaa877ff174b55ull},
-    {"segmented_filter_reduce", true, "eager", 0x4ec52d3af3683685ull},
-    {"segmented_filter_reduce", true, "staged", 0x1f82f0753d2d0f5aull},
-    {"sqrt_blocks", false, "naive", 0x43078bcb270193d6ull},
-    {"sqrt_blocks", false, "eager", 0xf2064963b4753241ull},
-    {"sqrt_blocks", false, "staged", 0x2705073506172d94ull},
-    {"sqrt_blocks", true, "naive", 0x4e2e8eea42b22699ull},
-    {"sqrt_blocks", true, "eager", 0x067aeb811c64ebc1ull},
-    {"sqrt_blocks", true, "staged", 0x6ed8f76d5b82e7a0ull},
-    {"stragglers", false, "naive", 0x56c9d9e8b23987d7ull},
-    {"stragglers", false, "eager", 0x634def9a9c50a618ull},
-    {"stragglers", false, "staged", 0xb87e833099f1dfc4ull},
-    {"stragglers", true, "naive", 0x9021d3e31822d2ddull},
-    {"stragglers", true, "eager", 0x7ca727d603442a91ull},
-    {"stragglers", true, "staged", 0xa3599f2284c961d0ull},
-    {"tokenizer", false, "naive", 0x4d03929caf11d9c3ull},
-    {"tokenizer", false, "eager", 0x700654d374e46d3eull},
-    {"tokenizer", false, "staged", 0xed2b48731f93d9f3ull},
-    {"tokenizer", true, "naive", 0xf46dadc7dc019319ull},
-    {"tokenizer", true, "eager", 0xcf47d5f59f4c400eull},
-    {"tokenizer", true, "staged", 0x50cd62a1c69e4c77ull},
-    {"trap_division", false, "naive", 0xf72416515da45437ull},
-    {"trap_division", false, "eager", 0x55da02ffc4ecc539ull},
-    {"trap_division", false, "staged", 0x05a53f305e9f7f29ull},
-    {"trap_division", true, "naive", 0x054fd83eab8cc2f4ull},
-    {"trap_division", true, "eager", 0xafbb08c716125d84ull},
-    {"trap_division", true, "staged", 0xa7dc5b38279de4f3ull},
+    {"countdown", false, "naive", 0x71c18c87673f4011ull},
+    {"countdown", false, "eager", 0xbd3febe461ec59eeull},
+    {"countdown", false, "staged", 0xfd90b176ad0f5ba6ull},
+    {"countdown", true, "naive", 0x6a563e9796b9b615ull},
+    {"countdown", true, "eager", 0x878d115305de43f3ull},
+    {"countdown", true, "staged", 0xf6815b6a9faaddf3ull},
+    {"divide_conquer", false, "naive", 0xe23ff9ca857ec02aull},
+    {"divide_conquer", false, "eager", 0xe23ff9ca857ec02aull},
+    {"divide_conquer", false, "staged", 0xe23ff9ca857ec02aull},
+    {"divide_conquer", true, "naive", 0xc0889631c051e6ecull},
+    {"divide_conquer", true, "eager", 0x619156badfffca8eull},
+    {"divide_conquer", true, "staged", 0x9a5e16ec73c59597ull},
+    {"histogram", false, "naive", 0xa40380260f6e0d83ull},
+    {"histogram", false, "eager", 0xa40380260f6e0d83ull},
+    {"histogram", false, "staged", 0xa40380260f6e0d83ull},
+    {"histogram", true, "naive", 0x28d9114a900dd8d7ull},
+    {"histogram", true, "eager", 0x28d9114a900dd8d7ull},
+    {"histogram", true, "staged", 0x28d9114a900dd8d7ull},
+    {"merge_sorted", false, "naive", 0xa4a3afdafa48d790ull},
+    {"merge_sorted", false, "eager", 0xa4a3afdafa48d790ull},
+    {"merge_sorted", false, "staged", 0xa4a3afdafa48d790ull},
+    {"merge_sorted", true, "naive", 0xee785594375fdd41ull},
+    {"merge_sorted", true, "eager", 0xee785594375fdd41ull},
+    {"merge_sorted", true, "staged", 0xee785594375fdd41ull},
+    {"nested_join", false, "naive", 0x387230270a1a0ad9ull},
+    {"nested_join", false, "eager", 0x387230270a1a0ad9ull},
+    {"nested_join", false, "staged", 0x387230270a1a0ad9ull},
+    {"nested_join", true, "naive", 0x117feed89eb3d2d5ull},
+    {"nested_join", true, "eager", 0x117feed89eb3d2d5ull},
+    {"nested_join", true, "staged", 0x117feed89eb3d2d5ull},
+    {"nested_query", false, "naive", 0x2a1ce4d65973d3a8ull},
+    {"nested_query", false, "eager", 0xb3532a57b0a69cceull},
+    {"nested_query", false, "staged", 0xfa13834580942b8cull},
+    {"nested_query", true, "naive", 0x1b60fd1dce7e1f87ull},
+    {"nested_query", true, "eager", 0xcfc10a9c885e2ee0ull},
+    {"nested_query", true, "staged", 0x630cd1b36c698263ull},
+    {"quickstart", false, "naive", 0x67033715d56a4bcbull},
+    {"quickstart", false, "eager", 0x67033715d56a4bcbull},
+    {"quickstart", false, "staged", 0x67033715d56a4bcbull},
+    {"quickstart", true, "naive", 0xdfa32e242162a4c0ull},
+    {"quickstart", true, "eager", 0xdfa32e242162a4c0ull},
+    {"quickstart", true, "staged", 0xdfa32e242162a4c0ull},
+    {"segmented_filter_reduce", false, "naive", 0x7d09b2435bb49d9bull},
+    {"segmented_filter_reduce", false, "eager", 0xd629b5428f2facf4ull},
+    {"segmented_filter_reduce", false, "staged", 0xcf7304fa291dc7b0ull},
+    {"segmented_filter_reduce", true, "naive", 0xb366d973f1c5bad5ull},
+    {"segmented_filter_reduce", true, "eager", 0x63659458206eb385ull},
+    {"segmented_filter_reduce", true, "staged", 0x180c659ac9472f5aull},
+    {"sqrt_blocks", false, "naive", 0x08857c2e0504bad6ull},
+    {"sqrt_blocks", false, "eager", 0x540dcec1694487c1ull},
+    {"sqrt_blocks", false, "staged", 0x280b459b9fc49914ull},
+    {"sqrt_blocks", true, "naive", 0x071d93daed1f6519ull},
+    {"sqrt_blocks", true, "eager", 0xd79f5a1c836f9bc1ull},
+    {"sqrt_blocks", true, "staged", 0x5a519ab8f47a21a0ull},
+    {"stragglers", false, "naive", 0x8af90719202235d7ull},
+    {"stragglers", false, "eager", 0x922628db98b40e98ull},
+    {"stragglers", false, "staged", 0x1bfda5c10b334844ull},
+    {"stragglers", true, "naive", 0xe4ed44e3be75725dull},
+    {"stragglers", true, "eager", 0x973589ab9a4ed191ull},
+    {"stragglers", true, "staged", 0x7c6eaa61a779ccd0ull},
+    {"tokenizer", false, "naive", 0xbd0d13d4b6d829c3ull},
+    {"tokenizer", false, "eager", 0x4f574271306e8fbeull},
+    {"tokenizer", false, "staged", 0xc1d8f4122eaf5873ull},
+    {"tokenizer", true, "naive", 0x07ace468fd181719ull},
+    {"tokenizer", true, "eager", 0xb0ec5885d705868eull},
+    {"tokenizer", true, "staged", 0xe16fc89862ac18f7ull},
+    {"trap_division", false, "naive", 0x1678b9ab90baf037ull},
+    {"trap_division", false, "eager", 0xe6596990b0910ab9ull},
+    {"trap_division", false, "staged", 0x96bfdca247f7f6a9ull},
+    {"trap_division", true, "naive", 0x4ad232f01121a474ull},
+    {"trap_division", true, "eager", 0x76f4aaa610ec7d84ull},
+    {"trap_division", true, "staged", 0xf794b8135603c3f3ull},
 };
 
 TEST(Corpus, EmittedCodeDigestsArePinned) {

@@ -13,9 +13,11 @@
 // (length mismatch, bad bound/segment certificates, division by zero),
 // multi-instruction adversaries (a trap at one element mid-chain, fuel
 // expiring mid-chain, aliased dst/src, a chain inside a loop, a dying
-// input redefined by the next instruction), and the compiled example
-// corpus at every OptLevel and WhileSchedule.  The Release suite checks
-// that dead registers hand their buffers back to the pool.
+// input redefined by the next instruction), certificates whose result is
+// never read (run as their checks alone under v2+liveness), and the
+// compiled example corpus at every OptLevel and WhileSchedule.  The
+// Release suite checks that dead registers hand their buffers back to the
+// pool and that an unread certificate allocates nothing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -743,6 +745,193 @@ TEST(Backend, DyingInputRedefined) {
 }
 
 // ---------------------------------------------------------------------------
+// certificates whose result is never read (last-use bit kDeadResult)
+// ---------------------------------------------------------------------------
+
+/// The annotated program's mask at instruction i carries kDeadResult, so
+/// v2+liveness runs it as its certificate alone.
+void expect_dead_result(const Program& p, std::size_t i) {
+  Program live = p;
+  opt::annotate_last_use(live);
+  ASSERT_LT(i, live.last_use.size());
+  EXPECT_NE(live.last_use[i] & kDeadResult, 0) << live.code[i].show();
+}
+
+TEST(DeadResult, BmRouteCertificate) {
+  // V0 = bound is the only output; the route's result t is never read.
+  Assembler a;
+  a.reserve_regs(3);
+  const auto t = a.reg();
+  a.bm_route(t, 0, 1, 2);
+  a.halt();
+  const Program p = a.finish(3, 1);
+  expect_dead_result(p, 0);
+  for (std::size_t n : kSizes) {
+    const Vec cnt(n, 1);
+    const Vec dat = iota_mod(n, 1 << 20);
+    expect_identical(p, {Vec(n, 0), cnt, dat});      // holds
+    expect_identical(p, {Vec(n + 1, 0), cnt, dat});  // sum below |bound|
+    if (n > 0) expect_identical(p, {Vec(n - 1, 0), cnt, dat});  // above
+    expect_identical(p, {Vec(n, 0), cnt, iota_mod(n + 1, 7)});  // mismatch
+  }
+  // A sum past 2^64 saturates instead of wrapping around to |bound|.
+  const std::uint64_t kMax = ~std::uint64_t{0};
+  expect_identical(p, {Vec(2, 0), Vec{kMax, 3}, Vec{5, 6}});
+  expect_identical(p, {Vec(5000, 0), Vec{kMax / 2 + 1, kMax / 2 + 1, 5000},
+                       Vec{1, 2, 3}});
+}
+
+TEST(DeadResult, SbmRouteCertificate) {
+  Assembler a;
+  a.reserve_regs(4);
+  const auto t = a.reg();
+  a.sbm_route(t, 0, 1, 2, 3);
+  a.halt();
+  const Program p = a.finish(4, 1);
+  expect_dead_result(p, 0);
+  SplitMix64 rng(11);
+  for (std::size_t n : {std::size_t{0}, std::size_t{3}, std::size_t{4096},
+                        std::size_t{9001}}) {
+    const Vec cnt = rng.vec(n, 3);
+    const Vec seg = rng.vec(n, 4);
+    std::uint64_t csum = 0, ssum = 0;
+    for (auto c : cnt) csum += c;
+    for (auto x : seg) ssum += x;
+    const Vec dat = iota_mod(ssum, 1 << 16);
+    expect_identical(p, {Vec(csum, 0), cnt, dat, seg});      // holds
+    expect_identical(p, {Vec(csum + 1, 0), cnt, dat, seg});  // counts sum
+    expect_identical(p, {Vec(csum, 0), cnt, iota_mod(ssum + 1, 9), seg});
+    if (n > 0) {  // counts/segs length mismatch
+      expect_identical(p, {Vec(csum, 0), Vec(cnt.begin(), cnt.end() - 1),
+                           dat, seg});
+    }
+  }
+}
+
+TEST(DeadResult, DivByZeroAtOneElement) {
+  // t <- V0 / V1 is never read; its zero-divisor check must still trap,
+  // at a zero in the middle of the vector, with the kernel's message.
+  Assembler a;
+  a.reserve_regs(2);
+  const auto t = a.reg();
+  a.arith(t, ArithOp::Div, 0, 1);
+  a.halt();
+  const Program p = a.finish(2, 1);
+  expect_dead_result(p, 0);
+  const Vec num(20000, 7);
+  Vec den(20000, 3);
+  expect_identical(p, {num, den});
+  den[10007] = 0;
+  expect_identical(p, {num, den});
+}
+
+TEST(DeadResult, OmegaTrap) {
+  // The compiler's Omega: [1] + [], a length mismatch nobody reads.
+  Assembler a;
+  a.reserve_regs(1);
+  const auto one = a.reg(), none = a.reg(), t = a.reg();
+  a.load_const(one, 1);
+  a.load_empty(none);
+  a.arith(t, ArithOp::Add, one, none);
+  a.halt();
+  const Program p = a.finish(1, 1);
+  expect_dead_result(p, 2);
+  for (std::size_t n : kSizes) expect_identical(p, {iota_mod(n, 9)});
+}
+
+TEST(DeadResult, DstAliasesSource) {
+  // V1 <- V1 / V0 and V2 <- bm-route(V2, V3, V4): each result is dead and
+  // dst doubles as a source that dies with it.
+  Assembler a;
+  a.reserve_regs(5);
+  a.arith(1, ArithOp::Div, 1, 0);
+  a.bm_route(2, 2, 3, 4);
+  a.halt();
+  const Program p = a.finish(5, 1);
+  expect_dead_result(p, 0);
+  expect_dead_result(p, 1);
+  for (std::size_t n : kSizes) {
+    Vec den(n, 2);
+    expect_identical(p, {den, iota_mod(n, 100), Vec(n, 0), Vec(n, 1),
+                         iota_mod(n, 5)});
+    expect_identical(p, {den, iota_mod(n, 100), Vec(n + 1, 0), Vec(n, 1),
+                         iota_mod(n, 5)});
+    if (n > 0) {
+      den[n / 2] = 0;
+      expect_identical(p, {den, iota_mod(n, 100), Vec(n, 0), Vec(n, 1),
+                           iota_mod(n, 5)});
+    }
+  }
+}
+
+TEST(DeadResult, CertificateInLoop) {
+  // Each trip runs two unread certificates into t and r, then redefines
+  // both and reads them: the certificates' buffers are gone and the
+  // redefinitions must still land.  V0 = acc (output), V1 = trip count,
+  // V2 = divisors, V3 = counts, V4 = route data.
+  Assembler a;
+  a.reserve_regs(5);
+  const auto one = a.reg(), nz = a.reg(), t = a.reg(), r = a.reg();
+  a.load_const(one, 1);
+  const auto top = a.fresh_label(), done = a.fresh_label();
+  a.bind(top);
+  a.select(nz, 1);
+  a.jump_if_empty(nz, done);
+  a.arith(t, ArithOp::Div, 0, 2);  // dead: t is redefined before any read
+  a.bm_route(r, 0, 3, 4);          // dead: r is redefined before any read
+  a.arith(t, ArithOp::Add, 0, 2);
+  a.arith(r, ArithOp::Monus, t, 2);
+  a.arith(0, ArithOp::Add, r, t);
+  a.arith(1, ArithOp::Monus, 1, one);
+  a.jump(top);
+  a.bind(done);
+  a.halt();
+  const Program p = a.finish(5, 1);
+  expect_dead_result(p, 3);
+  expect_dead_result(p, 4);
+  for (std::size_t n : kSizes) {
+    Vec den(n, 3);
+    expect_identical(p, {iota_mod(n, 50), Vec{3}, den, Vec(n, 1),
+                         iota_mod(n, 8)});
+    // The route's bound check fails on the first trip.
+    expect_identical(p, {iota_mod(n, 50), Vec{3}, den, Vec(n, 2),
+                         iota_mod(n, 8)});
+    if (n > 0) {
+      den[n / 2] = 0;
+      expect_identical(p, {iota_mod(n, 50), Vec{3}, den, Vec(n, 1),
+                           iota_mod(n, 8)});
+    }
+  }
+}
+
+TEST(DeadResult, OutOfRangeDst) {
+  // A dst past the register file is never read.  A failing certificate
+  // reports its own trap; a passing one still reports the bad register.
+  Assembler a;
+  a.reserve_regs(4);
+  a.bm_route(5, 0, 1, 2);
+  a.sbm_route(6, 0, 1, 2, 3);
+  a.arith(7, ArithOp::Div, 0, 1);
+  a.halt();
+  const Program p = a.finish(4, 1);
+  ASSERT_EQ(p.num_regs, 4u);
+  expect_dead_result(p, 0);
+  expect_dead_result(p, 1);
+  expect_dead_result(p, 2);
+  // Each instruction alone, passing and failing.
+  for (std::size_t i = 0; i < 3; ++i) {
+    Program one = p;
+    one.code = {p.code[i], p.code[3]};
+    const Vec ok(4096, 1);
+    expect_identical(one, {Vec(4096, 0), ok, ok, ok});      // bad register
+    expect_identical(one, {Vec(4097, 0), ok, ok, ok});      // bound / length
+    Vec zero = ok;
+    zero[100] = 0;
+    expect_identical(one, {Vec(4096, 0), zero, ok, ok});    // counts sum
+  }
+}
+
+// ---------------------------------------------------------------------------
 // last-use release: a dead register's buffer goes back to the pool
 // ---------------------------------------------------------------------------
 
@@ -774,6 +963,64 @@ std::uint64_t chain_misses(std::size_t k, std::size_t n) {
   const RunResult r =
       run(release_chain(k), {iota_mod(n, 1000), iota_mod(n, 60)}, cfg);
   return r.engine.pool_misses;
+}
+
+/// Inputs bound, counts, data of n elements each; V0 <- data + counts is
+/// the output.  With `certificate`, a bm-route over the inputs whose
+/// result is never read comes first.
+Program certificate_program(bool certificate) {
+  Assembler a;
+  a.reserve_regs(3);
+  const auto t = a.reg();
+  if (certificate) a.bm_route(t, 0, 1, 2);
+  a.arith(0, ArithOp::Add, 2, 1);
+  a.halt();
+  auto p = a.finish(3, 1);
+  opt::annotate_last_use(p);
+  return p;
+}
+
+TEST(Release, UnreadCertificateAllocatesNothing) {
+  const std::size_t n = 5000;  // past one page
+  const std::vector<Vec> in = {Vec(n, 0), Vec(n, 1), iota_mod(n, 1000)};
+  RunConfig cfg;
+  cfg.profile = true;
+  const auto acquires = [&](const Program& p) {
+    const RunResult r = run(p, in, cfg);
+    return r.engine.pool_hits + r.engine.pool_misses;
+  };
+  const Program with = certificate_program(true);
+  const Program without = certificate_program(false);
+  EXPECT_EQ(acquires(with), acquires(without));
+  // Parked into a fresh arena, the register files hold the same bytes:
+  // the certificate left no buffer behind.
+  const auto spare = [&](const Program& p) {
+    BufferPool arena;
+    RunConfig acfg;
+    acfg.arena = &arena;
+    run(p, in, acfg);
+    return arena.spare_bytes();
+  };
+  EXPECT_EQ(spare(with), spare(without));
+  EXPECT_EQ(run(with, in).outputs, run(without, in).outputs);
+}
+
+/// k Enumerates of V0 into fresh registers that are never read: results
+/// that are not certificates, computed as usual and then handed back.
+std::uint64_t unread_result_misses(std::size_t k, std::size_t n) {
+  Assembler a;
+  a.reserve_regs(1);
+  for (std::size_t i = 0; i < k; ++i) a.enumerate(a.reg(), 0);
+  a.halt();
+  auto p = a.finish(1, 1);
+  opt::annotate_last_use(p);
+  RunConfig cfg;
+  cfg.profile = true;
+  return run(p, {iota_mod(n, 1000)}, cfg).engine.pool_misses;
+}
+
+TEST(Release, UnreadResultFeedsThePool) {
+  EXPECT_EQ(unread_result_misses(8, 4096), unread_result_misses(64, 4096));
 }
 
 TEST(Release, DeadRegistersFeedThePool) {

@@ -1351,6 +1351,44 @@ TEST(LastUse, LoopCarriedRegisterNotDead) {
   EXPECT_EQ(mask[5] & 1u, 1u);
 }
 
+TEST(LastUse, DeadResultBit) {
+  // Bit 7 marks a destination never read after its def: set for the two
+  // unread certificates, clear for a loop-carried def, an output register
+  // at exit, the jumps and Halt.
+  Assembler a;
+  a.reserve_regs(2);
+  auto one = a.reg(), nz = a.reg(), t = a.reg(), r = a.reg();
+  a.load_const(one, 1);
+  auto top = a.fresh_label(), done = a.fresh_label();
+  a.bind(top);
+  a.select(nz, 1);
+  a.jump_if_empty(nz, done);
+  a.arith(t, ArithOp::Add, 1, one);  // unread: a length certificate
+  a.bm_route(r, one, one, 1);        // unread: a route certificate
+  a.arith(1, ArithOp::Monus, 1, one);  // loop-carried
+  a.jump(top);
+  a.bind(done);
+  a.arith(0, ArithOp::Add, 1, 1);  // output register at exit
+  a.halt();
+  Program p = a.finish(2, 1);
+  const auto mask = compute_last_use(p);
+  const std::pair<Op, bool> want[] = {
+      {Op::LoadConst, false}, {Op::Select, false}, {Op::GotoIfEmpty, false},
+      {Op::Arith, true},      {Op::BmRoute, true}, {Op::Arith, false},
+      {Op::Goto, false},      {Op::Arith, false},  {Op::Halt, false},
+  };
+  ASSERT_EQ(mask.size(), std::size(want));
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    EXPECT_EQ(p.code[i].op, want[i].first) << i;
+    EXPECT_EQ((mask[i] & bvram::kDeadResult) != 0, want[i].second)
+        << i << ": " << p.code[i].show();
+  }
+  // The bit sits above the source bits, which keep their meaning: the
+  // bm-route's last read of `one` on this path is not its last use (the
+  // Monus reads it next).
+  EXPECT_EQ(mask[4] & 0x7fu, 0u);
+}
+
 TEST(LastUse, CompiledProgramsArriveAnnotated) {
   auto f = L::lam(NSeq, [](L::TermRef x) {
     return L::apply(L::map_f(L::lam(N, [](L::TermRef v) {
