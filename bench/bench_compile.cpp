@@ -5,7 +5,7 @@
 // and the static register count.
 //
 // Each program is compiled at O0 (naive catalog emission) and through the
-// loop-aware src/opt/ pipeline (O2: copy-prop, GVN, LICM, peephole, DCE,
+// loop-aware src/opt/ pipeline (O2: copy-prop, GVN, LICM, DCE,
 // reg-compact), so the optimizer's constant-factor win is measured
 // alongside the paper's asymptotic claims.
 //
@@ -13,7 +13,7 @@
 //
 // writes the per-program, per-OptLevel static and executed T/W trajectory
 // to PATH (default BENCH_compile.json; same shape as BENCH_machine.json)
-// and exits nonzero if the O1 or O2 executed T or W exceeds O0's on any
+// and exits nonzero if the O2 executed T or W exceeds O0's on any
 // corpus program -- the CI perf-smoke gate.  Never gated on timing.
 #include <cstdio>
 #include <cstring>
@@ -70,7 +70,6 @@ void report(const CorpusProgram& c, std::vector<JsonEntry>& json,
   auto [dom, cod] = L::check_func(c.f);
   nsc::opt::PipelineStats stats;
   auto naive = nsc::sa::compile_nsc(c.f, OptLevel::O0, c.sched);
-  auto o1 = nsc::sa::compile_nsc(c.f, OptLevel::O1, c.sched);
   auto program = nsc::sa::compile_nsc(c.f, OptLevel::O2, c.sched, &stats);
   std::printf(
       "\n-- %s --\n"
@@ -87,7 +86,6 @@ void report(const CorpusProgram& c, std::vector<JsonEntry>& json,
   for (const auto& [label, arg] : c.args) {
     auto nscr = L::apply_fn(c.f, arg);
     auto bv0 = nsc::sa::run_compiled(naive, dom, cod, arg);
-    auto bv1 = nsc::sa::run_compiled(o1, dom, cod, arg);
     auto bv = nsc::sa::run_compiled(program, dom, cod, arg);
     t.row({label, Table::num(nscr.cost.time), Table::num(nscr.cost.work),
            Table::num(bv0.cost.time), Table::num(bv0.cost.work),
@@ -97,26 +95,21 @@ void report(const CorpusProgram& c, std::vector<JsonEntry>& json,
                         2)});
     json.push_back({c.name, label, "O0", naive.code.size(), naive.num_regs,
                     bv0.cost.time, bv0.cost.work});
-    json.push_back({c.name, label, "O1", o1.code.size(), o1.num_regs,
-                    bv1.cost.time, bv1.cost.work});
     json.push_back({c.name, label, "O2", program.code.size(),
                     program.num_regs, bv.cost.time, bv.cost.work});
-    // The optimizer invariant holds at every level: executed T/W must
-    // never exceed the naive emission's.
-    auto check = [&](const char* lvl, const nsc::Cost& got) {
-      if (got.time <= bv0.cost.time && got.work <= bv0.cost.work) return;
+    // The optimizer invariant: executed T/W must never exceed the naive
+    // emission's.
+    if (bv.cost.time > bv0.cost.time || bv.cost.work > bv0.cost.work) {
       regressed = true;
       std::fprintf(stderr,
-                   "PERF REGRESSION: %s %s: %s executed T/W %llu/%llu "
+                   "PERF REGRESSION: %s %s: O2 executed T/W %llu/%llu "
                    "exceeds O0's %llu/%llu\n",
-                   c.name.c_str(), label.c_str(), lvl,
-                   static_cast<unsigned long long>(got.time),
-                   static_cast<unsigned long long>(got.work),
+                   c.name.c_str(), label.c_str(),
+                   static_cast<unsigned long long>(bv.cost.time),
+                   static_cast<unsigned long long>(bv.cost.work),
                    static_cast<unsigned long long>(bv0.cost.time),
                    static_cast<unsigned long long>(bv0.cost.work));
-    };
-    check("O1", bv1.cost);
-    check("O2", bv.cost);
+    }
   }
   t.print();
 }
@@ -218,7 +211,7 @@ int main(int argc, char** argv) {
       "paper: T' = O(T), W' = O(W^(1+eps)); the register counts printed\n"
       "per program depend only on the source, never on the input.\n"
       "T_O0/W_O0: naive catalog emission; T_opt/W_opt: the loop-aware\n"
-      "src/opt/ pipeline (verify, copy-prop, GVN, LICM, peephole, DCE,\n"
+      "src/opt/ pipeline (verify, copy-prop, GVN, LICM, DCE,\n"
       "reg-compact).\n");
 
   std::vector<CorpusProgram> corpus;

@@ -13,8 +13,8 @@
 //   * The site index travels INSIDE Instr.  A pass that deletes, moves,
 //     or copies whole instructions (erase_unkept / insert_before / in-place
 //     field rewrites) preserves attribution for free.
-//   * A pass that REPLACES an instruction's operation in place (peephole
-//     folds, GVN's fuse-to-Move) must keep the slot's existing `dbg` --
+//   * A pass that REPLACES an instruction's operation in place (GVN's
+//     fuse-to-Move and its folds) must keep the slot's existing `dbg` --
 //     the rewritten instruction still does that source line's job.
 //   * A pass that synthesizes a genuinely new instruction should copy
 //     `dbg` from the instruction it was derived from; only when there is

@@ -144,36 +144,23 @@ struct LoopForest {
   }
 };
 
-/// Generic forward dataflow fixpoint over the CFG, shared by copy-prop
-/// and the peephole constant analysis.  Block out-states start at
-/// TOP ("uncomputed", the identity of the meet), so must-problems
-/// converge to their maximal fixpoint on loops.  Blocks are visited in
-/// reverse postorder (OrderedWorklist): the first pass reaches each block
-/// after all its forward-edge predecessors, and later passes only
-/// re-run blocks whose input a back edge changed.
+/// Generic forward dataflow fixpoint over the CFG (copy-prop's).  Block
+/// out-states start at TOP ("uncomputed", the identity of the meet), so
+/// must-problems converge to their maximal fixpoint on loops.  Blocks
+/// are visited in reverse postorder (OrderedWorklist): the first pass
+/// reaches each block after all its forward-edge predecessors, and later
+/// passes only re-run blocks whose input a back edge changed.
 ///
 /// `Domain` provides:
 ///   State entry() const;                        // in-state of block 0
 ///   State unreached() const;                    // all-bottom fallback
 ///   void meet_into(State&, const State&) const;
 ///   void transfer(const bvram::Instr&, State&) const;
-/// and optionally (detected by a requires-expression, both required
-/// together)
-///   bool edge_refines(const bvram::Program&, const Cfg&, std::size_t pred,
-///                     std::size_t succ) const;
-///   void edge_refine(const bvram::Program&, const Cfg&, std::size_t pred,
-///                    std::size_t succ, State&) const;
-/// which sharpen a predecessor's out-state along one specific CFG edge
-/// before the meet -- the hook behind branch-sensitive constant
-/// propagation (on the taken edge of a GotoIfEmpty the tested register
-/// is known empty).  edge_refines is the cheap guard: only edges it
-/// accepts pay for the out-state copy that refinement needs.
 template <typename State, typename Domain>
 class ForwardDataflow {
  public:
   ForwardDataflow(const bvram::Program& p, const Cfg& cfg, const Domain& dom)
-      : p_(p),
-        cfg_(cfg),
+      : cfg_(cfg),
         dom_(dom),
         out_(cfg.blocks.size()),
         have_out_(cfg.blocks.size(), false) {
@@ -206,31 +193,11 @@ class ForwardDataflow {
     }
     for (std::size_t pred : cfg_.blocks[b].preds) {
       if (!have_out_[pred]) continue;  // TOP: identity for the meet
-      bool refined = false;
-      if constexpr (requires(State& ps) {
-                      dom_.edge_refine(p_, cfg_, pred, b, ps);
-                    }) {
-        if (dom_.edge_refines(p_, cfg_, pred, b)) {
-          State ps = out_[pred];
-          dom_.edge_refine(p_, cfg_, pred, b, ps);
-          if (first) {
-            s = std::move(ps);
-            first = false;
-          } else {
-            dom_.meet_into(s, ps);
-          }
-          refined = true;
-        }
-      }
-      if (!refined) {
-        // No refinement on this edge: meet straight from the stored
-        // out-state, no copy.
-        if (first) {
-          s = out_[pred];
-          first = false;
-        } else {
-          dom_.meet_into(s, out_[pred]);
-        }
+      if (first) {
+        s = out_[pred];
+        first = false;
+      } else {
+        dom_.meet_into(s, out_[pred]);
       }
     }
     if (first) s = dom_.unreached();  // only TOP preds (unreached block)
@@ -238,7 +205,6 @@ class ForwardDataflow {
   }
 
  private:
-  const bvram::Program& p_;
   const Cfg& cfg_;
   const Domain& dom_;
   std::vector<State> out_;

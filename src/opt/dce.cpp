@@ -23,6 +23,7 @@ namespace nsc::opt {
 namespace {
 
 using bvram::Instr;
+using bvram::Op;
 using bvram::Program;
 
 class Dce final : public Pass {
@@ -51,7 +52,12 @@ class Dce final : public Pass {
       RegSet live = lv.live_out_of(p, cfg, b);
       for (std::size_t i = cfg.blocks[b].end; i-- > cfg.blocks[b].begin;) {
         const Instr& in = p.code[i];
-        if (in.has_dst() && !live.test(in.dst) && !in.can_trap()) {
+        // A Goto to the next instruction, and a Halt that ends the code
+        // (falling off the end halts), do nothing.
+        const bool no_op = (in.op == Op::Goto && in.target == i + 1) ||
+                           (in.op == Op::Halt && i + 1 == p.code.size());
+        if (no_op ||
+            (in.has_dst() && !live.test(in.dst) && !in.can_trap())) {
           keep[i] = false;
           changed = true;
           continue;

@@ -1,10 +1,11 @@
-// Global value numbering, scoped by the dominator tree.
+// Global value numbering, scoped by the dominator tree, with the
+// optimizer's constant and branch folding riding along: the pipeline's
+// one forward analysis.
 //
-// PR 1's peephole ran value-numbering CSE over extended basic blocks
-// only: facts flowed along unique-predecessor chains and died at every
-// join point, so the identical scan/route subgraphs the flattening
+// Value numbering over extended basic blocks alone loses its facts at
+// every join point, so the identical scan/route subgraphs the flattening
 // compiler re-emits per segment-descriptor level (seg_sum /
-// gather_sorted inside FlattenF, SplitF, the Sum cases) stayed
+// gather_sorted inside FlattenF, SplitF, the Sum cases) would stay
 // redundant whenever a combine_vec branch diamond sat between two
 // copies.  This pass walks the *dominator tree* instead: everything
 // established in a block holds in every block it dominates, so a
@@ -14,64 +15,91 @@
 // only while `reg` still holds that value.  Within the dominator-tree
 // DFS the table tracks the state at the end of the dominating block;
 // registers that may be redefined on some idom(c) -> c path that avoids
-// re-entering idom(c) are invalidated ("killed" to a fresh value
-// number) at c's entry.  For a block whose only CFG predecessor is its
-// dominator-tree parent the kill set is empty (the EBB case); for a
-// loop header dominated by the preheader it is exactly the loop body's
-// definitions, which is what makes header facts sound on every
-// iteration without iterating the analysis.
+// re-entering idom(c) (the *kill region*) are invalidated ("killed" to a
+// fresh value number) at c's entry.  For a block whose only CFG
+// predecessor is its dominator-tree parent the kill set is empty (the
+// EBB case); for a loop header dominated by the preheader it is exactly
+// the loop body's definitions, which is what makes header facts sound on
+// every iteration without iterating the analysis.  Block 0 is killed the
+// same way, over the region of every cycle through it, when a jump
+// targets instruction 0.
 //
-// The rewrite catalog:
-//   * CSE, the peephole's original logic: a recomputation whose
-//     operands are value-identical to an earlier eligible instruction
-//     becomes a Move from the earlier result (trap-safe: re-executing a
-//     trapping instruction on identical operand values cannot trap if
-//     the first execution did not), and every eligible op's executed
-//     work is >= the Move's on any input EXCEPT LoadConst (work 1 < the
-//     Move's 2), Length (1 < 2 when the source is empty at run time), and
-//     SbmRoute (the only expanding op); those are kept in place but their
-//     destination is aliased to the earlier value number so downstream
-//     expressions still fuse;
-//   * the uniform algebra.  Beside its number, every value carries two
-//     facts, kept in a vector indexed by value number: its *length
-//     class* (the number of a value of provably equal length) and, when
-//     every element is provably one constant c, uniform(c).  Classes
-//     flow through Move, Arith, Enumerate, ScanPlus and a bm-route's
-//     bound; LoadConst and Length results share the class of singletons;
-//     every other result starts a class of its own.  uniform(c) comes
-//     from LoadConst c, from a bm-route whose data is uniform(c) (over
-//     the bound's class: the catalog's broadcast of [c] over x is
-//     bm-route(x, [length(x)], [c])), and from an Arith of two uniforms
-//     (the folded constant, never for a zero divisor).  Facts are only
-//     derived from executed (kept) instructions, so everything in the
-//     dominated region may rely on their certificates having held.
-//     Each rewrite below is a Move that charges at most the replaced
-//     instruction's T and W on every input:
-//       - identities, when both Arith operands are of one class, so the
-//         length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x, x/1 and x>>0
-//         are x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n);
-//       - uniform CSE: every uniform(c) of one class is the same vector,
-//         so each is also recorded under the key (c, class), and a
-//         *certified* one -- a broadcast whose counts are the length of
-//         a register of its bound's class and whose data is a known
-//         singleton (2n+2 -> 2n), or an Arith of two uniforms of one
-//         class that folds (3n -> 2n) -- becomes a Move from a live
-//         register recorded there;
-//       - the route algebra: Select of a uniform(c != 0) is a copy (2n
-//         either way), and a bm-route whose counts are uniform(1) of its
-//         bound's and its data's class replicates every element once
-//         (both certificates discharged: 4n -> 2n);
-//       - Length and Enumerate depend only on their operand's length,
-//         so they are keyed by its class: enumerate(broadcast(c, x))
-//         fuses with enumerate(x).
+// Facts.  Beside its number, every value carries what is known about it,
+// kept in a vector indexed by value number: its *length class* (the
+// number of a value of provably equal length) and, when every element is
+// provably one constant c, uniform(c).  Two classes are fixed: every [n]
+// is in `singletons` and every [] in `empties`, so a known singleton [n]
+// is singletons ∧ uniform(n).  Classes flow through Move, Arith,
+// Enumerate, ScanPlus and a bm-route's bound; LoadConst and Length
+// results are singletons, LoadEmpty results empties; every other result
+// starts a class of its own.  uniform(c) comes from LoadConst c, from a
+// bm-route whose data is uniform(c) (over the bound's class: the
+// catalog's broadcast of [c] over x is bm-route(x, [length(x)], [c])),
+// and from an Arith of two uniforms (the folded constant, never for a
+// zero divisor).  A value that constant folding rewrote in this walk
+// also carries the fold's [] or [n] for later folds (Fact::folded).
+// Facts are only derived from executed instructions, so everything in
+// the dominated region may rely on their certificates having held.
+// Three more sources make the folds below fire:
+//   * non-input registers start empty (the machine zero-initializes the
+//     register file);
+//   * a dominator child whose only predecessor is the taken edge of a
+//     GotoIfEmpty learns that the tested register is empty;
+//   * at a kill set, a killed register keeps its fact when every
+//     definition of it in the kill region produces that same fact again,
+//     assuming every killed register that still keeps its fact does;
+//     the check repeats until nothing more is dropped.  This carries a
+//     register that is empty on loop entry and only re-emptied inside,
+//     or a loop-carried x <- x * [1] with x = [1] at entry, around the
+//     loop.
+//
+// The rewrite catalog.  Each rewrite charges at most the replaced
+// instruction's T and W on every input, and none deletes a trap:
+//   * the uniform algebra, when both Arith operands are of one class, so
+//     the length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x, x/1 and x>>0
+//     are x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n).
+//     Select of a uniform(c != 0) is a copy (2n either way), and a
+//     bm-route whose counts are uniform(1) of its bound's and its data's
+//     class replicates every element once (both certificates discharged:
+//     4n -> 2n);
+//   * CSE: a recomputation whose operands are value-identical to an
+//     earlier eligible instruction becomes a Move from the earlier
+//     result (trap-safe: re-executing a trapping instruction on
+//     identical operand values cannot trap if the first execution did
+//     not), and every eligible op's executed work is >= the Move's on any
+//     input EXCEPT LoadConst (work 1 < the Move's 2), Length (1 < 2 when
+//     the source is empty at run time), and SbmRoute (the only expanding
+//     op); those are kept in place but their destination is aliased to
+//     the earlier value number so downstream expressions still fuse.
+//     Every uniform(c) of one class is the same vector, so each is also
+//     recorded under the key (c, class), and a *certified* one -- a
+//     broadcast whose counts are the length of a register of its bound's
+//     class and whose data is a known singleton (2n+2 -> 2n), or an Arith
+//     of two uniforms of one class other than the singletons that folds
+//     (3n -> 2n) -- becomes a Move from a live register recorded there.
+//     Length and Enumerate depend only on their operand's length, so they
+//     are keyed by its class: enumerate(broadcast(c, x)) fuses with
+//     enumerate(x);
+//   * constant folding: an Arith of two known singletons that folds, and
+//     Length, Enumerate, Select and ScanPlus of a known [] or [n], become
+//     a LoadConst of the result (work 1, below a Move's 2) or, for
+//     an empty result, a Move of the empty operand (work 0) or a LoadEmpty
+//     (select([0]), work 1 either way).  An Arith of two empties is a
+//     Move of one of them, and an Append with a known-empty side a Move
+//     of the other.  A LoadEmpty or LoadConst whose register already
+//     holds that value, and a self-Move, are dropped;
+//   * branch folding: a GotoIfEmpty of a known empty becomes a Goto, and
+//     one of a known singleton is dropped.  (dce then drops a Goto to the
+//     next instruction.)
 #include <cstdint>
+#include <map>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
 #include "opt/cfg.hpp"
 #include "opt/opt.hpp"
-#include "opt/valuetable.hpp"
 
 namespace nsc::opt {
 namespace {
@@ -81,41 +109,153 @@ using bvram::Op;
 using bvram::Program;
 using lang::ArithOp;
 
-/// Computes the registers that may be redefined on some path
-/// idom(c) ->* c that does not pass through idom(c) again: the forward
-/// reach of idom(c)'s successors intersected with the backward reach of
-/// c's predecessors, both computed with idom(c) removed from the graph.
-/// Empty when c's only predecessor is idom(c).  The forward reach is
-/// shared by every dominator-tree child of the same idom, so it is
-/// memoized per idom across the DFS.
-class KillSets {
- public:
-  KillSets(const Program& p, const Cfg& cfg) : p_(p), cfg_(cfg) {}
+// ---------------------------------------------------------------------------
+// the numbering table
+// ---------------------------------------------------------------------------
 
-  std::vector<std::uint32_t> of(std::size_t c, std::size_t idom) {
+// Key: (op, aop, imm-for-LoadConst, value numbers of the source regs).
+using VnKey = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t,
+                         std::uint64_t, std::uint64_t, std::uint64_t,
+                         std::uint64_t>;
+
+struct VnEntry {
+  std::uint32_t reg = 0;
+  std::uint64_t vn = 0;
+};
+
+/// The numbering table, scoped with an undo log: the dominator-tree walk
+/// pushes each block's mutations onto the log and rolls them back on the
+/// way out, so facts flow into subtrees but never across siblings.
+struct VnTable {
+  std::vector<std::uint64_t> reg_vn;  // register -> current value number
+  std::uint64_t next_vn;
+  std::map<VnKey, VnEntry> exprs;
+
+  struct UndoRecord {
+    enum Kind : std::uint8_t { Reg, ExprSet, ExprNew } kind;
+    std::uint32_t reg = 0;
+    std::uint64_t old_vn = 0;
+    VnKey key{};
+    VnEntry old_entry{};
+  };
+  std::vector<UndoRecord> undo;
+
+  explicit VnTable(std::size_t num_regs)
+      : reg_vn(num_regs), next_vn(num_regs) {
+    for (std::size_t r = 0; r < num_regs; ++r) reg_vn[r] = r;
+  }
+
+  std::size_t mark() const { return undo.size(); }
+
+  void set_reg_vn(std::uint32_t r, std::uint64_t v) {
+    if (reg_vn[r] == v) return;
+    undo.push_back({UndoRecord::Reg, r, reg_vn[r], {}, {}});
+    reg_vn[r] = v;
+  }
+
+  void set_expr(const VnKey& key, VnEntry e) {
+    auto [it, inserted] = exprs.emplace(key, e);
+    if (inserted) {
+      undo.push_back({UndoRecord::ExprNew, 0, 0, key, {}});
+    } else {
+      undo.push_back({UndoRecord::ExprSet, 0, 0, key, it->second});
+      it->second = e;
+    }
+  }
+
+  void rollback(std::size_t to_mark) {
+    while (undo.size() > to_mark) {
+      const UndoRecord& u = undo.back();
+      switch (u.kind) {
+        case UndoRecord::Reg:
+          reg_vn[u.reg] = u.old_vn;
+          break;
+        case UndoRecord::ExprSet:
+          exprs[u.key] = u.old_entry;
+          break;
+        case UndoRecord::ExprNew:
+          exprs.erase(u.key);
+          break;
+      }
+      undo.pop_back();
+    }
+  }
+
+  VnKey key_of(const Instr& in) const {
+    const auto srcs = in.srcs();
+    std::uint64_t vn[4] = {0, 0, 0, 0};
+    for (std::size_t i = 0; i < srcs.n; ++i) vn[i] = reg_vn[srcs.regs[i]] + 1;
+    const std::uint64_t imm = in.op == Op::LoadConst ? in.imm : 0;
+    return {static_cast<std::uint8_t>(in.op),
+            static_cast<std::uint8_t>(in.aop),
+            imm,
+            vn[0],
+            vn[1],
+            vn[2],
+            vn[3]};
+  }
+};
+
+/// Ops whose recomputation on value-identical operands may be replaced
+/// (or aliased) by the earlier result.
+bool cse_eligible(const Instr& in) {
+  switch (in.op) {
+    case Op::LoadEmpty:
+    case Op::LoadConst:
+    case Op::Arith:
+    case Op::Append:
+    case Op::Length:
+    case Op::Enumerate:
+    case Op::BmRoute:
+    case Op::SbmRoute:
+    case Op::Select:
+    case Op::ScanPlus:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// kill regions
+// ---------------------------------------------------------------------------
+
+/// The definitions that may execute on some path idom(c) ->* c that does
+/// not pass through idom(c) again: those in the forward reach of
+/// idom(c)'s successors intersected with the backward reach of c's
+/// predecessors, both computed with idom(c) removed from the graph.
+/// Empty when c's only predecessor is idom(c).  idom == kNoBlock stands
+/// for the program entry, whose only successor is block 0.  The forward
+/// reach is shared by every dominator-tree child of the same idom, so it
+/// is memoized per idom across the DFS.
+class KillRegions {
+ public:
+  KillRegions(const Program& p, const Cfg& cfg) : p_(p), cfg_(cfg) {}
+
+  std::vector<std::size_t> defs(std::size_t c, std::size_t idom) {
     const auto& preds = cfg_.blocks[c].preds;
-    if (preds.size() == 1 && preds[0] == idom) return {};
+    if (preds.empty() || (preds.size() == 1 && preds[0] == idom)) return {};
 
     const std::size_t nb = cfg_.blocks.size();
     auto cached = fwd_cache_.find(idom);
     if (cached == fwd_cache_.end()) {
       std::vector<bool> fwd(nb, false);
       std::vector<std::size_t> stack;
-      for (std::size_t s : cfg_.blocks[idom].succs) {
+      auto visit = [&](std::size_t s) {
         if (s != idom && !fwd[s]) {
           fwd[s] = true;
           stack.push_back(s);
         }
+      };
+      if (idom == kNoBlock) {
+        visit(0);
+      } else {
+        for (std::size_t s : cfg_.blocks[idom].succs) visit(s);
       }
       while (!stack.empty()) {
         const std::size_t b = stack.back();
         stack.pop_back();
-        for (std::size_t s : cfg_.blocks[b].succs) {
-          if (s != idom && !fwd[s]) {
-            fwd[s] = true;
-            stack.push_back(s);
-          }
-        }
+        for (std::size_t s : cfg_.blocks[b].succs) visit(s);
       }
       cached = fwd_cache_.emplace(idom, std::move(fwd)).first;
     }
@@ -140,17 +280,12 @@ class KillSets {
       }
     }
 
-    std::vector<bool> killed(p_.num_regs, false);
-    std::vector<std::uint32_t> out;
+    std::vector<std::size_t> out;
     for (std::size_t b = 0; b < nb; ++b) {
       if (!fwd[b] || !bwd[b]) continue;
       for (std::size_t i = cfg_.blocks[b].begin; i < cfg_.blocks[b].end;
            ++i) {
-        const Instr& in = p_.code[i];
-        if (in.has_dst() && !killed[in.dst]) {
-          killed[in.dst] = true;
-          out.push_back(in.dst);
-        }
+        if (p_.code[i].has_dst()) out.push_back(i);
       }
     }
     return out;
@@ -164,6 +299,10 @@ class KillSets {
   // by all of that node's children.
   std::unordered_map<std::size_t, std::vector<bool>> fwd_cache_;
 };
+
+// ---------------------------------------------------------------------------
+// facts
+// ---------------------------------------------------------------------------
 
 // Tag of the expression key under which GVN records a uniform(c) value
 // of one length class; above every Op, so no instruction's key collides.
@@ -181,6 +320,16 @@ struct Fact {
   std::uint64_t length_of = kNoVn;  // a Length result: its operand's class
   std::uint64_t c = 0;              // the constant, when `uniform`
   bool uniform = false;             // every element equals c
+  /// Constant folding's own view of a value it folded in the current
+  /// walk: `empties`, or `singletons` with the element in `c`; kNoVn
+  /// otherwise.  Only later folds read it, so a chain of folds completes
+  /// in one walk, while the uniform algebra and CSE see a fold a round
+  /// later, once it is a LoadConst or LoadEmpty.  Without this view the
+  /// chain waits a round and the algebra turns its next Arith into a
+  /// Move, which moves 9 of the 72 pinned compiles (tests/test_corpus.cpp).
+  std::uint64_t folded = kNoVn;
+
+  bool operator==(const Fact&) const = default;
 };
 
 bool is_uniform(const Fact& f, std::uint64_t c) {
@@ -221,214 +370,413 @@ std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
   return std::nullopt;
 }
 
+/// What the facts alone make of an instruction: unchanged, dropped, or
+/// replaced by `to`.
+struct Rewrite {
+  enum Kind : std::uint8_t { Keep, Drop, Replace } kind = Keep;
+  Instr to{};
+};
+
+Rewrite keep() { return {}; }
+Rewrite drop() { return {Rewrite::Drop, {}}; }
+// A fold's result carries debug site 0, not the slot's: obs/debuginfo.hpp
+// asks for the slot's site, but keeping it changes the disassembly of 29
+// of the 72 pinned corpus compiles (tests/test_corpus.cpp), so that is
+// left to a change that re-pins them.
+Rewrite replace(Op op, std::uint32_t dst, std::uint32_t a = 0,
+                std::uint64_t imm = 0, std::size_t target = 0) {
+  return {Rewrite::Replace, {op, ArithOp::Add, dst, a, 0, 0, imm, target}};
+}
+
+/// One run of the pass over a program: the numbering table, the facts,
+/// and the dominator-tree walk that rewrites the code.
+class Walk {
+ public:
+  explicit Walk(Program& p)
+      : p_(p),
+        cfg_(Cfg::build(p)),
+        dom_(DomTree::build(cfg_)),
+        vn_(p.num_regs),
+        facts_(p.num_regs),
+        keep_(p.code.size(), true),
+        kept_(p.num_regs, false),
+        regions_(p, cfg_) {
+    singletons_ = fresh({});
+    empties_ = fresh({});
+    for (std::size_t r = 0; r < p.num_regs; ++r) {
+      facts_[r].cls = r < p.num_inputs ? r : empties_;
+    }
+  }
+
+  bool run() {
+    // Depth-first over the dominator tree: facts flow into dominated
+    // subtrees, sibling subtrees roll back, and each block first kills
+    // the registers that intervening (non-dominating) code may redefine.
+    struct Frame {
+      std::size_t block;
+      std::size_t mark;
+      std::size_t next_child;
+    };
+    std::vector<Frame> stack{{0, vn_.mark(), 0}};
+    enter(0, kNoBlock);
+    process_block(0);
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      if (f.next_child < dom_.children[f.block].size()) {
+        const std::size_t c = dom_.children[f.block][f.next_child++];
+        const std::size_t mark = vn_.mark();
+        enter(c, f.block);
+        stack.push_back({c, mark, 0});
+        process_block(c);
+      } else {
+        vn_.rollback(f.mark);
+        stack.pop_back();
+      }
+    }
+    const bool erased = erase_unkept(p_, keep_);
+    return changed_ || erased;
+  }
+
+ private:
+  std::uint64_t fresh(Fact f) {
+    const std::uint64_t v = vn_.next_vn++;
+    if (f.cls == kNoVn) f.cls = v;
+    facts_.push_back(f);
+    return v;
+  }
+  Fact fact(std::uint32_t r) const { return facts_[vn_.reg_vn[r]]; }
+  bool is_empty(const Fact& f) const {
+    return f.cls == empties_ || f.folded == empties_;
+  }
+  /// f is a known singleton [f.c].
+  bool is_konst(const Fact& f) const {
+    return (f.cls == singletons_ && f.uniform) || f.folded == singletons_;
+  }
+
+  /// `f`, the facts of an instruction's result, plus what constant
+  /// folding knows once it rewrote the instruction to `rw`.
+  Fact with_fold(Fact f, const Rewrite& rw) const {
+    if (rw.kind != Rewrite::Replace) return f;
+    if (rw.to.op == Op::LoadConst && !(f.cls == singletons_ && f.uniform)) {
+      f.folded = singletons_;
+      f.c = rw.to.imm;
+    } else if (rw.to.op == Op::LoadEmpty && f.cls != empties_) {
+      f.folded = empties_;
+    }
+    return f;
+  }
+
+  /// The facts an executed instruction establishes for its result.
+  Fact fact_of(const Instr& in) const {
+    Fact f;
+    switch (in.op) {
+      case Op::LoadEmpty:
+        f.cls = empties_;
+        break;
+      case Op::LoadConst:
+        f = {singletons_, kNoVn, in.imm, true};
+        break;
+      case Op::Length:
+        f.cls = singletons_;
+        f.length_of = fact(in.a).cls;
+        break;
+      case Op::Arith: {
+        const Fact a = fact(in.a);
+        f.cls = a.cls;
+        if (const auto c = fold(in.aop, a, fact(in.b))) {
+          f.c = *c;
+          f.uniform = true;
+        }
+        break;
+      }
+      case Op::Enumerate:
+      case Op::ScanPlus:
+        f.cls = fact(in.a).cls;
+        break;
+      case Op::BmRoute: {
+        const Fact data = fact(in.c);
+        f.cls = fact(in.a).cls;
+        f.c = data.c;
+        f.uniform = data.uniform;
+        break;
+      }
+      default:
+        break;
+    }
+    return f;
+  }
+
+  /// The uniform algebra: the operand `in` provably equals, if any.
+  std::optional<std::uint32_t> algebra(const Instr& in) const {
+    if (in.op == Op::Select) {
+      // sigma of a vector with no zero drops nothing: a copy.  W is
+      // unchanged (|in| + |out| = 2n either way), and Select never
+      // traps.
+      const Fact a = fact(in.a);
+      if (a.uniform && a.c != 0) return in.a;
+    } else if (in.op == Op::BmRoute) {
+      // All-ones counts of the data's and the bound's class replicate
+      // each element once, and both certificates are discharged
+      // statically: |counts| = |data|, and sum(counts) = |counts| =
+      // |bound|.  The Move charges 2n against the route's 4n.
+      const Fact counts = fact(in.b);
+      if (is_uniform(counts, 1) && fact(in.a).cls == counts.cls &&
+          fact(in.c).cls == counts.cls) {
+        return in.c;
+      }
+    } else if (in.op == Op::Arith) {
+      // One class: the length check cannot trap, and no identity
+      // divides by zero.  The Move charges 2n against 3n.
+      const Fact a = fact(in.a);
+      const Fact b = fact(in.b);
+      if (a.cls == b.cls) return identity_operand(in, a, b);
+    }
+    return std::nullopt;
+  }
+
+  /// Constant and branch folding over known empties and singletons.
+  Rewrite simplify(const Instr& in) const {
+    switch (in.op) {
+      case Op::GotoIfEmpty: {
+        const Fact a = fact(in.a);
+        if (is_empty(a)) return replace(Op::Goto, 0, 0, 0, in.target);
+        if (is_konst(a)) return drop();  // never empty: never taken
+        return keep();
+      }
+      case Op::Move:
+        return in.a == in.dst ? drop() : keep();
+      case Op::LoadEmpty:
+        return is_empty(fact(in.dst)) ? drop() : keep();
+      case Op::LoadConst: {
+        const Fact d = fact(in.dst);
+        return is_konst(d) && d.c == in.imm ? drop() : keep();
+      }
+      case Op::Arith: {
+        const Fact a = fact(in.a);
+        const Fact b = fact(in.b);
+        if (is_konst(a) && is_konst(b) &&
+            !(in.aop == ArithOp::Div && b.c == 0)) {
+          return replace(Op::LoadConst, in.dst, 0,
+                         lang::arith_apply(in.aop, a.c, b.c));
+        }
+        // Both empty: provably no trap, and a Move of an empty register
+        // costs 0 work (a LoadEmpty would cost 1).
+        if (is_empty(a) && is_empty(b)) return replace(Op::Move, in.dst, in.a);
+        return keep();
+      }
+      case Op::Append:
+        if (is_empty(fact(in.a))) return replace(Op::Move, in.dst, in.b);
+        if (is_empty(fact(in.b))) return replace(Op::Move, in.dst, in.a);
+        return keep();
+      case Op::Length:
+      case Op::Enumerate:
+      case Op::Select:
+      case Op::ScanPlus: {
+        const Fact a = fact(in.a);
+        if (is_empty(a)) {
+          // length([]) = [0]; otherwise an empty input gives an empty
+          // result: forward the input.
+          return in.op == Op::Length ? replace(Op::LoadConst, in.dst, 0, 0)
+                                     : replace(Op::Move, in.dst, in.a);
+        }
+        if (!is_konst(a)) return keep();
+        if (in.op == Op::Length) return replace(Op::LoadConst, in.dst, 0, 1);
+        if (in.op != Op::Select) return replace(Op::LoadConst, in.dst, 0, 0);
+        // select([0]) = []: a LoadEmpty costs the same 1 work.
+        return a.c == 0 ? replace(Op::LoadEmpty, in.dst)
+                        : replace(Op::LoadConst, in.dst, 0, a.c);
+      }
+      default:
+        return keep();
+    }
+  }
+
+  /// The facts the (rewritten) definition `in` gives its destination.
+  Fact result_fact(const Instr& in) const {
+    if (in.op == Op::Move) return fact(in.a);
+    if (const auto src = algebra(in)) return fact(*src);
+    const Rewrite rw = simplify(in);
+    if (rw.kind == Rewrite::Drop) return fact(in.dst);
+    if (rw.kind == Rewrite::Replace && rw.to.op == Op::Move) {
+      return fact(rw.to.a);
+    }
+    return with_fold(fact_of(in), rw);
+  }
+
+  // A certified uniform: `in`, whose result has fact `f`, provably
+  // cannot trap -- a broadcast whose counts are the length of a register
+  // of its bound's class and whose data is a known singleton, or an
+  // Arith of two uniforms of one class that folds.  Two singletons are
+  // left to constant folding: a LoadConst's work of 1 is below a Move's 2.
+  bool certified(const Instr& in, const Fact& f) const {
+    if (!f.uniform) return false;
+    if (in.op == Op::BmRoute) {
+      return fact(in.b).length_of == f.cls && fact(in.c).cls == singletons_;
+    }
+    return in.op == Op::Arith && fact(in.b).cls == f.cls &&
+           f.cls != singletons_;
+  }
+
+  // The expression key: uniform(c) over its class for a certified
+  // uniform; Length and Enumerate depend only on their operand's length,
+  // so they are keyed by its class.
+  VnKey canon_key(const Instr& in, const Fact& f) const {
+    if (certified(in, f)) return uniform_key(f.c, f.cls);
+    VnKey key = vn_.key_of(in);
+    if (in.op == Op::Length || in.op == Op::Enumerate) {
+      std::get<3>(key) = fact(in.a).cls + 1;
+    }
+    return key;
+  }
+
+  /// Block c's entry facts, where c's dominator-tree parent is idom
+  /// (kNoBlock for block 0): kill what the kill region may redefine,
+  /// keeping each fact that every definition there reproduces, then
+  /// learn the taken edge of a GotoIfEmpty.
+  void enter(std::size_t c, std::size_t idom) {
+    const std::vector<std::size_t> defs = regions_.defs(c, idom);
+    std::vector<std::uint32_t> killed;
+    for (std::size_t i : defs) {
+      const std::uint32_t r = p_.code[i].dst;
+      if (!kept_[r]) {
+        kept_[r] = true;
+        killed.push_back(r);
+      }
+    }
+    // Every killed register holds its fact from idom's end until some
+    // definition fails to reproduce it; a failed one is killed to a
+    // fresh class, which may fail others, so sweep until none fails.
+    for (bool dropped = !defs.empty(); dropped;) {
+      dropped = false;
+      for (std::size_t i : defs) {
+        const Instr& in = p_.code[i];
+        if (!kept_[in.dst] || result_fact(in) == fact(in.dst)) continue;
+        kept_[in.dst] = false;
+        vn_.set_reg_vn(in.dst, fresh({}));
+        dropped = true;
+      }
+    }
+    for (std::uint32_t r : killed) {
+      if (kept_[r]) vn_.set_reg_vn(r, fresh(fact(r)));
+      kept_[r] = false;
+    }
+
+    const auto& preds = cfg_.blocks[c].preds;
+    if (preds.size() != 1 || preds[0] != idom) return;
+    const std::size_t last = cfg_.blocks[idom].end - 1;
+    const Instr& j = p_.code[last];
+    const std::size_t n = p_.code.size();
+    if (!keep_[last] || j.op != Op::GotoIfEmpty || j.target >= n ||
+        cfg_.block_of[j.target] != c) {
+      return;
+    }
+    // Only the unambiguously taken edge carries the fact.
+    if (last + 1 < n && cfg_.block_of[last + 1] == c) return;
+    if (!is_empty(fact(j.a))) vn_.set_reg_vn(j.a, fresh({empties_}));
+  }
+
+  void process_block(std::size_t b) {
+    for (std::size_t i = cfg_.blocks[b].begin; i < cfg_.blocks[b].end; ++i) {
+      Instr& in = p_.code[i];
+
+      auto drop_it = [&] {
+        keep_[i] = false;
+        changed_ = true;
+      };
+      auto move_from = [&](std::uint32_t src) {
+        if (src == in.dst) {
+          drop_it();  // dst already holds the value
+          return;
+        }
+        in = {Op::Move, ArithOp::Add, in.dst, src, 0, 0, 0, 0, in.dbg};
+        changed_ = true;
+      };
+
+      if (const auto src = algebra(in)) move_from(*src);
+
+      // CSE on whatever the instruction now is.  A hit normally
+      // becomes a Move from the earlier result; LoadConst, Length and
+      // SbmRoute are kept as-is but aliased (see the header comment).
+      std::uint64_t alias_vn = 0;
+      bool aliased = false;
+      Fact f;
+      VnKey key{};
+      if (keep_[i] && cse_eligible(in)) {
+        f = fact_of(in);
+        key = canon_key(in, f);
+        const auto it = vn_.exprs.find(key);
+        if (it != vn_.exprs.end() &&
+            vn_.reg_vn[it->second.reg] == it->second.vn) {
+          const std::uint32_t e = it->second.reg;
+          if (e != in.dst && (in.op == Op::LoadConst ||
+                              in.op == Op::Length ||
+                              in.op == Op::SbmRoute)) {
+            alias_vn = it->second.vn;
+            aliased = true;
+          } else {
+            move_from(e);
+          }
+        }
+      }
+
+      // Constant and branch folding of whatever is left.  A load its
+      // register already holds is numbered as if it ran, then dropped.
+      bool redundant = false;
+      if (keep_[i]) {
+        const Rewrite rw = simplify(in);
+        if (rw.kind == Rewrite::Drop) {
+          redundant = true;
+        } else if (rw.kind == Rewrite::Replace) {
+          f = with_fold(f, rw);
+          in = rw.to;
+          changed_ = true;
+        }
+      }
+
+      // Value-number bookkeeping for the (possibly rewritten)
+      // instruction.  A CSE hit on its own register leaves dst's value
+      // (and number) unchanged; a folded instruction keeps the facts and
+      // key of what it computes.
+      if (keep_[i] && in.has_dst()) {
+        if (in.op == Op::Move) {
+          vn_.set_reg_vn(in.dst, vn_.reg_vn[in.a]);
+        } else if (aliased) {
+          // Same value as the recorded expression; keep its entry.
+          vn_.set_reg_vn(in.dst, alias_vn);
+        } else {
+          const std::uint64_t v = fresh(f);
+          vn_.set_expr(key, {in.dst, v});
+          if (f.uniform) vn_.set_expr(uniform_key(f.c, f.cls), {in.dst, v});
+          vn_.set_reg_vn(in.dst, v);
+        }
+      }
+      if (redundant) drop_it();
+    }
+  }
+
+  Program& p_;
+  const Cfg cfg_;
+  const DomTree dom_;
+  VnTable vn_;
+  // Facts indexed by value number.  No undo log is needed: value
+  // numbers are never reused, and a rolled-back subtree's numbers are
+  // unreachable from sibling scopes.
+  std::vector<Fact> facts_;
+  std::uint64_t singletons_ = 0;  // the class of every [n]
+  std::uint64_t empties_ = 0;     // the class of every []
+  std::vector<bool> keep_;
+  std::vector<bool> kept_;  // enter(): a killed register still keeps its fact
+  KillRegions regions_;
+  bool changed_ = false;
+};
+
 class Gvn final : public Pass {
  public:
   const char* name() const override { return "gvn"; }
 
   bool run(Program& p) override {
     if (p.code.empty() || p.num_regs == 0) return false;
-    const Cfg cfg = Cfg::build(p);
-    const DomTree dom = DomTree::build(cfg);
-
-    bool changed = false;
-    std::vector<bool> keep(p.code.size(), true);
-    VnTable vn(p.num_regs);
-    // Facts indexed by value number.  No undo log is needed: value
-    // numbers are never reused, and a rolled-back subtree's numbers are
-    // unreachable from sibling scopes.
-    std::vector<Fact> facts(p.num_regs);
-    for (std::size_t r = 0; r < p.num_regs; ++r) facts[r].cls = r;
-    auto fresh = [&](Fact f) {
-      const std::uint64_t v = vn.next_vn++;
-      if (f.cls == kNoVn) f.cls = v;
-      facts.push_back(f);
-      return v;
-    };
-    auto fact = [&](std::uint32_t r) { return facts[vn.reg_vn[r]]; };
-    // The class of LoadConst and Length results: every [n] has length 1.
-    const std::uint64_t singletons = fresh({});
-
-    // The facts an executed instruction establishes for its result.
-    auto fact_of = [&](const Instr& in) {
-      Fact f;
-      switch (in.op) {
-        case Op::LoadConst:
-          f = {singletons, kNoVn, in.imm, true};
-          break;
-        case Op::Length:
-          f.cls = singletons;
-          f.length_of = fact(in.a).cls;
-          break;
-        case Op::Arith: {
-          const Fact a = fact(in.a);
-          f.cls = a.cls;
-          if (const auto c = fold(in.aop, a, fact(in.b))) {
-            f.c = *c;
-            f.uniform = true;
-          }
-          break;
-        }
-        case Op::Enumerate:
-        case Op::ScanPlus:
-          f.cls = fact(in.a).cls;
-          break;
-        case Op::BmRoute: {
-          const Fact data = fact(in.c);
-          f.cls = fact(in.a).cls;
-          f.c = data.c;
-          f.uniform = data.uniform;
-          break;
-        }
-        default:
-          break;
-      }
-      return f;
-    };
-
-    // A certified uniform: `in`, whose result has fact `f`, provably
-    // cannot trap -- a broadcast whose counts are the length of a
-    // register of its bound's class and whose data is a known singleton,
-    // or an Arith of two uniforms of one class that folds.  Two
-    // singletons are left to the peephole: it folds them to a LoadConst,
-    // whose work of 1 is below a Move's 2.
-    auto certified = [&](const Instr& in, const Fact& f) {
-      if (!f.uniform) return false;
-      if (in.op == Op::BmRoute) {
-        return fact(in.b).length_of == f.cls && fact(in.c).cls == singletons;
-      }
-      return in.op == Op::Arith && fact(in.b).cls == f.cls &&
-             f.cls != singletons;
-    };
-
-    // The expression key: uniform(c) over its class for a certified
-    // uniform; Length and Enumerate depend only on their operand's
-    // length, so they are keyed by its class.
-    auto canon_key = [&](const Instr& in, const Fact& f) {
-      if (certified(in, f)) return uniform_key(f.c, f.cls);
-      VnKey key = vn.key_of(in);
-      if (in.op == Op::Length || in.op == Op::Enumerate) {
-        std::get<3>(key) = fact(in.a).cls + 1;
-      }
-      return key;
-    };
-
-    auto process_block = [&](std::size_t b) {
-      for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
-        Instr& in = p.code[i];
-
-        auto drop = [&] {
-          keep[i] = false;
-          changed = true;
-        };
-        auto move_from = [&](std::uint32_t src) {
-          if (src == in.dst) {
-            drop();  // dst already holds the value
-            return;
-          }
-          in = {Op::Move, ArithOp::Add, in.dst, src, 0, 0, 0, 0, in.dbg};
-          changed = true;
-        };
-
-        // The uniform algebra (see the header comment).
-        if (in.op == Op::Select) {
-          // sigma of a vector with no zero drops nothing: a copy.  W is
-          // unchanged (|in| + |out| = 2n either way), and Select never
-          // traps.
-          const Fact a = fact(in.a);
-          if (a.uniform && a.c != 0) move_from(in.a);
-        } else if (in.op == Op::BmRoute) {
-          // All-ones counts of the data's and the bound's class
-          // replicate each element once, and both certificates are
-          // discharged statically: |counts| = |data|, and sum(counts) =
-          // |counts| = |bound|.  The Move charges 2n against the
-          // route's 4n.
-          const Fact counts = fact(in.b);
-          if (is_uniform(counts, 1) && fact(in.a).cls == counts.cls &&
-              fact(in.c).cls == counts.cls) {
-            move_from(in.c);
-          }
-        } else if (in.op == Op::Arith) {
-          // One class: the length check cannot trap, and no identity
-          // divides by zero.  The Move charges 2n against 3n.
-          const Fact a = fact(in.a);
-          const Fact b = fact(in.b);
-          if (a.cls == b.cls) {
-            if (const auto src = identity_operand(in, a, b)) move_from(*src);
-          }
-        }
-
-        // CSE on whatever the instruction now is.  A hit normally
-        // becomes a Move from the earlier result; LoadConst, Length and
-        // SbmRoute are kept as-is but aliased (see the header comment).
-        std::uint64_t alias_vn = 0;
-        bool aliased = false;
-        Fact f;
-        VnKey key{};
-        if (keep[i] && cse_eligible(in)) {
-          f = fact_of(in);
-          key = canon_key(in, f);
-          const auto it = vn.exprs.find(key);
-          if (it != vn.exprs.end() &&
-              vn.reg_vn[it->second.reg] == it->second.vn) {
-            const std::uint32_t e = it->second.reg;
-            if (e != in.dst && (in.op == Op::LoadConst ||
-                                in.op == Op::Length ||
-                                in.op == Op::SbmRoute)) {
-              alias_vn = it->second.vn;
-              aliased = true;
-            } else {
-              move_from(e);
-            }
-          }
-        }
-
-        // Value-number bookkeeping for the (possibly rewritten)
-        // instruction.  Dropped instructions leave dst's value (and
-        // number) unchanged.
-        if (!keep[i] || !in.has_dst()) continue;
-        if (in.op == Op::Move) {
-          vn.set_reg_vn(in.dst, vn.reg_vn[in.a]);
-        } else if (aliased) {
-          // Same value as the recorded expression; keep its entry.
-          vn.set_reg_vn(in.dst, alias_vn);
-        } else {
-          const std::uint64_t v = fresh(f);
-          vn.set_expr(key, {in.dst, v});
-          if (f.uniform) vn.set_expr(uniform_key(f.c, f.cls), {in.dst, v});
-          vn.set_reg_vn(in.dst, v);
-        }
-      }
-    };
-
-    // Depth-first over the dominator tree: facts flow into dominated
-    // subtrees, sibling subtrees roll back, and each block first kills
-    // the registers that intervening (non-dominating) code may redefine.
-    KillSets kills(p, cfg);
-    struct Frame {
-      std::size_t block;
-      std::size_t mark;
-      std::size_t next_child;
-    };
-    std::vector<Frame> stack{{0, vn.mark(), 0}};
-    process_block(0);
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      if (f.next_child < dom.children[f.block].size()) {
-        const std::size_t c = dom.children[f.block][f.next_child++];
-        const std::size_t mark = vn.mark();
-        for (std::uint32_t r : kills.of(c, f.block)) {
-          vn.set_reg_vn(r, fresh({}));
-        }
-        stack.push_back({c, mark, 0});
-        process_block(c);
-      } else {
-        vn.rollback(f.mark);
-        stack.pop_back();
-      }
-    }
-
-    const bool erased = erase_unkept(p, keep);
-    return changed || erased;
+    return Walk(p).run();
   }
 };
 

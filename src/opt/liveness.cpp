@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "opt/opt.hpp"
+
 namespace nsc::opt {
 
 using bvram::Instr;
@@ -50,6 +52,9 @@ RegSet Liveness::live_out_of(const Program& p, const Cfg& cfg,
 }
 
 std::vector<std::uint8_t> compute_last_use(const Program& p) {
+  // Hand-assembled programs arrive unverified, and the live sets below
+  // are indexed by register number.
+  verify_code(p);
   std::vector<std::uint8_t> mask(p.code.size(), 0);
   if (p.code.empty() || p.num_regs == 0) return mask;
   const Cfg cfg = Cfg::build(p);

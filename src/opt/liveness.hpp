@@ -66,7 +66,9 @@ struct Liveness {
 /// instruction's result back to the pool.  It is never set for a jump or
 /// Halt (no destination), for an output register live at exit, or for a
 /// def read again around a loop.  Instructions in unreachable code get an
-/// all-clear (conservative) mask.
+/// all-clear (conservative) mask.  Throws MachineError if an instruction
+/// names a register or jump target out of range (verify_code); an existing
+/// annotation of any size is ignored.
 std::vector<std::uint8_t> compute_last_use(const bvram::Program& p);
 
 /// Compute and attach the masks: p.last_use = compute_last_use(p).

@@ -13,7 +13,7 @@
 // never increase on any input.
 //
 // Pass suite (the loop-aware global pipeline; O2 runs copy-prop -> gvn
-// -> licm -> peephole -> dce -> reg-compact to a fixpoint):
+// -> licm -> dce -> reg-compact to a fixpoint):
 //   verify      structural well-formedness (register bounds incl. the
 //               SbmRoute imm operand, jump targets, I/O arity) -- run
 //               before and between passes, so an ill-formed program is a
@@ -22,32 +22,37 @@
 //               dataflow); uses of a copied register are rewritten to
 //               the original, which turns the compiler's staging moves
 //               into dead code and exposes move coalescing.
-//   gvn         dominator-tree-scoped global value numbering: redundant
-//               recomputations (Length / Enumerate / ScanPlus / Arith /
-//               Append / the routes) fuse with the dominating original
-//               even across branch diamonds -- the repeated scan/route
-//               subgraphs the flattening compiler emits per segment-
-//               descriptor level collapse here -- and the uniform
-//               algebra folds arithmetic on broadcast constants: with a
-//               length class and a uniform(c) fact per value number,
-//               x+0, x*1, 0*x and their kin over one length class are
-//               Moves, a re-broadcast of one constant over one class is
-//               a Move from the live copy, select of a uniform nonzero
-//               vector is a copy, and an all-ones route is a Move at
-//               half the W.
+//   gvn         the one forward analysis: dominator-tree-scoped global
+//               value numbering with constant and branch folding.
+//               Redundant recomputations (Length / Enumerate / ScanPlus /
+//               Arith / Append / the routes) fuse with the dominating
+//               original even across branch diamonds -- the repeated
+//               scan/route subgraphs the flattening compiler emits per
+//               segment-descriptor level collapse here.  A length class
+//               and a uniform(c) fact per value number (with fixed
+//               classes for every [] and every [n]) drive the uniform
+//               algebra -- x+0, x*1, 0*x and their kin over one length
+//               class are Moves, a re-broadcast of one constant over one
+//               class is a Move from the live copy, select of a uniform
+//               nonzero vector is a copy, an all-ones route is a Move at
+//               half the W -- and the folds: arithmetic on known
+//               singletons and Length / Enumerate / Select / ScanPlus of
+//               known empties or singletons become LoadConsts, Append of
+//               an empty is a Move, and a GotoIfEmpty of a known shape
+//               becomes a Goto or disappears.  Emptiness comes from
+//               "non-input registers start empty", from the taken edge of
+//               a GotoIfEmpty, and around loops from the definitions that
+//               reproduce a register's fact.
 //   licm        loop-invariant code motion over the natural-loop forest
 //               (opt/cfg.hpp): invariant, provably-non-trapping
 //               instructions -- including the catalog's ones_like /
 //               broadcast masks, whose route certificate is discharged
-//               through the value table -- move to a preheader that
-//               entry edges flow through and back edges skip.
-//   peephole    constant folding (LoadConst/LoadEmpty algebra over a
-//               per-register {unknown, empty, [n]} lattice, seeded with
-//               "non-input registers start empty" and branch-sensitive:
-//               the taken edge of a GotoIfEmpty knows the tested
-//               register is empty) and branch simplification.
+//               through a program-wide definition census -- move to a
+//               preheader that entry edges flow through and back edges
+//               skip.
 //   dce         unreachable-code elimination plus liveness-based dead
-//               code elimination on the fixed register file.
+//               code elimination on the fixed register file; a Goto to
+//               the next instruction and a Halt that ends the code go too.
 //   reg-compact dead-register elimination: renumber the register file so
 //               unused registers disappear (the I/O convention pins
 //               V_0 .. V_{max(in,out)-1}).
@@ -56,9 +61,9 @@
 // exports per-instruction last-use masks (opt::annotate_last_use) that the
 // execution engine in bvram/machine.cpp consumes to recycle dead operand
 // buffers; sa::compile_nsa / compile_nsc annotate compiled programs as
-// their final step.  The abstract-value lattice (peephole) and the
-// value-numbering table (gvn) live in opt/valuetable.hpp; the dominator
-// tree and natural-loop forest in opt/cfg.hpp.
+// their final step.  The dominator tree, natural-loop forest and the
+// forward dataflow solver live in opt/cfg.hpp, copy-prop's domain in
+// opt/copyprop.hpp.
 #pragma once
 
 #include <cstdint>
@@ -72,10 +77,9 @@
 namespace nsc::opt {
 
 /// How hard the pipeline works.  O0 = naive emission untouched (for tests
-/// that assert exact instruction sequences); O1 = one cleanup round
-/// (GVN + peephole + DCE); O2 = full suite to fixpoint + register
-/// compaction (the default in sa::compile_nsa / compile_nsc).
-enum class OptLevel { O0, O1, O2 };
+/// that assert exact instruction sequences); O2 = the full suite to a
+/// fixpoint (the default in sa::compile_nsa / compile_nsc).
+enum class OptLevel { O0 = 0, O2 = 2 };
 
 /// Scheduling policy for the compiler's *lifted* while loop (the while
 /// case of the Map Lemma 7.2), threaded through sa::compile_nsa /
@@ -121,9 +125,14 @@ struct WhileSchedule {
 };
 
 /// Structural verifier: register bounds (including SbmRoute's segment
-/// operand carried in `imm`), jump targets, and I/O arity.  Throws
-/// MachineError on the first violation.
+/// operand carried in `imm`), jump targets, I/O arity, and the size of a
+/// last-use annotation.  Throws MachineError on the first violation.
 void verify(const bvram::Program& p);
+
+/// verify()'s per-instruction checks alone: register bounds and jump
+/// targets.  compute_last_use runs them on the unverified programs it is
+/// handed, whose annotation may be stale.
+void verify_code(const bvram::Program& p);
 
 /// A rewrite over a whole program.  Passes may delete and replace
 /// instructions (jump targets are kept consistent) but must preserve the
@@ -140,7 +149,6 @@ class Pass {
 std::unique_ptr<Pass> make_copy_prop();
 std::unique_ptr<Pass> make_gvn();
 std::unique_ptr<Pass> make_licm();
-std::unique_ptr<Pass> make_peephole();
 std::unique_ptr<Pass> make_dce();
 std::unique_ptr<Pass> make_reg_compact();
 

@@ -78,19 +78,9 @@ PipelineStats optimize(bvram::Program& p, OptLevel level) {
     return stats;
   }
   PassManager pm;
-  if (level == OptLevel::O1) {
-    // One cleanup round.  GVN rides along because the peephole's local
-    // CSE moved there: without it O1 would have lost the redundant-
-    // recomputation folding it always had.
-    pm.add(make_gvn());
-    pm.add(make_peephole());
-    pm.add(make_dce());
-    return pm.run(p, /*max_rounds=*/1);
-  }
   pm.add(make_copy_prop());
   pm.add(make_gvn());
   pm.add(make_licm());
-  pm.add(make_peephole());
   pm.add(make_dce());
   pm.add(make_reg_compact());
   return pm.run(p);

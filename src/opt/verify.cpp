@@ -12,10 +12,15 @@ namespace nsc::opt {
 using bvram::Instr;
 using bvram::Program;
 
+namespace {
+
+[[noreturn]] void die(const std::string& what) {
+  throw MachineError("verifier: " + what);
+}
+
+}  // namespace
+
 void verify(const Program& p) {
-  auto die = [](const std::string& what) {
-    throw MachineError("verifier: " + what);
-  };
   if (p.num_inputs > p.num_regs) {
     die("num_inputs " + std::to_string(p.num_inputs) +
         " exceeds register count " + std::to_string(p.num_regs));
@@ -28,6 +33,10 @@ void verify(const Program& p) {
     die("last_use annotation covers " + std::to_string(p.last_use.size()) +
         " instructions but the program has " + std::to_string(p.code.size()));
   }
+  verify_code(p);
+}
+
+void verify_code(const Program& p) {
   for (std::size_t i = 0; i < p.code.size(); ++i) {
     const Instr& in = p.code[i];
     auto at = [&](const std::string& what) {

@@ -1,5 +1,8 @@
 #include "sa/layout.hpp"
 
+#include <iterator>
+#include <utility>
+
 #include "support/error.hpp"
 
 namespace nsc::sa {
@@ -206,12 +209,12 @@ std::vector<ValueRef> decode_seqrep(const Type& t,
       std::vector<ValueRef> out;
       out.reserve(lefts.size());
       for (std::size_t i = 0; i < lefts.size(); ++i) {
-        out.push_back(Value::pair(lefts[i], rights[i]));
+        out.push_back(Value::pair(std::move(lefts[i]), std::move(rights[i])));
       }
       return out;
     }
     case TypeKind::Sum: {
-      const Vec flags = regs.at(at++);
+      const Vec& flags = regs.at(at++);
       auto lefts = decode_seqrep(*t.left(), regs, at);
       auto rights = decode_seqrep(*t.right(), regs, at);
       std::vector<ValueRef> out;
@@ -219,9 +222,9 @@ std::vector<ValueRef> decode_seqrep(const Type& t,
       std::size_t li = 0, ri = 0;
       for (auto f : flags) {
         if (f) {
-          out.push_back(Value::in1(lefts.at(li++)));
+          out.push_back(Value::in1(std::move(lefts.at(li++))));
         } else {
-          out.push_back(Value::in2(rights.at(ri++)));
+          out.push_back(Value::in2(std::move(rights.at(ri++))));
         }
       }
       if (li != lefts.size() || ri != rights.size()) {
@@ -230,7 +233,7 @@ std::vector<ValueRef> decode_seqrep(const Type& t,
       return out;
     }
     case TypeKind::Seq: {
-      const Vec lens = regs.at(at++);
+      const Vec& lens = regs.at(at++);
       auto inner = decode_seqrep(*t.elem(), regs, at);
       std::vector<ValueRef> out;
       out.reserve(lens.size());
@@ -240,7 +243,8 @@ std::vector<ValueRef> decode_seqrep(const Type& t,
           throw Error("decode: segment lengths exceed data");
         }
         out.push_back(Value::seq(std::vector<ValueRef>(
-            inner.begin() + i, inner.begin() + i + len)));
+            std::make_move_iterator(inner.begin() + i),
+            std::make_move_iterator(inner.begin() + i + len))));
         i += len;
       }
       if (i != inner.size()) throw Error("decode: segment data left over");

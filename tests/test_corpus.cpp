@@ -1,7 +1,7 @@
 // Corpus differential execution: every tests/corpus/*.nsc program is
 // parsed, resolved, evaluated with the NSC evaluator (Definition 3.1
 // semantics) on every `input` declaration, and compiled + executed on the
-// BVRAM at every OptLevel x WhileSchedule -- O0/O1/O2 x naive/eager/
+// BVRAM at every OptLevel x WhileSchedule -- O0/O2 x naive/eager/
 // staged(1/2) -- with bit-for-bit agreement required on values and on
 // traps (the Omega programs must trap identically everywhere).  This is
 // the acceptance gate that turns "find a workload" into "add a .nsc
@@ -90,8 +90,7 @@ TEST(Corpus, MeetsTheAcceptanceFloor) {
 }
 
 TEST(Corpus, DifferentialAcrossOptLevelsAndSchedules) {
-  const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O1,
-                                  opt::OptLevel::O2};
+  const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O2};
   const auto files = corpus_files();
   ASSERT_GE(files.size(), 10u);
   for (const auto& path : files) {

@@ -915,19 +915,37 @@ TEST(DeadResult, OutOfRangeDst) {
   a.halt();
   const Program p = a.finish(4, 1);
   ASSERT_EQ(p.num_regs, 4u);
-  expect_dead_result(p, 0);
-  expect_dead_result(p, 1);
-  expect_dead_result(p, 2);
+  // The annotation rejects a register out of range, so each program's
+  // masks come from the same code over a file wide enough for its dsts.
+  EXPECT_THROW(opt::compute_last_use(p), MachineError);
+  auto widened = [](Program q) {
+    q.num_regs = 8;
+    return q;
+  };
+  expect_dead_result(widened(p), 0);
+  expect_dead_result(widened(p), 1);
+  expect_dead_result(widened(p), 2);
   // Each instruction alone, passing and failing.
   for (std::size_t i = 0; i < 3; ++i) {
     Program one = p;
     one.code = {p.code[i], p.code[3]};
+    Program live = one;
+    live.last_use = opt::compute_last_use(widened(one));
+    ASSERT_NE(live.last_use[0] & kDeadResult, 0);
     const Vec ok(4096, 1);
-    expect_identical(one, {Vec(4096, 0), ok, ok, ok});      // bad register
-    expect_identical(one, {Vec(4097, 0), ok, ok, ok});      // bound / length
     Vec zero = ok;
     zero[100] = 0;
-    expect_identical(one, {Vec(4096, 0), zero, ok, ok});    // counts sum
+    const std::vector<Vec> cases[] = {
+        {Vec(4096, 0), ok, ok, ok},    // bad register
+        {Vec(4097, 0), ok, ok, ok},    // bound / length
+        {Vec(4096, 0), zero, ok, ok},  // counts sum
+    };
+    const std::uint64_t fuel = RunConfig{}.max_instructions;
+    for (const auto& in : cases) {
+      const Outcome base = outcome_of(run_reference, one, in, fuel);
+      expect_same(base, outcome_of(run, one, in, fuel), "v2");
+      expect_same(base, outcome_of(run, live, in, fuel), "v2+liveness");
+    }
   }
 }
 
@@ -1043,7 +1061,7 @@ const TypeRef NSeq = Type::seq(Type::nat());
 void differential_compiled(const L::FuncRef& f,
                            const std::vector<ValueRef>& args) {
   auto [dom, cod] = L::check_func(f);
-  for (auto level : {opt::OptLevel::O0, opt::OptLevel::O1, opt::OptLevel::O2}) {
+  for (auto level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
     for (auto sched :
          {opt::WhileSchedule::naive(), opt::WhileSchedule::eager(),
           opt::WhileSchedule::staged({1, 2})}) {

@@ -151,8 +151,7 @@ std::vector<CorpusProgram> compiled_corpus(opt::OptLevel level,
 // ---------------------------------------------------------------------------
 
 TEST(Profile, OffVsOnBitIdenticalAcrossOptLevelsAndSchedules) {
-  const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O1,
-                                  opt::OptLevel::O2};
+  const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O2};
   for (const auto level : levels) {
     for (const auto& s : kSchedules) {
       SCOPED_TRACE(std::string("opt ") + std::to_string(int(level)) +

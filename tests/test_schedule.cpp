@@ -48,7 +48,7 @@ Outcome run_one(const Program& p, const TypeRef& dom, const TypeRef& cod,
   return o;
 }
 
-/// Compile `f` under every schedule at O0/O1/O2 and check on random inputs
+/// Compile `f` under every schedule at O0/O2 and check on random inputs
 /// that all variants agree with the naive-O0 reference: identical values
 /// and identical trap behavior.  (W is not compared here -- on tiny random
 /// inputs the staged bookkeeping can legitimately cost more than the few
@@ -58,7 +58,7 @@ void differential(const L::FuncRef& f, std::uint64_t seed, int trials,
                   const RandomValueConfig& cfg = {}) {
   auto [dom, cod] = L::check_func(f);
   std::vector<std::pair<std::string, Program>> ps;
-  for (auto lvl : {OptLevel::O0, OptLevel::O1, OptLevel::O2}) {
+  for (auto lvl : {OptLevel::O0, OptLevel::O2}) {
     const std::string at = "O" + std::to_string(static_cast<int>(lvl));
     ps.emplace_back("naive@" + at, sa::compile_nsc(f, lvl));
     ps.emplace_back("eager@" + at,

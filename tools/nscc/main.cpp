@@ -15,7 +15,7 @@
 // Shared options:
 //   --input EXPR    add an argument for main (repeatable; parsed with the
 //                   expression grammar, so '[1, 2, 3]' or '([1,2], 4)')
-//   --opt LEVEL     O0 | O1 | O2                     (default O2)
+//   --opt LEVEL     O0 | O2                          (default O2)
 //   --sched S       naive | eager | staged[:NUM/DEN] (default naive;
 //                   staged defaults to eps = 1/2)
 //   --fn NAME       entry point (default main)
@@ -148,7 +148,7 @@ struct Options {
   std::fprintf(stderr,
                "usage: %s {check|eval|run|dump|bench|profile|serve|fmt} "
                "FILE.nsc "
-               "[--input EXPR] [--opt O0|O1|O2] "
+               "[--input EXPR] [--opt O0|O2] "
                "[--sched naive|eager|staged[:N/D]] [--fn NAME] "
                "[--stage surface|core|nsa|bvram] [--stats] [--json PATH] "
                "[--scale N] [--profile] [--by-line] [--by-opcode] [--passes] "
@@ -206,12 +206,10 @@ Options parse_args(int argc, char** argv) {
       const std::string v = need_value("--opt");
       if (v == "O0") {
         o.opt = opt::OptLevel::O0;
-      } else if (v == "O1") {
-        o.opt = opt::OptLevel::O1;
       } else if (v == "O2") {
         o.opt = opt::OptLevel::O2;
       } else {
-        fail("unknown --opt level '" + v + "' (use O0, O1 or O2)");
+        fail("unknown --opt level '" + v + "' (use O0 or O2)");
       }
     } else if (arg == "--sched") {
       const std::string v = need_value("--sched");
@@ -356,7 +354,6 @@ const char* sched_name(const opt::WhileSchedule& s) {
 const char* opt_name(opt::OptLevel l) {
   switch (l) {
     case opt::OptLevel::O0: return "O0";
-    case opt::OptLevel::O1: return "O1";
     case opt::OptLevel::O2: return "O2";
   }
   return "?";
@@ -726,7 +723,6 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
   };
   const Config configs[] = {
       {opt::OptLevel::O0, opt::WhileSchedule::naive()},
-      {opt::OptLevel::O1, opt::WhileSchedule::naive()},
       {opt::OptLevel::O2, opt::WhileSchedule::naive()},
       {opt::OptLevel::O2, opt::WhileSchedule::eager()},
       {opt::OptLevel::O2, opt::WhileSchedule::staged({1, 2})},
