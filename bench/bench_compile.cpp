@@ -5,7 +5,7 @@
 // and the static register count.
 //
 // Each program is compiled at O0 (naive catalog emission) and through the
-// loop-aware src/opt/ pipeline (O2: copy-prop, GVN, LICM, DCE,
+// loop-aware src/opt/ pipeline (O2: GVN with copy renaming, LICM, DCE,
 // reg-compact), so the optimizer's constant-factor win is measured
 // alongside the paper's asymptotic claims.
 //
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
       "paper: T' = O(T), W' = O(W^(1+eps)); the register counts printed\n"
       "per program depend only on the source, never on the input.\n"
       "T_O0/W_O0: naive catalog emission; T_opt/W_opt: the loop-aware\n"
-      "src/opt/ pipeline (verify, copy-prop, GVN, LICM, DCE,\n"
+      "src/opt/ pipeline (verify, GVN with copy renaming, LICM, DCE,\n"
       "reg-compact).\n");
 
   std::vector<CorpusProgram> corpus;

@@ -1,5 +1,5 @@
 // Basic-block control-flow graph over a bvram::Program, shared by the
-// dataflow passes, plus the loop-aware analyses layered on top of it:
+// passes, plus the loop-aware analyses layered on top of it:
 // dominator tree, natural-loop forest, and the preheader insertion
 // utility that LICM uses to place hoisted code.  Control flow in the
 // BVRAM is Goto / GotoIfEmpty / Halt; "instruction index == code.size()"
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "bvram/machine.hpp"
@@ -30,8 +29,8 @@ struct Cfg {
   std::vector<std::size_t> block_of;   // instruction index -> block id
   /// The blocks reachable from the entry, in reverse postorder of a
   /// depth-first walk from block 0: every block precedes its successors
-  /// except along back edges.  Computed once here; the dataflow
-  /// worklists and the dominator tree all visit blocks in this order.
+  /// except along back edges.  Computed once here; the dominator tree
+  /// visits blocks in this order, and liveness in its reverse.
   std::vector<std::size_t> rpo;
   std::vector<std::size_t> rpo_num;    // block id -> index in rpo, or kNoBlock
 
@@ -41,11 +40,12 @@ struct Cfg {
   bool reached(std::size_t b) const { return rpo_num[b] != kNoBlock; }
 };
 
-/// The worklist of every dataflow analysis here: it always hands out the
-/// queued block that comes first in a fixed visit order -- reverse
-/// postorder for forward problems, postorder for backward ones -- so
-/// values flow along every forward edge before any block is revisited,
-/// and only a changed back edge makes a block run again.  (A LIFO stack
+/// The worklist of the liveness analysis (opt/liveness.hpp), the one
+/// iterative dataflow problem here (gvn walks the dominator tree once).
+/// It always hands out the queued block that comes first in a fixed
+/// visit order -- postorder, for this backward problem -- so a block
+/// runs after all of its successors but the targets of back edges, and
+/// only a changed back edge makes a block run again.  (A LIFO stack
 /// instead chases each change around a loop before its body settles,
 /// revisiting the blocks of a deep nest hundreds of times.)  Queued
 /// blocks are bits over positions in the order, popped lowest first.
@@ -142,73 +142,6 @@ struct LoopForest {
     }
     return false;
   }
-};
-
-/// Generic forward dataflow fixpoint over the CFG (copy-prop's).  Block
-/// out-states start at TOP ("uncomputed", the identity of the meet), so
-/// must-problems converge to their maximal fixpoint on loops.  Blocks
-/// are visited in reverse postorder (OrderedWorklist): the first pass
-/// reaches each block after all its forward-edge predecessors, and later
-/// passes only re-run blocks whose input a back edge changed.
-///
-/// `Domain` provides:
-///   State entry() const;                        // in-state of block 0
-///   State unreached() const;                    // all-bottom fallback
-///   void meet_into(State&, const State&) const;
-///   void transfer(const bvram::Instr&, State&) const;
-template <typename State, typename Domain>
-class ForwardDataflow {
- public:
-  ForwardDataflow(const bvram::Program& p, const Cfg& cfg, const Domain& dom)
-      : cfg_(cfg),
-        dom_(dom),
-        out_(cfg.blocks.size()),
-        have_out_(cfg.blocks.size(), false) {
-    if (cfg.blocks.empty()) return;
-    OrderedWorklist work(cfg.rpo, cfg.blocks.size());
-    work.push(0);
-    for (std::size_t b = work.pop(); b != kNoBlock; b = work.pop()) {
-      State s = in_state_of(b);
-      for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
-        dom_.transfer(p.code[i], s);
-      }
-      if (!have_out_[b] || s != out_[b]) {
-        out_[b] = std::move(s);
-        have_out_[b] = true;
-        for (std::size_t succ : cfg.blocks[b].succs) work.push(succ);
-      }
-    }
-  }
-
-  /// Meet of the computed predecessor out-states (TOP preds skipped).
-  /// Block 0 additionally meets the implicit program-entry edge: a loop
-  /// headed at instruction 0 re-enters block 0 from its back edge, so
-  /// entry facts alone would be unsound there.
-  State in_state_of(std::size_t b) const {
-    State s{};
-    bool first = true;
-    if (b == 0) {
-      s = dom_.entry();
-      first = false;
-    }
-    for (std::size_t pred : cfg_.blocks[b].preds) {
-      if (!have_out_[pred]) continue;  // TOP: identity for the meet
-      if (first) {
-        s = out_[pred];
-        first = false;
-      } else {
-        dom_.meet_into(s, out_[pred]);
-      }
-    }
-    if (first) s = dom_.unreached();  // only TOP preds (unreached block)
-    return s;
-  }
-
- private:
-  const Cfg& cfg_;
-  const Domain& dom_;
-  std::vector<State> out_;
-  std::vector<bool> have_out_;
 };
 
 }  // namespace nsc::opt

@@ -1,6 +1,6 @@
 // Global value numbering, scoped by the dominator tree, with the
-// optimizer's constant and branch folding riding along: the pipeline's
-// one forward analysis.
+// optimizer's copy renaming and constant and branch folding riding
+// along: the pipeline's one forward analysis.
 //
 // Value numbering over extended basic blocks alone loses its facts at
 // every join point, so the identical scan/route subgraphs the flattening
@@ -36,15 +36,15 @@
 // bm-route whose data is uniform(c) (over the bound's class: the
 // catalog's broadcast of [c] over x is bm-route(x, [length(x)], [c])),
 // and from an Arith of two uniforms (the folded constant, never for a
-// zero divisor).  A value that constant folding rewrote in this walk
-// also carries the fold's [] or [n] for later folds (Fact::folded).
-// Facts are only derived from executed instructions, so everything in
-// the dominated region may rely on their certificates having held.
+// zero divisor).  Facts are only derived from executed instructions, so
+// everything in the dominated region may rely on their certificates
+// having held.
 // Three more sources make the folds below fire:
 //   * non-input registers start empty (the machine zero-initializes the
 //     register file);
 //   * a dominator child whose only predecessor is the taken edge of a
-//     GotoIfEmpty learns that the tested register is empty;
+//     GotoIfEmpty learns that the tested value is empty, in every
+//     register that holds it;
 //   * at a kill set, a killed register keeps its fact when every
 //     definition of it in the kill region produces that same fact again,
 //     assuming every killed register that still keeps its fact does;
@@ -55,6 +55,14 @@
 //
 // The rewrite catalog.  Each rewrite charges at most the replaced
 // instruction's T and W on every input, and none deletes a trap:
+//   * copy renaming: every source operand reads the first register that
+//     took its value number, while that register still holds it.  Uses
+//     of a Move's destination -- the flattening compiler stages every
+//     value through fresh registers, and CSE below makes more Moves --
+//     then read the source, and dce drops the Move.  A kept CSE hit
+//     (below) keeps its name: renaming through it shrinks the code
+//     further but ties a staged compile's register count to eps.
+//     Renaming changes no value or length, so T, W and traps stay;
 //   * the uniform algebra, when both Arith operands are of one class, so
 //     the length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x, x/1 and x>>0
 //     are x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n).
@@ -127,12 +135,19 @@ struct VnEntry {
 /// pushes each block's mutations onto the log and rolls them back on the
 /// way out, so facts flow into subtrees but never across siblings.
 struct VnTable {
+  static constexpr std::uint32_t kNoReg = ~std::uint32_t{0};
+
   std::vector<std::uint64_t> reg_vn;  // register -> current value number
-  std::uint64_t next_vn;
+  /// value number -> the first register that took it (the name copy
+  /// renaming reads it under), or kNoReg.
+  std::vector<std::uint32_t> first;
+  /// register -> a kept CSE hit: its uses keep reading it.
+  std::vector<bool> keeps_name;
   std::map<VnKey, VnEntry> exprs;
 
   struct UndoRecord {
     enum Kind : std::uint8_t { Reg, ExprSet, ExprNew } kind;
+    bool old_keeps_name = false;
     std::uint32_t reg = 0;
     std::uint64_t old_vn = 0;
     VnKey key{};
@@ -141,24 +156,44 @@ struct VnTable {
   std::vector<UndoRecord> undo;
 
   explicit VnTable(std::size_t num_regs)
-      : reg_vn(num_regs), next_vn(num_regs) {
-    for (std::size_t r = 0; r < num_regs; ++r) reg_vn[r] = r;
+      : reg_vn(num_regs), first(num_regs), keeps_name(num_regs, false) {
+    for (std::size_t r = 0; r < num_regs; ++r) reg_vn[r] = first[r] = r;
   }
 
   std::size_t mark() const { return undo.size(); }
 
-  void set_reg_vn(std::uint32_t r, std::uint64_t v) {
-    if (reg_vn[r] == v) return;
-    undo.push_back({UndoRecord::Reg, r, reg_vn[r], {}, {}});
+  /// A new value number, held by no register yet.
+  std::uint64_t fresh() {
+    first.push_back(kNoReg);
+    return first.size() - 1;
+  }
+
+  void set_reg_vn(std::uint32_t r, std::uint64_t v, bool keep_name = false) {
+    if (first[v] == kNoReg) first[v] = r;
+    if (reg_vn[r] == v && keeps_name[r] == keep_name) return;
+    undo.push_back({.kind = UndoRecord::Reg,
+                    .old_keeps_name = keeps_name[r],
+                    .reg = r,
+                    .old_vn = reg_vn[r]});
     reg_vn[r] = v;
+    keeps_name[r] = keep_name;
+  }
+
+  /// The register a use of r reads: the first holder of r's value while
+  /// it still holds it, else r itself.
+  std::uint32_t source_of(std::uint32_t r) const {
+    if (keeps_name[r]) return r;
+    const std::uint32_t f = first[reg_vn[r]];
+    return reg_vn[f] == reg_vn[r] ? f : r;
   }
 
   void set_expr(const VnKey& key, VnEntry e) {
     auto [it, inserted] = exprs.emplace(key, e);
     if (inserted) {
-      undo.push_back({UndoRecord::ExprNew, 0, 0, key, {}});
+      undo.push_back({.kind = UndoRecord::ExprNew, .key = key});
     } else {
-      undo.push_back({UndoRecord::ExprSet, 0, 0, key, it->second});
+      undo.push_back(
+          {.kind = UndoRecord::ExprSet, .key = key, .old_entry = it->second});
       it->second = e;
     }
   }
@@ -169,6 +204,7 @@ struct VnTable {
       switch (u.kind) {
         case UndoRecord::Reg:
           reg_vn[u.reg] = u.old_vn;
+          keeps_name[u.reg] = u.old_keeps_name;
           break;
         case UndoRecord::ExprSet:
           exprs[u.key] = u.old_entry;
@@ -320,14 +356,6 @@ struct Fact {
   std::uint64_t length_of = kNoVn;  // a Length result: its operand's class
   std::uint64_t c = 0;              // the constant, when `uniform`
   bool uniform = false;             // every element equals c
-  /// Constant folding's own view of a value it folded in the current
-  /// walk: `empties`, or `singletons` with the element in `c`; kNoVn
-  /// otherwise.  Only later folds read it, so a chain of folds completes
-  /// in one walk, while the uniform algebra and CSE see a fold a round
-  /// later, once it is a LoadConst or LoadEmpty.  Without this view the
-  /// chain waits a round and the algebra turns its next Arith into a
-  /// Move, which moves 9 of the 72 pinned compiles (tests/test_corpus.cpp).
-  std::uint64_t folded = kNoVn;
 
   bool operator==(const Fact&) const = default;
 };
@@ -379,10 +407,6 @@ struct Rewrite {
 
 Rewrite keep() { return {}; }
 Rewrite drop() { return {Rewrite::Drop, {}}; }
-// A fold's result carries debug site 0, not the slot's: obs/debuginfo.hpp
-// asks for the slot's site, but keeping it changes the disassembly of 29
-// of the 72 pinned corpus compiles (tests/test_corpus.cpp), so that is
-// left to a change that re-pins them.
 Rewrite replace(Op op, std::uint32_t dst, std::uint32_t a = 0,
                 std::uint64_t imm = 0, std::size_t target = 0) {
   return {Rewrite::Replace, {op, ArithOp::Add, dst, a, 0, 0, imm, target}};
@@ -439,31 +463,16 @@ class Walk {
 
  private:
   std::uint64_t fresh(Fact f) {
-    const std::uint64_t v = vn_.next_vn++;
+    const std::uint64_t v = vn_.fresh();
     if (f.cls == kNoVn) f.cls = v;
     facts_.push_back(f);
     return v;
   }
   Fact fact(std::uint32_t r) const { return facts_[vn_.reg_vn[r]]; }
-  bool is_empty(const Fact& f) const {
-    return f.cls == empties_ || f.folded == empties_;
-  }
+  bool is_empty(const Fact& f) const { return f.cls == empties_; }
   /// f is a known singleton [f.c].
   bool is_konst(const Fact& f) const {
-    return (f.cls == singletons_ && f.uniform) || f.folded == singletons_;
-  }
-
-  /// `f`, the facts of an instruction's result, plus what constant
-  /// folding knows once it rewrote the instruction to `rw`.
-  Fact with_fold(Fact f, const Rewrite& rw) const {
-    if (rw.kind != Rewrite::Replace) return f;
-    if (rw.to.op == Op::LoadConst && !(f.cls == singletons_ && f.uniform)) {
-      f.folded = singletons_;
-      f.c = rw.to.imm;
-    } else if (rw.to.op == Op::LoadEmpty && f.cls != empties_) {
-      f.folded = empties_;
-    }
-    return f;
+    return f.cls == singletons_ && f.uniform;
   }
 
   /// The facts an executed instruction establishes for its result.
@@ -600,7 +609,7 @@ class Walk {
     if (rw.kind == Rewrite::Replace && rw.to.op == Op::Move) {
       return fact(rw.to.a);
     }
-    return with_fold(fact_of(in), rw);
+    return fact_of(in);
   }
 
   // A certified uniform: `in`, whose result has fact `f`, provably
@@ -672,7 +681,16 @@ class Walk {
     }
     // Only the unambiguously taken edge carries the fact.
     if (last + 1 < n && cfg_.block_of[last + 1] == c) return;
-    if (!is_empty(fact(j.a))) vn_.set_reg_vn(j.a, fresh({empties_}));
+    const std::uint64_t v = vn_.reg_vn[j.a];
+    if (is_empty(facts_[v])) return;
+    // Every register holding the tested value moves to one new empty
+    // number, its first holder first, so copies still read that holder.
+    const std::uint64_t e = fresh({empties_});
+    const std::uint32_t f = vn_.first[v];
+    if (vn_.reg_vn[f] == v) vn_.set_reg_vn(f, e, vn_.keeps_name[f]);
+    for (std::uint32_t r = 0; r < p_.num_regs; ++r) {
+      if (vn_.reg_vn[r] == v) vn_.set_reg_vn(r, e, vn_.keeps_name[r]);
+    }
   }
 
   void process_block(std::size_t b) {
@@ -691,6 +709,13 @@ class Walk {
         in = {Op::Move, ArithOp::Add, in.dst, src, 0, 0, 0, 0, in.dbg};
         changed_ = true;
       };
+
+      // Read every copy from the first register that took its value.
+      in.map_srcs([&](std::uint32_t r) {
+        const std::uint32_t src = vn_.source_of(r);
+        if (src != r) changed_ = true;
+        return src;
+      });
 
       if (const auto src = algebra(in)) move_from(*src);
 
@@ -727,8 +752,9 @@ class Walk {
         if (rw.kind == Rewrite::Drop) {
           redundant = true;
         } else if (rw.kind == Rewrite::Replace) {
-          f = with_fold(f, rw);
+          const std::uint32_t site = in.dbg;  // the slot keeps its site
           in = rw.to;
+          in.dbg = site;
           changed_ = true;
         }
       }
@@ -741,8 +767,9 @@ class Walk {
         if (in.op == Op::Move) {
           vn_.set_reg_vn(in.dst, vn_.reg_vn[in.a]);
         } else if (aliased) {
-          // Same value as the recorded expression; keep its entry.
-          vn_.set_reg_vn(in.dst, alias_vn);
+          // Same value as the recorded expression; keep its entry.  Its
+          // uses keep reading dst.
+          vn_.set_reg_vn(in.dst, alias_vn, true);
         } else {
           const std::uint64_t v = fresh(f);
           vn_.set_expr(key, {in.dst, v});

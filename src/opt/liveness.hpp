@@ -41,7 +41,7 @@ struct Liveness {
   /// path from the top of block b.
   std::vector<RegSet> live_in;
 
-  /// The least fixpoint, found with the shared OrderedWorklist in
+  /// The least fixpoint, found with opt/cfg.hpp's OrderedWorklist in
   /// postorder (reachable blocks first, then the unreachable ones): a
   /// block is visited after all of its successors but the targets of
   /// back edges.

@@ -12,20 +12,19 @@
 // deleted, and every rewrite is chosen so that the executed T and W
 // never increase on any input.
 //
-// Pass suite (the loop-aware global pipeline; O2 runs copy-prop -> gvn
-// -> licm -> dce -> reg-compact to a fixpoint):
+// Pass suite (the loop-aware global pipeline; O2 runs gvn -> licm -> dce
+// -> reg-compact to a fixpoint):
 //   verify      structural well-formedness (register bounds incl. the
 //               SbmRoute imm operand, jump targets, I/O arity) -- run
 //               before and between passes, so an ill-formed program is a
 //               compiler bug caught at compile time, not run time.
-//   copy-prop   global copy propagation over the CFG (forward must-
-//               dataflow); uses of a copied register are rewritten to
-//               the original, which turns the compiler's staging moves
-//               into dead code and exposes move coalescing.
 //   gvn         the one forward analysis: dominator-tree-scoped global
-//               value numbering with constant and branch folding.
-//               Redundant recomputations (Length / Enumerate / ScanPlus /
-//               Arith / Append / the routes) fuse with the dominating
+//               value numbering with copy renaming and constant and
+//               branch folding.  Every use of a copy reads the first
+//               register that took its value, which turns the compiler's
+//               staging moves into dead code.  Redundant
+//               recomputations (Length / Enumerate / ScanPlus / Arith /
+//               Append / the routes) fuse with the dominating
 //               original even across branch diamonds -- the repeated
 //               scan/route subgraphs the flattening compiler emits per
 //               segment-descriptor level collapse here.  A length class
@@ -61,9 +60,8 @@
 // exports per-instruction last-use masks (opt::annotate_last_use) that the
 // execution engine in bvram/machine.cpp consumes to recycle dead operand
 // buffers; sa::compile_nsa / compile_nsc annotate compiled programs as
-// their final step.  The dominator tree, natural-loop forest and the
-// forward dataflow solver live in opt/cfg.hpp, copy-prop's domain in
-// opt/copyprop.hpp.
+// their final step.  The dominator tree, natural-loop forest and
+// liveness's worklist live in opt/cfg.hpp.
 #pragma once
 
 #include <cstdint>
@@ -146,7 +144,6 @@ class Pass {
   virtual bool run(bvram::Program& p) = 0;
 };
 
-std::unique_ptr<Pass> make_copy_prop();
 std::unique_ptr<Pass> make_gvn();
 std::unique_ptr<Pass> make_licm();
 std::unique_ptr<Pass> make_dce();
@@ -171,22 +168,20 @@ struct PipelineStats {
   std::string show() const;
 };
 
-/// Runs a pass list to a fixpoint (bounded by `max_rounds`), verifying
-/// between passes, and collects per-pass instruction-count stats.
+/// Runs a pass list to a fixpoint (at most kMaxRounds rounds) and
+/// collects per-pass instruction-count stats.  The structural verifier
+/// re-runs after every pass that changed the program (cheap, and it
+/// turns a miscompiling pass into an immediate error).
 class PassManager {
  public:
-  /// `verify_between`: re-run the structural verifier after every pass
-  /// (cheap, and turns a miscompiling pass into an immediate error).
-  explicit PassManager(bool verify_between = true)
-      : verify_between_(verify_between) {}
+  static constexpr std::size_t kMaxRounds = 8;
 
   void add(std::unique_ptr<Pass> pass);
 
-  PipelineStats run(bvram::Program& p, std::size_t max_rounds = 8);
+  PipelineStats run(bvram::Program& p);
 
  private:
   std::vector<std::unique_ptr<Pass>> passes_;
-  bool verify_between_ = true;
 };
 
 /// Verify + run the standard pipeline for `level` on `p` in place.

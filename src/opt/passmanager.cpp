@@ -10,7 +10,7 @@ void PassManager::add(std::unique_ptr<Pass> pass) {
   passes_.push_back(std::move(pass));
 }
 
-PipelineStats PassManager::run(bvram::Program& p, std::size_t max_rounds) {
+PipelineStats PassManager::run(bvram::Program& p) {
   PipelineStats stats;
   stats.instrs_before = p.code.size();
   stats.regs_before = p.num_regs;
@@ -34,7 +34,7 @@ PipelineStats PassManager::run(bvram::Program& p, std::size_t max_rounds) {
 
   verify(p);
   bool changed = true;
-  while (changed && stats.rounds < max_rounds) {
+  while (changed && stats.rounds < kMaxRounds) {
     changed = false;
     ++stats.rounds;
     for (std::size_t i = 0; i < passes_.size(); ++i) {
@@ -43,7 +43,7 @@ PipelineStats PassManager::run(bvram::Program& p, std::size_t max_rounds) {
       const bool ran = passes_[i]->run(p);
       stats.passes[i].wall_ns += ns_since(pass_start);
       if (!ran) continue;
-      if (verify_between_) verify(p);
+      verify(p);
       stats.passes[i].applications += 1;
       stats.passes[i].instrs_removed += before - p.code.size();
       changed = true;
@@ -78,7 +78,6 @@ PipelineStats optimize(bvram::Program& p, OptLevel level) {
     return stats;
   }
   PassManager pm;
-  pm.add(make_copy_prop());
   pm.add(make_gvn());
   pm.add(make_licm());
   pm.add(make_dce());

@@ -166,41 +166,41 @@ struct PinnedDigest {
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
     {"countdown", false, "naive", 0x71c18c87673f4011ull},
-    {"countdown", false, "eager", 0xbd3febe461ec59eeull},
-    {"countdown", false, "staged", 0xfd90b176ad0f5ba6ull},
+    {"countdown", false, "eager", 0x72cf203d40d51d04ull},
+    {"countdown", false, "staged", 0x9966c334950b9211ull},
     {"countdown", true, "naive", 0x6a563e9796b9b615ull},
-    {"countdown", true, "eager", 0x878d115305de43f3ull},
-    {"countdown", true, "staged", 0xf6815b6a9faaddf3ull},
-    {"divide_conquer", false, "naive", 0xe23ff9ca857ec02aull},
-    {"divide_conquer", false, "eager", 0xe23ff9ca857ec02aull},
-    {"divide_conquer", false, "staged", 0xe23ff9ca857ec02aull},
+    {"countdown", true, "eager", 0x62ac05a8d46f1b68ull},
+    {"countdown", true, "staged", 0x26472d2bbf0e9becull},
+    {"divide_conquer", false, "naive", 0xf747d916bd178b02ull},
+    {"divide_conquer", false, "eager", 0xf747d916bd178b02ull},
+    {"divide_conquer", false, "staged", 0xf747d916bd178b02ull},
     {"divide_conquer", true, "naive", 0xc0889631c051e6ecull},
-    {"divide_conquer", true, "eager", 0x619156badfffca8eull},
-    {"divide_conquer", true, "staged", 0x9a5e16ec73c59597ull},
-    {"histogram", false, "naive", 0xa40380260f6e0d83ull},
-    {"histogram", false, "eager", 0xa40380260f6e0d83ull},
-    {"histogram", false, "staged", 0xa40380260f6e0d83ull},
+    {"divide_conquer", true, "eager", 0xfcf5d4ed6f51e078ull},
+    {"divide_conquer", true, "staged", 0xd6dee39ff1b5f2f5ull},
+    {"histogram", false, "naive", 0x2c832457eec2e659ull},
+    {"histogram", false, "eager", 0x2c832457eec2e659ull},
+    {"histogram", false, "staged", 0x2c832457eec2e659ull},
     {"histogram", true, "naive", 0x28d9114a900dd8d7ull},
     {"histogram", true, "eager", 0x28d9114a900dd8d7ull},
     {"histogram", true, "staged", 0x28d9114a900dd8d7ull},
-    {"merge_sorted", false, "naive", 0xa4a3afdafa48d790ull},
-    {"merge_sorted", false, "eager", 0xa4a3afdafa48d790ull},
-    {"merge_sorted", false, "staged", 0xa4a3afdafa48d790ull},
+    {"merge_sorted", false, "naive", 0xde521b3ed4f10964ull},
+    {"merge_sorted", false, "eager", 0xde521b3ed4f10964ull},
+    {"merge_sorted", false, "staged", 0xde521b3ed4f10964ull},
     {"merge_sorted", true, "naive", 0xee785594375fdd41ull},
     {"merge_sorted", true, "eager", 0xee785594375fdd41ull},
     {"merge_sorted", true, "staged", 0xee785594375fdd41ull},
-    {"nested_join", false, "naive", 0x387230270a1a0ad9ull},
-    {"nested_join", false, "eager", 0x387230270a1a0ad9ull},
-    {"nested_join", false, "staged", 0x387230270a1a0ad9ull},
+    {"nested_join", false, "naive", 0x51a89a05a4c6f0b9ull},
+    {"nested_join", false, "eager", 0x51a89a05a4c6f0b9ull},
+    {"nested_join", false, "staged", 0x51a89a05a4c6f0b9ull},
     {"nested_join", true, "naive", 0x117feed89eb3d2d5ull},
     {"nested_join", true, "eager", 0x117feed89eb3d2d5ull},
     {"nested_join", true, "staged", 0x117feed89eb3d2d5ull},
     {"nested_query", false, "naive", 0x2a1ce4d65973d3a8ull},
-    {"nested_query", false, "eager", 0xb3532a57b0a69cceull},
-    {"nested_query", false, "staged", 0xfa13834580942b8cull},
+    {"nested_query", false, "eager", 0xa8080ac20c0b77d2ull},
+    {"nested_query", false, "staged", 0xf0406fac6d24f026ull},
     {"nested_query", true, "naive", 0x1b60fd1dce7e1f87ull},
-    {"nested_query", true, "eager", 0xcfc10a9c885e2ee0ull},
-    {"nested_query", true, "staged", 0x630cd1b36c698263ull},
+    {"nested_query", true, "eager", 0x52084c61faf90ab8ull},
+    {"nested_query", true, "staged", 0xef81cbfa9246ffa2ull},
     {"quickstart", false, "naive", 0x67033715d56a4bcbull},
     {"quickstart", false, "eager", 0x67033715d56a4bcbull},
     {"quickstart", false, "staged", 0x67033715d56a4bcbull},
@@ -208,35 +208,35 @@ constexpr PinnedDigest kPinned[] = {
     {"quickstart", true, "eager", 0xdfa32e242162a4c0ull},
     {"quickstart", true, "staged", 0xdfa32e242162a4c0ull},
     {"segmented_filter_reduce", false, "naive", 0x7d09b2435bb49d9bull},
-    {"segmented_filter_reduce", false, "eager", 0xd629b5428f2facf4ull},
-    {"segmented_filter_reduce", false, "staged", 0xcf7304fa291dc7b0ull},
+    {"segmented_filter_reduce", false, "eager", 0x895614c499dc104bull},
+    {"segmented_filter_reduce", false, "staged", 0x550dbb09de9b762aull},
     {"segmented_filter_reduce", true, "naive", 0xb366d973f1c5bad5ull},
-    {"segmented_filter_reduce", true, "eager", 0x63659458206eb385ull},
-    {"segmented_filter_reduce", true, "staged", 0x180c659ac9472f5aull},
+    {"segmented_filter_reduce", true, "eager", 0xfade96468679b8e4ull},
+    {"segmented_filter_reduce", true, "staged", 0x4453c2a0bded5ae0ull},
     {"sqrt_blocks", false, "naive", 0x08857c2e0504bad6ull},
-    {"sqrt_blocks", false, "eager", 0x540dcec1694487c1ull},
-    {"sqrt_blocks", false, "staged", 0x280b459b9fc49914ull},
+    {"sqrt_blocks", false, "eager", 0xf4e77aee020b75e2ull},
+    {"sqrt_blocks", false, "staged", 0x7450948e4e455b1bull},
     {"sqrt_blocks", true, "naive", 0x071d93daed1f6519ull},
-    {"sqrt_blocks", true, "eager", 0xd79f5a1c836f9bc1ull},
-    {"sqrt_blocks", true, "staged", 0x5a519ab8f47a21a0ull},
+    {"sqrt_blocks", true, "eager", 0x97aaed174b3aea7cull},
+    {"sqrt_blocks", true, "staged", 0x4715367a70fb9a47ull},
     {"stragglers", false, "naive", 0x8af90719202235d7ull},
-    {"stragglers", false, "eager", 0x922628db98b40e98ull},
-    {"stragglers", false, "staged", 0x1bfda5c10b334844ull},
+    {"stragglers", false, "eager", 0x43d3313f3e92eba3ull},
+    {"stragglers", false, "staged", 0x141d5f8b2d1e0242ull},
     {"stragglers", true, "naive", 0xe4ed44e3be75725dull},
-    {"stragglers", true, "eager", 0x973589ab9a4ed191ull},
-    {"stragglers", true, "staged", 0x7c6eaa61a779ccd0ull},
-    {"tokenizer", false, "naive", 0xbd0d13d4b6d829c3ull},
-    {"tokenizer", false, "eager", 0x4f574271306e8fbeull},
-    {"tokenizer", false, "staged", 0xc1d8f4122eaf5873ull},
+    {"stragglers", true, "eager", 0x9e5ed904013f7239ull},
+    {"stragglers", true, "staged", 0x1277acb7ac06af12ull},
+    {"tokenizer", false, "naive", 0x505aca0b80d8ec61ull},
+    {"tokenizer", false, "eager", 0x87fc4d30579e8fbdull},
+    {"tokenizer", false, "staged", 0x755ac955a40460faull},
     {"tokenizer", true, "naive", 0x07ace468fd181719ull},
-    {"tokenizer", true, "eager", 0xb0ec5885d705868eull},
-    {"tokenizer", true, "staged", 0xe16fc89862ac18f7ull},
+    {"tokenizer", true, "eager", 0x6c18415bc0dad010ull},
+    {"tokenizer", true, "staged", 0x4fd9f2f834af2bb8ull},
     {"trap_division", false, "naive", 0x1678b9ab90baf037ull},
-    {"trap_division", false, "eager", 0xe6596990b0910ab9ull},
-    {"trap_division", false, "staged", 0x96bfdca247f7f6a9ull},
+    {"trap_division", false, "eager", 0x622ff181bb9e5ddfull},
+    {"trap_division", false, "staged", 0xbacb82582f706965ull},
     {"trap_division", true, "naive", 0x4ad232f01121a474ull},
-    {"trap_division", true, "eager", 0x76f4aaa610ec7d84ull},
-    {"trap_division", true, "staged", 0xf794b8135603c3f3ull},
+    {"trap_division", true, "eager", 0x84a4093950c9333bull},
+    {"trap_division", true, "staged", 0x2779d47d2b12da43ull},
 };
 
 TEST(Corpus, EmittedCodeDigestsArePinned) {

@@ -16,7 +16,6 @@
 #include "nsc/prelude.hpp"
 #include "nsc/typecheck.hpp"
 #include "object/random.hpp"
-#include "opt/copyprop.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
 #include "sa/compile.hpp"
@@ -971,6 +970,165 @@ TEST(BranchSensitive, FallThroughEdgeLearnsNothing) {
 }
 
 // ---------------------------------------------------------------------------
+// copy renaming (opt/gvn.cpp)
+// ---------------------------------------------------------------------------
+
+TEST(Gvn, UsesOfAMoveReadItsSource) {
+  // c is a staging copy of e1, and CSE turns the second enumerate into
+  // `e2 <- e1`.  One gvn run renames the Arith's reads of both copies to
+  // e1, so dce then drops both Moves.
+  Assembler a;
+  a.reserve_regs(1);
+  auto e1 = a.reg(), c = a.reg(), e2 = a.reg(), s = a.reg();
+  a.enumerate(e1, 0);
+  a.move(c, e1);
+  a.enumerate(e2, 0);
+  a.arith(s, ArithOp::Add, c, e2);
+  a.move(0, s);
+  a.halt();
+  const Program naive = a.finish(1, 1);
+
+  Program p = naive;
+  EXPECT_TRUE(make_gvn()->run(p));
+  ASSERT_EQ(p.code[3].op, Op::Arith);
+  EXPECT_EQ(p.code[3].a, e1);
+  EXPECT_EQ(p.code[3].b, e1);
+
+  Program o2 = naive;
+  optimize(o2);
+  EXPECT_EQ(count_op(o2, Op::Enumerate), 1u);
+  EXPECT_EQ(count_op(o2, Op::Move), 1u);  // only the output's
+  expect_no_worse(naive, o2, {{{}}, {{5}}, {{4, 1, 7}}});
+}
+
+TEST(Gvn, CopyReadOnTheTakenEdgeIsRenamed) {
+  // The taken edge of `if empty?(V1)` learns that V1 is empty, and its
+  // copy c learns it with V1, so the read of c there still reads V1.
+  Assembler a;
+  a.reserve_regs(2);
+  auto c = a.reg();
+  auto taken = a.fresh_label();
+  a.move(c, 1);
+  a.jump_if_empty(1, taken);
+  a.append(0, 0, 1);
+  a.halt();
+  a.bind(taken);
+  a.move(0, c);
+  a.halt();
+  const Program naive = a.finish(2, 1);
+
+  Program p = naive;
+  make_gvn()->run(p);
+  ASSERT_EQ(p.code[4].op, Op::Move);
+  EXPECT_EQ(p.code[4].a, 1u);
+
+  Program o2 = naive;
+  optimize(o2);
+  EXPECT_EQ(count_op(o2, Op::Move), 1u);  // c's Move is gone
+  expect_no_worse(naive, o2,
+                  {{{}, {}}, {{5}, {}}, {{}, {7}}, {{1, 2}, {3, 4, 5}}});
+}
+
+TEST(Gvn, CopyIsNotRenamedPastARedefinitionOfItsSource) {
+  // V0 = [n] runs the loop n times; the body doubles V1 and appends its
+  // copy c, taken before the loop, to acc.  c must keep reading c.
+  // V0 = [2, 1] traps on the loop's length check.
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto one = a.reg(), c = a.reg(), nz = a.reg(), acc = a.reg();
+    a.load_const(one, 1);
+    a.move(c, 1);
+    auto top = a.fresh_label(), done = a.fresh_label();
+    a.bind(top);
+    a.select(nz, 0);
+    a.jump_if_empty(nz, done);
+    a.append(1, 1, 1);
+    a.append(acc, acc, c);
+    a.arith(0, ArithOp::Monus, 0, one);
+    a.jump(top);
+    a.bind(done);
+    a.append(0, acc, c);
+    a.halt();
+    const Program naive = a.finish(2, 1);
+
+    Program p = naive;
+    make_gvn()->run(p);
+    ASSERT_EQ(p.code[5].op, Op::Append);
+    EXPECT_EQ(p.code[5].b, c);
+    ASSERT_EQ(p.code[8].op, Op::Append);
+    EXPECT_EQ(p.code[8].b, c);
+
+    Program o2 = naive;
+    optimize(o2);
+    expect_no_worse(naive, o2,
+                    {{{}, {}}, {{}, {4}}, {{0}, {4}}, {{1}, {4}},
+                     {{3}, {4, 6}}, {{2, 1}, {4}}});
+    EXPECT_EQ(bvram::run(o2, {{2}, {4, 6}}).outputs[0],
+              (std::vector<std::uint64_t>{4, 6, 4, 6, 4, 6}));
+  }
+  // One arm of a diamond redefines V1: after that, and after the join,
+  // c keeps reading c; the other arm may read V1.
+  {
+    Assembler a;
+    a.reserve_regs(3);
+    auto c = a.reg();
+    auto el = a.fresh_label(), join = a.fresh_label();
+    a.move(c, 1);
+    a.jump_if_empty(2, el);
+    a.append(1, 1, 1);
+    a.move(0, c);
+    a.jump(join);
+    a.bind(el);
+    a.move(0, c);
+    a.bind(join);
+    a.append(0, 0, c);
+    a.halt();
+    const Program naive = a.finish(3, 1);
+
+    Program p = naive;
+    make_gvn()->run(p);
+    EXPECT_EQ(p.code[3].a, c);  // after the redefinition
+    EXPECT_EQ(p.code[5].a, 1u);  // the other arm
+    EXPECT_EQ(p.code[6].b, c);  // after the join
+
+    Program o2 = naive;
+    optimize(o2);
+    expect_no_worse(naive, o2,
+                    {{{}, {}, {}}, {{}, {4}, {}}, {{}, {4}, {1}},
+                     {{9}, {4, 6}, {1}}, {{9}, {4, 6}, {}}});
+    EXPECT_EQ(bvram::run(o2, {{}, {4}, {1}}).outputs[0],
+              (std::vector<std::uint64_t>{4, 4}));
+  }
+}
+
+TEST(Gvn, FoldKeepsTheSlotsDebugSite) {
+  // obs/debuginfo.hpp: an instruction rewritten in place keeps its site,
+  // so [2] + [3] folds to a [5] that still names the Arith's line.
+  obs::DebugTable debug;
+  const std::uint32_t site = debug.intern("arith", 4, 9);
+  Assembler a;
+  a.reserve_regs(1);
+  auto x = a.reg(), y = a.reg(), s = a.reg();
+  a.load_const(x, 2);
+  a.load_const(y, 3);
+  a.set_site(site);
+  a.arith(s, ArithOp::Add, x, y);
+  a.set_site(0);
+  a.move(0, s);
+  a.halt();
+  Program p = a.finish(0, 1);
+  p.debug = debug;
+
+  make_gvn()->run(p);
+  const bvram::Instr& folded = p.code[2];
+  EXPECT_EQ(folded.op, Op::LoadConst);
+  EXPECT_EQ(folded.imm, 5u);
+  EXPECT_EQ(folded.dbg, site);
+  EXPECT_EQ(p.debug.site(folded.dbg).show(), "arith@4:9");
+}
+
+// ---------------------------------------------------------------------------
 // facts kept around a loop (gvn's kill-region check)
 // ---------------------------------------------------------------------------
 
@@ -1269,7 +1427,6 @@ TEST(Licm, UnprovableRouteCertificateStays) {
 /// each WhileSchedule: the optimizer's real inputs.
 struct NaiveCompile {
   std::string label;
-  bool naive_sched = false;
   Program p;
 };
 
@@ -1282,60 +1439,12 @@ std::vector<NaiveCompile> naive_corpus() {
     for (const bool lifted : {false, true}) {
       for (const auto& s : nsc::testing::kSchedules) {
         out.push_back({path + (lifted ? " lifted " : " unit ") + s.name,
-                       std::string(s.name) == "naive",
                        sa::compile_nsc(lifted ? L::map_f(fn) : fn,
                                        OptLevel::O0, s.sched)});
       }
     }
   }
   return out;
-}
-
-/// Copy propagation's domain plus a count of visits per block (a visit
-/// transfers the block's first instruction once).
-struct CountingCopy {
-  using State = CopyDomain::State;
-  CopyDomain inner;
-  const Program* p = nullptr;
-  const Cfg* cfg = nullptr;
-  std::vector<std::size_t>* visits = nullptr;
-
-  State entry() const { return inner.entry(); }
-  State unreached() const { return inner.unreached(); }
-  void meet_into(State& a, const State& b) const { inner.meet_into(a, b); }
-  void transfer(const bvram::Instr& in, State& s) const {
-    const auto i = static_cast<std::size_t>(&in - p->code.data());
-    const std::size_t b = cfg->block_of[i];
-    if (cfg->blocks[b].begin == i) ++(*visits)[b];
-    inner.transfer(in, s);
-  }
-};
-
-TEST(Dataflow, ReversePostorderBoundsBlockVisits) {
-  // Copy propagation's analysis, the forward dataflow the optimizer
-  // runs every round.  Visited in reverse postorder, a block runs once on
-  // the first pass and again only when a back edge changes its input: at
-  // most 3 times on this corpus, twice under the naive schedule.
-  std::size_t worst = 0, worst_naive = 0;
-  std::string worst_at;
-  for (const NaiveCompile& c : naive_corpus()) {
-    const Cfg cfg = Cfg::build(c.p);
-    std::vector<std::size_t> visits(cfg.blocks.size(), 0);
-    const CountingCopy dom{CopyDomain(c.p), &c.p, &cfg, &visits};
-    const ForwardDataflow<CountingCopy::State, CountingCopy> flow(c.p, cfg,
-                                                                  dom);
-    for (std::size_t b = 0; b < cfg.blocks.size(); ++b) {
-      EXPECT_EQ(visits[b] > 0, cfg.reached(b)) << c.label << " block " << b;
-    }
-    const std::size_t most = *std::max_element(visits.begin(), visits.end());
-    if (most > worst) {
-      worst = most;
-      worst_at = c.label;
-    }
-    if (c.naive_sched) worst_naive = std::max(worst_naive, most);
-  }
-  EXPECT_LE(worst, 3u) << "most visits of one block, in " << worst_at;
-  EXPECT_LE(worst_naive, 2u) << "most visits of one block, naive schedule";
 }
 
 TEST(Dataflow, LivenessMatchesRoundRobinReference) {
