@@ -169,11 +169,10 @@ int run_bench(const Options& opt) {
     // N solo runs and of the same N requests coalesced ------------------
     serve::ServeConfig hit_cfg;
     hit_cfg.workers = 1;
-    hit_cfg.batching = false;
+    hit_cfg.max_batch = 1;  // solo runs only
     serve::Service hit_svc(hit_cfg);
     serve::ServeConfig bat_cfg;
     bat_cfg.workers = 1;  // isolate batching from thread parallelism
-    bat_cfg.batching = true;
     bat_cfg.max_batch = opt.max_batch;
     serve::Service bat_svc(bat_cfg);
     const auto hit_prog = hit_svc.load(bp.name, bp.source);

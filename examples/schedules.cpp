@@ -1,6 +1,6 @@
 // The lifted-while schedule knob (Lemma 7.2): compile one mapped while
-// loop under the naive, eager, and staged schedules and watch the work
-// diverge on a straggler workload while the results stay identical.
+// loop under the naive and staged schedules and watch the work diverge
+// on a straggler workload while the results stay identical.
 //
 //   cmake -B build -G Ninja && cmake --build build
 //   ./build/schedules
@@ -50,7 +50,6 @@ int main() {
     opt::WhileSchedule sched;
   } knobs[] = {
       {"naive        ", opt::WhileSchedule::naive()},
-      {"eager        ", opt::WhileSchedule::eager()},
       {"staged eps1/2", opt::WhileSchedule::staged({1, 2})},
       {"staged eps1/4", opt::WhileSchedule::staged({1, 4})},
   };

@@ -192,47 +192,4 @@ void Registry::write_prometheus(std::ostream& out,
   }
 }
 
-void Registry::write_json(std::ostream& out, const Provenance* prov) const {
-  out << "{\n  \"schema\": \"nscc-metrics/v1\"";
-  if (prov != nullptr) {
-    out << ",\n  \"provenance\": " << prov->to_json();
-  }
-  out << ",\n  \"metrics\": {";
-  std::lock_guard<std::mutex> lock(mu_);
-  bool first = true;
-  for (const auto& e : entries_) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n    \"" << e->name << "\": ";
-    switch (e->kind) {
-      case Kind::Counter:
-        out << "{\"type\": \"counter\", \"value\": " << e->counter->value()
-            << "}";
-        break;
-      case Kind::Gauge:
-        out << "{\"type\": \"gauge\", \"value\": " << e->gauge->value() << "}";
-        break;
-      case Kind::Histogram: {
-        const HistogramSnapshot s = e->histogram->snapshot();
-        out << "{\"type\": \"histogram\", \"count\": " << s.count
-            << ", \"sum\": " << s.sum << ", \"mean\": " << s.mean()
-            << ", \"p50\": " << s.quantile(0.50)
-            << ", \"p95\": " << s.quantile(0.95)
-            << ", \"p99\": " << s.quantile(0.99) << ", \"buckets\": [";
-        bool fb = true;
-        for (std::size_t b = 0; b < HistogramSnapshot::kBuckets; ++b) {
-          if (s.buckets[b] == 0) continue;
-          if (!fb) out << ", ";
-          fb = false;
-          out << "[" << HistogramSnapshot::bucket_upper(b) << ", "
-              << s.buckets[b] << "]";
-        }
-        out << "]}";
-        break;
-      }
-    }
-  }
-  out << "\n  }\n}\n";
-}
-
 }  // namespace nsc::obs

@@ -1,6 +1,6 @@
 // Serve-path metrics: a registry of counters, gauges, and fixed-bucket
-// log2-scale latency histograms, with a Prometheus text-exposition writer
-// and a JSON snapshot writer.
+// log2-scale latency histograms, with a Prometheus text-exposition
+// writer.
 //
 // The design center is the hot path of src/serve/service.cpp: a worker
 // finishing a request must be able to record its outcome and latency
@@ -100,7 +100,7 @@ class Histogram {
 };
 
 /// A registry of named metrics.  Registration (counter/gauge/histogram)
-/// and export (write_prometheus/write_json) take the registry mutex;
+/// and export (write_prometheus) take the registry mutex;
 /// updates through the returned references are lock-free.  Registering a
 /// name twice returns the existing metric (the kinds must match; a
 /// mismatch throws).  Output order is registration order, so exports are
@@ -123,13 +123,6 @@ class Registry {
   /// committed BENCH_*.json files.
   void write_prometheus(std::ostream& out,
                         const Provenance* prov = nullptr) const;
-
-  /// One JSON object (schema nscc-metrics/v1): {"schema", "provenance"?,
-  /// "metrics": {name: {...}}}.  Histograms carry count/sum/mean,
-  /// p50/p95/p99, and the non-empty buckets as [upper_edge, count] pairs.
-  /// Deterministic: two exports with no updates in between are
-  /// byte-identical (no timestamps, no pointers, fixed order).
-  void write_json(std::ostream& out, const Provenance* prov = nullptr) const;
 
   /// Escape a HELP text for the exposition format (backslash, newline).
   static std::string escape_help(const std::string& s);

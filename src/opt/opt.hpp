@@ -81,19 +81,15 @@ enum class OptLevel { O0 = 0, O2 = 2 };
 
 /// Scheduling policy for the compiler's *lifted* while loop (the while
 /// case of the Map Lemma 7.2), threaded through sa::compile_nsa /
-/// compile_nsc alongside OptLevel.  All three schedules compute
-/// bit-identical outputs and traps; they differ only in how much work the
-/// loop spends re-touching elements that have already terminated:
+/// compile_nsc alongside OptLevel.  Both schedules compute bit-identical
+/// outputs and traps; they differ only in how much work the loop spends
+/// re-touching elements that have already terminated:
 ///
 ///   Naive   every iteration packs the unfinished elements out of the full
 ///           population and interleaves the stepped results back, so each
 ///           of the n slots is touched once per iteration: W can reach
 ///           Theta(n * rounds) even when almost all elements finished in
 ///           round one (the straggler adversary of bench_seqwhile).
-///   Eager   finished elements are extracted once and appended to a single
-///           archive, which is itself re-touched on every extraction round
-///           (the ablation baseline: Theta(n * extraction-rounds) worst
-///           case on the same adversary).
 ///   Staged  the Lemma 7.2 schedule: extractions append to a small V1
 ///           buffer that is flushed into the V2 archive only when the
 ///           total extracted count crosses the thresholds ceil(n^(k*eps)),
@@ -102,11 +98,11 @@ enum class OptLevel { O0 = 0, O2 = 2 };
 ///           constants change) -- Theorem 7.1's "registers independent of
 ///           eps" clause.
 ///
-/// Eager/staged loops log the per-round pack flags and at exit restore the
+/// Staged loops log the per-round pack flags and at exit restore the
 /// original element order by replaying the packs backwards, so the final
 /// state is bit-identical to the naive schedule at every SEQREP width
 /// (nested maps included).
-enum class WhileScheduleKind { Naive, Eager, Staged };
+enum class WhileScheduleKind { Naive, Staged };
 
 struct WhileSchedule {
   WhileScheduleKind kind = WhileScheduleKind::Naive;
@@ -116,7 +112,6 @@ struct WhileSchedule {
   Rational eps{1, 2};
 
   static WhileSchedule naive() { return {}; }
-  static WhileSchedule eager() { return {WhileScheduleKind::Eager, {1, 2}}; }
   static WhileSchedule staged(Rational eps = {1, 2}) {
     return {WhileScheduleKind::Staged, eps};
   }

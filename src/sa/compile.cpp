@@ -891,10 +891,8 @@ class Compiler {
         switch (sched_.kind) {
           case opt::WhileScheduleKind::Naive:
             return emit_while_naive(f, in);
-          case opt::WhileScheduleKind::Eager:
-            return emit_while_buffered(f, in, /*staged=*/false);
           case opt::WhileScheduleKind::Staged:
-            return emit_while_buffered(f, in, /*staged=*/true);
+            return emit_while_buffered(f, in);
         }
         throw CompileError("emitL: bad while schedule");
       }
@@ -974,7 +972,7 @@ class Compiler {
     a_.bind(pdone);
   }
 
-  /// Eager / staged schedule.  The loop keeps only the still-running
+  /// Staged schedule.  The loop keeps only the still-running
   /// elements in `act`; a round in which something finishes is *logged*:
   /// the finished elements are packed out and appended to the V1 archive
   /// a1 (flushed into the V2 archive a2 at the staged thresholds), and the
@@ -991,13 +989,9 @@ class Compiler {
   /// pops from V1; one V2 tail split per flush), so restoration costs no
   /// more than the forward staging did.
   ///
-  /// Eager is the same machine with thr = stepf = [1]: V1 flushes into the
-  /// V2 archive on every extraction round (the accumulator-touching
-  /// ablation baseline of bench_seqwhile).  For a given schedule the
-  /// register file is identical across eps values; only threshold
-  /// constants change (eager skips the threshold computation, so its file
-  /// is slightly smaller than staged's).
-  Regs emit_while_buffered(const NsaRef& f, const Regs& in, bool staged) {
+  /// The register file is identical across eps values; only threshold
+  /// constants change.
+  Regs emit_while_buffered(const NsaRef& f, const Regs& in) {
     const Type& t = *f->cod();
     const std::size_t w = seqrep_width(t);
 
@@ -1021,11 +1015,7 @@ class Compiler {
     a_.load_empty(ll2);
     a_.load_empty(fb);
     a_.load_const(cnt, 0);
-    if (staged) {
-      emit_pow_eps(stepf, len_of(probe(act)), sched_.eps);
-    } else {
-      a_.load_const(stepf, 1);
-    }
+    emit_pow_eps(stepf, len_of(probe(act)), sched_.eps);
     a_.move(thr, stepf);
 
     auto top = a_.fresh_label();

@@ -22,14 +22,14 @@
 // elementwise arithmetic -- each O(1) instructions, i.e. O(1) parallel
 // time and work linear in the registers touched, as Lemma 7.2 requires.
 //
-// The lifted while supports three schedules behind opt::WhileSchedule
+// The lifted while supports two schedules behind opt::WhileSchedule
 // (default: naive).  Naive touches every element once per iteration during
-// pack/merge.  Eager and staged extract finished elements into archive
-// buffers instead -- staged with the Lemma 7.2 V0/V1/V2 thresholds
-// ceil(n^(k*eps)) that give the O(W^(1+eps)) bound -- and log the per-round
-// pack flags so that one exit-time backwards replay of the packs restores
-// the original element order exactly.  All schedules produce bit-identical
-// outputs and traps; the register file is fixed and independent of eps.
+// pack/merge.  Staged extracts finished elements into archive buffers
+// instead -- flushed at the Lemma 7.2 V0/V1/V2 thresholds ceil(n^(k*eps))
+// that give the O(W^(1+eps)) bound -- and logs the per-round pack flags so
+// that one exit-time backwards replay of the packs restores the original
+// element order exactly.  Both schedules produce bit-identical outputs and
+// traps; the register file is fixed and independent of eps.
 // The machine-level ablation lives in bench/bench_seqwhile.cpp.
 #pragma once
 

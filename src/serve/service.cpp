@@ -15,6 +15,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// ProgramCache capacity of a Service, in compiled artifacts.
+constexpr std::size_t kCacheCapacity = 64;
+
 std::uint64_t ns_between(Clock::time_point a, Clock::time_point b) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
@@ -110,7 +113,7 @@ void Service::register_metrics() {
 }
 
 Service::Service(ServeConfig cfg)
-    : cfg_(cfg), cache_(cfg.cache_capacity), started_(Clock::now()) {
+    : cfg_(cfg), cache_(kCacheCapacity), started_(Clock::now()) {
   if (cfg_.workers == 0) {
     const unsigned hc = std::thread::hardware_concurrency();
     cfg_.workers = std::min<std::size_t>(hc == 0 ? 1 : hc, 4);
@@ -298,7 +301,7 @@ std::vector<Service::Pending> Service::next_batch() {
   if (stopping_) return batch;
   batch.push_back(std::move(queue_.front()));
   queue_.pop_front();
-  if (cfg_.batching && cfg_.max_batch > 1) {
+  if (cfg_.max_batch > 1) {
     const CompiledProgram* same = batch.front().program.get();
     for (auto it = queue_.begin();
          it != queue_.end() && batch.size() < cfg_.max_batch;) {
@@ -615,7 +618,7 @@ std::string Service::stats_json() const {
   os << "  \"config\": {\"workers\": " << cfg_.workers
      << ", \"max_queue\": " << cfg_.max_queue
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
-     << ", \"batching\": " << (cfg_.batching ? "true" : "false")
+     << ", \"batching\": " << (cfg_.max_batch > 1 ? "true" : "false")
      << ", \"profile_runs\": " << (cfg_.profile_runs ? "true" : "false")
      << "},\n";
   os << "  \"requests\": {\"submitted\": " << s.submitted

@@ -71,16 +71,12 @@ struct ServeConfig {
   /// Admission limit: submits beyond this many queued requests are
   /// rejected immediately with Outcome::Rejected.
   std::size_t max_queue = 1024;
-  /// Largest number of same-program requests merged into one batch run.
+  /// Largest number of same-program requests merged into one batch run;
+  /// 1 = every request runs the unit program individually.
   std::size_t max_batch = 64;
   /// Per-request instruction budget (RunConfig::max_instructions); a
   /// batch of k runs under k * fuel.
   std::uint64_t fuel = std::uint64_t{1} << 32;
-  /// Coalesce same-program requests into segment-descriptor batches.
-  /// Off = every request runs the unit program individually.
-  bool batching = true;
-  /// ProgramCache capacity, in compiled artifacts.
-  std::size_t cache_capacity = 64;
 
   // -- telemetry (pure observers; see docs/observability.md) -------------
   //
@@ -211,7 +207,7 @@ class Service {
 
   /// The metrics registry, with the derived gauges (queue depth, cache,
   /// arena, uptime) refreshed to the current instant.
-  /// Write with registry.write_prometheus() / write_json().
+  /// Write with registry.write_prometheus().
   obs::Registry& metrics();
 
  private:

@@ -33,7 +33,6 @@ struct NamedSchedule {
 /// Every lifted-while schedule, staged at eps = 1/2.
 inline const NamedSchedule kSchedules[] = {
     {"naive", opt::WhileSchedule::naive()},
-    {"eager", opt::WhileSchedule::eager()},
     {"staged", opt::WhileSchedule::staged({1, 2})},
 };
 

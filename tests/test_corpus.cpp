@@ -1,12 +1,14 @@
 // Corpus differential execution: every tests/corpus/*.nsc program is
 // parsed, resolved, evaluated with the NSC evaluator (Definition 3.1
 // semantics) on every `input` declaration, and compiled + executed on the
-// BVRAM at every OptLevel x WhileSchedule -- O0/O2 x naive/eager/
-// staged(1/2) -- with bit-for-bit agreement required on values and on
-// traps (the Omega programs must trap identically everywhere).  This is
-// the acceptance gate that turns "find a workload" into "add a .nsc
-// file": anything dropped into tests/corpus/ is automatically held to
-// the full pipeline contract.
+// BVRAM at every OptLevel x WhileSchedule -- O0/O2 x naive/staged(1/2) --
+// with bit-for-bit agreement required on values and on traps (the Omega
+// programs must trap identically everywhere).  The lifted `map main` is
+// held to the same contract on batches of those inputs: each alone, all
+// non-trapping ones together, and the empty batch.  This is the
+// acceptance gate that turns "find a workload" into "add a .nsc file":
+// anything dropped into tests/corpus/ is automatically held to the full
+// pipeline contract.
 //
 // A second gate pins the emitted code itself: an FNV-1a-64 digest of
 // every corpus program's O2 compile (disassembly and last-use masks),
@@ -89,39 +91,78 @@ TEST(Corpus, MeetsTheAcceptanceFloor) {
   EXPECT_GE(traps, 1u) << "the corpus should include trapping runs";
 }
 
-TEST(Corpus, DifferentialAcrossOptLevelsAndSchedules) {
-  const opt::OptLevel levels[] = {opt::OptLevel::O0, opt::OptLevel::O2};
-  const auto files = corpus_files();
-  ASSERT_GE(files.size(), 10u);
-  for (const auto& path : files) {
-    SCOPED_TRACE(path);
-    const F::SourceFile src = F::load_file(path);
-    const F::ResolvedModule mod = F::compile_file(src);
-    const F::ResolvedFn& main_fn = mod.main();
-    ASSERT_FALSE(mod.inputs.empty()) << path << " has no input declarations";
-    std::vector<ValueRef> args;
-    for (const auto& in : mod.inputs) args.push_back(L::eval(in.term).value);
-    std::vector<Outcome> expected;
-    for (const auto& a : args) expected.push_back(eval_outcome(main_fn.fn, a));
-    for (const auto level : levels) {
-      for (const auto& s : kSchedules) {
-        SCOPED_TRACE(std::string("opt ") + std::to_string(int(level)) +
-                     " sched " + s.name);
-        bvram::Program program;
-        ASSERT_NO_THROW(program = sa::compile_nsc(main_fn.fn, level, s.sched));
-        for (std::size_t i = 0; i < args.size(); ++i) {
-          SCOPED_TRACE("input " + std::to_string(i));
-          const Outcome got = compiled_outcome(program, main_fn.dom,
-                                               main_fn.cod, args[i]);
-          ASSERT_EQ(expected[i].trapped, got.trapped);
-          if (!expected[i].trapped) {
-            EXPECT_TRUE(Value::equal(expected[i].value, got.value))
-                << "eval: " << expected[i].value->show()
-                << "\ncompiled: " << got.value->show();
-          }
+/// Compiles `f` at O0 and O2 under every schedule and runs it on each of
+/// `args`: values and traps must match the evaluator's.
+void expect_compiled_matches_eval(const L::FuncRef& f, const TypeRef& dom,
+                                  const TypeRef& cod,
+                                  const std::vector<ValueRef>& args) {
+  std::vector<Outcome> expected;
+  for (const auto& a : args) expected.push_back(eval_outcome(f, a));
+  for (const auto level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+    for (const auto& s : kSchedules) {
+      SCOPED_TRACE(std::string("opt ") + std::to_string(int(level)) +
+                   " sched " + s.name);
+      bvram::Program program;
+      ASSERT_NO_THROW(program = sa::compile_nsc(f, level, s.sched));
+      for (std::size_t i = 0; i < args.size(); ++i) {
+        SCOPED_TRACE("input " + std::to_string(i));
+        const Outcome got = compiled_outcome(program, dom, cod, args[i]);
+        ASSERT_EQ(expected[i].trapped, got.trapped);
+        if (!expected[i].trapped) {
+          EXPECT_TRUE(Value::equal(expected[i].value, got.value))
+              << "eval: " << expected[i].value->show()
+              << "\ncompiled: " << got.value->show();
         }
       }
     }
+  }
+}
+
+/// Every corpus program with its declared inputs, evaluated.
+struct CorpusProgram {
+  std::string path;
+  F::ResolvedFn main;
+  std::vector<ValueRef> args;
+};
+
+std::vector<CorpusProgram> corpus_programs() {
+  std::vector<CorpusProgram> out;
+  for (const auto& path : corpus_files()) {
+    const F::ResolvedModule mod = F::compile_file(F::load_file(path));
+    std::vector<ValueRef> args;
+    for (const auto& in : mod.inputs) args.push_back(L::eval(in.term).value);
+    out.push_back({path, mod.main(), std::move(args)});
+  }
+  return out;
+}
+
+TEST(Corpus, DifferentialAcrossOptLevelsAndSchedules) {
+  const auto programs = corpus_programs();
+  ASSERT_GE(programs.size(), 10u);
+  for (const auto& prog : programs) {
+    SCOPED_TRACE(prog.path);
+    ASSERT_FALSE(prog.args.empty()) << "no input declarations";
+    expect_compiled_matches_eval(prog.main.fn, prog.main.dom, prog.main.cod,
+                                 prog.args);
+  }
+}
+
+TEST(Corpus, LiftedDifferentialAcrossOptLevelsAndSchedules) {
+  const auto programs = corpus_programs();
+  ASSERT_GE(programs.size(), 10u);
+  for (const auto& prog : programs) {
+    SCOPED_TRACE(prog.path);
+    std::vector<ValueRef> batches;
+    std::vector<ValueRef> clean;
+    for (const auto& a : prog.args) {
+      batches.push_back(Value::seq({a}));
+      if (!eval_outcome(prog.main.fn, a).trapped) clean.push_back(a);
+    }
+    batches.push_back(Value::seq(clean));
+    batches.push_back(Value::empty_seq());
+    expect_compiled_matches_eval(L::map_f(prog.main.fn),
+                                 Type::seq(prog.main.dom),
+                                 Type::seq(prog.main.cod), batches);
   }
 }
 
@@ -166,76 +207,52 @@ struct PinnedDigest {
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
     {"countdown", false, "naive", 0x71c18c87673f4011ull},
-    {"countdown", false, "eager", 0x72cf203d40d51d04ull},
     {"countdown", false, "staged", 0x9966c334950b9211ull},
     {"countdown", true, "naive", 0x6a563e9796b9b615ull},
-    {"countdown", true, "eager", 0x62ac05a8d46f1b68ull},
     {"countdown", true, "staged", 0x26472d2bbf0e9becull},
     {"divide_conquer", false, "naive", 0xf747d916bd178b02ull},
-    {"divide_conquer", false, "eager", 0xf747d916bd178b02ull},
     {"divide_conquer", false, "staged", 0xf747d916bd178b02ull},
     {"divide_conquer", true, "naive", 0xc0889631c051e6ecull},
-    {"divide_conquer", true, "eager", 0xfcf5d4ed6f51e078ull},
     {"divide_conquer", true, "staged", 0xd6dee39ff1b5f2f5ull},
     {"histogram", false, "naive", 0x2c832457eec2e659ull},
-    {"histogram", false, "eager", 0x2c832457eec2e659ull},
     {"histogram", false, "staged", 0x2c832457eec2e659ull},
     {"histogram", true, "naive", 0x28d9114a900dd8d7ull},
-    {"histogram", true, "eager", 0x28d9114a900dd8d7ull},
     {"histogram", true, "staged", 0x28d9114a900dd8d7ull},
     {"merge_sorted", false, "naive", 0xde521b3ed4f10964ull},
-    {"merge_sorted", false, "eager", 0xde521b3ed4f10964ull},
     {"merge_sorted", false, "staged", 0xde521b3ed4f10964ull},
     {"merge_sorted", true, "naive", 0xee785594375fdd41ull},
-    {"merge_sorted", true, "eager", 0xee785594375fdd41ull},
     {"merge_sorted", true, "staged", 0xee785594375fdd41ull},
     {"nested_join", false, "naive", 0x51a89a05a4c6f0b9ull},
-    {"nested_join", false, "eager", 0x51a89a05a4c6f0b9ull},
     {"nested_join", false, "staged", 0x51a89a05a4c6f0b9ull},
     {"nested_join", true, "naive", 0x117feed89eb3d2d5ull},
-    {"nested_join", true, "eager", 0x117feed89eb3d2d5ull},
     {"nested_join", true, "staged", 0x117feed89eb3d2d5ull},
     {"nested_query", false, "naive", 0x2a1ce4d65973d3a8ull},
-    {"nested_query", false, "eager", 0xa8080ac20c0b77d2ull},
     {"nested_query", false, "staged", 0xf0406fac6d24f026ull},
     {"nested_query", true, "naive", 0x1b60fd1dce7e1f87ull},
-    {"nested_query", true, "eager", 0x52084c61faf90ab8ull},
     {"nested_query", true, "staged", 0xef81cbfa9246ffa2ull},
     {"quickstart", false, "naive", 0x67033715d56a4bcbull},
-    {"quickstart", false, "eager", 0x67033715d56a4bcbull},
     {"quickstart", false, "staged", 0x67033715d56a4bcbull},
     {"quickstart", true, "naive", 0xdfa32e242162a4c0ull},
-    {"quickstart", true, "eager", 0xdfa32e242162a4c0ull},
     {"quickstart", true, "staged", 0xdfa32e242162a4c0ull},
     {"segmented_filter_reduce", false, "naive", 0x7d09b2435bb49d9bull},
-    {"segmented_filter_reduce", false, "eager", 0x895614c499dc104bull},
     {"segmented_filter_reduce", false, "staged", 0x550dbb09de9b762aull},
     {"segmented_filter_reduce", true, "naive", 0xb366d973f1c5bad5ull},
-    {"segmented_filter_reduce", true, "eager", 0xfade96468679b8e4ull},
     {"segmented_filter_reduce", true, "staged", 0x4453c2a0bded5ae0ull},
     {"sqrt_blocks", false, "naive", 0x08857c2e0504bad6ull},
-    {"sqrt_blocks", false, "eager", 0xf4e77aee020b75e2ull},
     {"sqrt_blocks", false, "staged", 0x7450948e4e455b1bull},
     {"sqrt_blocks", true, "naive", 0x071d93daed1f6519ull},
-    {"sqrt_blocks", true, "eager", 0x97aaed174b3aea7cull},
     {"sqrt_blocks", true, "staged", 0x4715367a70fb9a47ull},
     {"stragglers", false, "naive", 0x8af90719202235d7ull},
-    {"stragglers", false, "eager", 0x43d3313f3e92eba3ull},
     {"stragglers", false, "staged", 0x141d5f8b2d1e0242ull},
     {"stragglers", true, "naive", 0xe4ed44e3be75725dull},
-    {"stragglers", true, "eager", 0x9e5ed904013f7239ull},
     {"stragglers", true, "staged", 0x1277acb7ac06af12ull},
     {"tokenizer", false, "naive", 0x505aca0b80d8ec61ull},
-    {"tokenizer", false, "eager", 0x87fc4d30579e8fbdull},
     {"tokenizer", false, "staged", 0x755ac955a40460faull},
     {"tokenizer", true, "naive", 0x07ace468fd181719ull},
-    {"tokenizer", true, "eager", 0x6c18415bc0dad010ull},
     {"tokenizer", true, "staged", 0x4fd9f2f834af2bb8ull},
     {"trap_division", false, "naive", 0x1678b9ab90baf037ull},
-    {"trap_division", false, "eager", 0x622ff181bb9e5ddfull},
     {"trap_division", false, "staged", 0xbacb82582f706965ull},
     {"trap_division", true, "naive", 0x4ad232f01121a474ull},
-    {"trap_division", true, "eager", 0x84a4093950c9333bull},
     {"trap_division", true, "staged", 0x2779d47d2b12da43ull},
 };
 

@@ -1063,8 +1063,7 @@ void differential_compiled(const L::FuncRef& f,
   auto [dom, cod] = L::check_func(f);
   for (auto level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
     for (auto sched :
-         {opt::WhileSchedule::naive(), opt::WhileSchedule::eager(),
-          opt::WhileSchedule::staged({1, 2})}) {
+         {opt::WhileSchedule::naive(), opt::WhileSchedule::staged({1, 2})}) {
       auto p = sa::compile_nsc(f, level, sched);
       for (const auto& arg : args) {
         expect_identical(p, sa::encode_value(arg, dom));

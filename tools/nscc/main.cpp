@@ -16,8 +16,8 @@
 //   --input EXPR    add an argument for main (repeatable; parsed with the
 //                   expression grammar, so '[1, 2, 3]' or '([1,2], 4)')
 //   --opt LEVEL     O0 | O2                          (default O2)
-//   --sched S       naive | eager | staged[:NUM/DEN] (default naive;
-//                   staged defaults to eps = 1/2)
+//   --sched S       naive | staged[:NUM/DEN] (default naive; staged
+//                   defaults to eps = 1/2)
 //   --fn NAME       entry point (default main)
 //   --stage S       dump stage: surface | core | nsa | bvram (default bvram)
 //   --stats         dump: also print optimizer pipeline statistics
@@ -43,8 +43,8 @@
 //                   join the module's `input` lines and --input values
 //   --repeat K      submit the whole request list K times (default 1)
 //   --workers N     worker threads (default: min(cores, 4); at most 256)
-//   --max-batch K   largest segment-descriptor batch (default 64)
-//   --no-batch      disable batching (solo runs only)
+//   --max-batch K   largest segment-descriptor batch (default 64;
+//                   1 = solo runs only)
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
 //   --stats-json PATH   write the nscc-serve-stats/v3 snapshot there
@@ -131,7 +131,6 @@ struct Options {
   std::size_t max_batch = 64;      // --max-batch
   std::size_t max_queue = 1024;    // --max-queue
   std::uint64_t fuel = std::uint64_t{1} << 32;  // --fuel
-  bool no_batch = false;           // --no-batch
   std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
@@ -149,12 +148,12 @@ struct Options {
                "usage: %s {check|eval|run|dump|bench|profile|serve|fmt} "
                "FILE.nsc "
                "[--input EXPR] [--opt O0|O2] "
-               "[--sched naive|eager|staged[:N/D]] [--fn NAME] "
+               "[--sched naive|staged[:N/D]] [--fn NAME] "
                "[--stage surface|core|nsa|bvram] [--stats] [--json PATH] "
                "[--scale N] [--profile] [--by-line] [--by-opcode] [--passes] "
                "[--chrome PATH] [--min-attribution PCT] "
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
-               "[--no-batch] [--max-queue N] [--fuel N] "
+               "[--max-queue N] [--fuel N] "
                "[--stats-json PATH] [--metrics PATH] "
                "[--events PATH] [--trace PATH] [--snapshot-every N] "
                "[--slow-ms T] [--compare BASELINE.json] [--tolerance PCT]\n"
@@ -215,8 +214,6 @@ Options parse_args(int argc, char** argv) {
       const std::string v = need_value("--sched");
       if (v == "naive") {
         o.sched = opt::WhileSchedule::naive();
-      } else if (v == "eager") {
-        o.sched = opt::WhileSchedule::eager();
       } else if (v == "staged" || v.rfind("staged:", 0) == 0) {
         Rational eps{1, 2};
         if (v.size() > 7) {
@@ -246,7 +243,7 @@ Options parse_args(int argc, char** argv) {
         o.sched = opt::WhileSchedule::staged(eps);
       } else {
         fail("unknown --sched '" + v +
-             "' (use naive, eager, or staged[:N/D])");
+             "' (use naive or staged[:N/D])");
       }
     } else if (arg == "--fn") {
       o.entry = need_value("--fn");
@@ -310,8 +307,6 @@ Options parse_args(int argc, char** argv) {
         if (n == 0) fail("--fuel must be positive");
         o.fuel = n;
       }
-    } else if (arg == "--no-batch") {
-      o.no_batch = true;
     } else if (arg == "--stats-json") {
       o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
@@ -345,7 +340,6 @@ Options parse_args(int argc, char** argv) {
 const char* sched_name(const opt::WhileSchedule& s) {
   switch (s.kind) {
     case opt::WhileScheduleKind::Naive: return "naive";
-    case opt::WhileScheduleKind::Eager: return "eager";
     case opt::WhileScheduleKind::Staged: return "staged";
   }
   return "?";
@@ -724,7 +718,6 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
   const Config configs[] = {
       {opt::OptLevel::O0, opt::WhileSchedule::naive()},
       {opt::OptLevel::O2, opt::WhileSchedule::naive()},
-      {opt::OptLevel::O2, opt::WhileSchedule::eager()},
       {opt::OptLevel::O2, opt::WhileSchedule::staged({1, 2})},
   };
   std::ostringstream out;
@@ -915,7 +908,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.max_queue = o.max_queue;
   cfg.max_batch = o.max_batch;
   cfg.fuel = o.fuel;
-  cfg.batching = !o.no_batch;
 
   // Telemetry sinks (pure observers; declared before the Service so they
   // outlive the worker threads that write into them).
@@ -952,7 +944,7 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
               "max batch %zu]\n",
               entry.name.c_str(), entry.dom->show().c_str(),
               entry.cod->show().c_str(), opt_name(o.opt), sched_name(o.sched),
-              svc.config().workers, cfg.batching ? "on" : "off",
+              svc.config().workers, cfg.max_batch > 1 ? "on" : "off",
               cfg.max_batch);
 
   // Pause the workers while the queue fills so the batcher sees the whole
