@@ -206,6 +206,10 @@ struct PinnedDigest {
 // O2 compiles of tests/corpus/*.nsc.  Regenerate a row from the failure
 // message, which prints it ready to paste.
 constexpr PinnedDigest kPinned[] = {
+    {"count_to", false, "naive", 0x20d15b1dab899138ull},
+    {"count_to", false, "staged", 0x20d15b1dab899138ull},
+    {"count_to", true, "naive", 0xf1eae3aa423a1ef4ull},
+    {"count_to", true, "staged", 0x64277e5fe831e4efull},
     {"countdown", false, "naive", 0x71c18c87673f4011ull},
     {"countdown", false, "staged", 0x9966c334950b9211ull},
     {"countdown", true, "naive", 0x6a563e9796b9b615ull},
