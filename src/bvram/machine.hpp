@@ -304,8 +304,7 @@ struct RunConfig {
   /// bytes hold still, the Arena.SteadyStateZeroAllocation gate).  Purely
   /// an allocator swap: outputs, traps, T, W, traces, and profiles are
   /// bit-identical with or without an arena.  An arena must not be shared
-  /// by two concurrent runs (see pool.hpp); the serve layer leases one
-  /// arena per worker.
+  /// by two concurrent runs (see pool.hpp); each serve worker owns one.
   BufferPool* arena = nullptr;
 };
 

@@ -1,6 +1,6 @@
 // The execution engine's buffer primitives, split out of machine.cpp so
-// the register-file pool can outlive a single run (the serve layer's
-// shared arenas, src/serve/arena.hpp).
+// the register-file pool can outlive a single run (the arena each serve
+// worker owns, src/serve/service.cpp).
 //
 //   Buf         a raw uninitialized uint64 buffer: growing never
 //               value-initializes and shrinking/regrowing within capacity
@@ -25,9 +25,9 @@
 //               Arena.* tests).
 //
 // A BufferPool is NOT thread-safe: it is either private to one Engine
-// (the historical per-run pool) or leased to exactly one worker at a time
-// (serve::ArenaPool hands out exclusive leases).  Sharing one pool
-// between two concurrent runs is a data race by construction.
+// (the historical per-run pool) or owned by exactly one serve worker,
+// which runs one request at a time against it.  Sharing one pool between
+// two concurrent runs is a data race by construction.
 #pragma once
 
 #include <bit>

@@ -183,7 +183,6 @@ DomTree DomTree::build(const Cfg& cfg) {
 LoopForest LoopForest::build(const Cfg& cfg, const DomTree& dom) {
   const std::size_t nb = cfg.blocks.size();
   LoopForest f;
-  f.loop_of.assign(nb, kNoBlock);
 
   // Back edges b -> h with h dominating b, grouped by header.
   std::vector<std::size_t> loop_of_header(nb, kNoBlock);
@@ -192,7 +191,7 @@ LoopForest LoopForest::build(const Cfg& cfg, const DomTree& dom) {
       if (!dom.dominates(h, b)) continue;
       if (loop_of_header[h] == kNoBlock) {
         loop_of_header[h] = f.loops.size();
-        f.loops.push_back(Loop{h, {}, {}, {}, kNoBlock, 1});
+        f.loops.push_back(Loop{h, {}, {}, {}});
       }
       f.loops[loop_of_header[h]].latches.push_back(b);
     }
@@ -228,42 +227,6 @@ LoopForest LoopForest::build(const Cfg& cfg, const DomTree& dom) {
       bool leaves = cfg.blocks[b].falls_to_exit;
       for (std::size_t s : cfg.blocks[b].succs) leaves |= !in[s];
       if (leaves) l.exits.push_back(b);
-    }
-  }
-
-  // Nesting: the innermost containing loop is the smallest loop (by
-  // block count) other than the loop itself that includes its header.
-  std::vector<std::vector<bool>> member(f.loops.size(),
-                                        std::vector<bool>(nb, false));
-  for (std::size_t i = 0; i < f.loops.size(); ++i) {
-    for (std::size_t b : f.loops[i].blocks) member[i][b] = true;
-  }
-  for (std::size_t i = 0; i < f.loops.size(); ++i) {
-    for (std::size_t j = 0; j < f.loops.size(); ++j) {
-      if (i == j || !member[j][f.loops[i].header]) continue;
-      if (f.loops[i].parent == kNoBlock ||
-          f.loops[j].blocks.size() <
-              f.loops[f.loops[i].parent].blocks.size()) {
-        f.loops[i].parent = j;
-      }
-    }
-  }
-  for (std::size_t i = 0; i < f.loops.size(); ++i) {
-    std::size_t d = 1;
-    for (std::size_t l = f.loops[i].parent; l != kNoBlock;
-         l = f.loops[l].parent) {
-      ++d;
-    }
-    f.loops[i].depth = d;
-  }
-  // block -> innermost loop: the smallest loop containing it.
-  for (std::size_t b = 0; b < nb; ++b) {
-    for (std::size_t i = 0; i < f.loops.size(); ++i) {
-      if (!member[i][b]) continue;
-      if (f.loop_of[b] == kNoBlock ||
-          f.loops[i].blocks.size() < f.loops[f.loop_of[b]].blocks.size()) {
-        f.loop_of[b] = i;
-      }
     }
   }
   return f;

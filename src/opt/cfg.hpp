@@ -123,25 +123,16 @@ struct Loop {
   std::vector<std::size_t> latches;  ///< back-edge source blocks
   /// Blocks with an edge leaving the loop (incl. falling to the exit).
   std::vector<std::size_t> exits;
-  std::size_t parent = kNoBlock;  ///< innermost enclosing loop, if any
-  std::size_t depth = 1;          ///< nesting depth; outermost = 1
 };
 
-/// The natural-loop forest of a CFG (reducible or not: loops whose
-/// header does not dominate the back-edge source are simply absent).
+/// The natural loops of a CFG (reducible or not: loops whose header does
+/// not dominate the back-edge source are simply absent).  Two of them are
+/// disjoint or nested, and a loop strictly contains every loop nested in
+/// it, so it has more blocks; licm orders them outermost-first that way.
 struct LoopForest {
   std::vector<Loop> loops;
-  /// block -> innermost containing loop id, or kNoBlock.
-  std::vector<std::size_t> loop_of;
 
   static LoopForest build(const Cfg& cfg, const DomTree& dom);
-
-  bool contains(std::size_t loop, std::size_t block) const {
-    for (std::size_t l = loop_of[block]; l != kNoBlock; l = loops[l].parent) {
-      if (l == loop) return true;
-    }
-    return false;
-  }
 };
 
 }  // namespace nsc::opt

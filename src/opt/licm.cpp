@@ -3,18 +3,19 @@
 // The flattening compiler's while loops re-derive per-iteration values
 // that only depend on registers the loop never writes: the LoadConsts
 // feeding every catalog helper, and -- the headline case from the
-// ROADMAP -- the ones_like/broadcast masks (bm-route of a constant
-// singleton over an invariant register) that eq_bits / inv_bits /
-// ConstNat emit inside the loop body of every WhileSchedule.  This pass
-// hoists such instructions into the loop preheader: the code inserted
-// immediately before the loop header, which entry edges flow through
-// and back edges skip (cfg.hpp's insert_before).
+// ROADMAP -- the ones_like broadcast (LoadConst 1, Length(x), bm-route
+// of the constant over x) that eq_bits / inv_bits / ConstNat emit inside
+// the loop body of every WhileSchedule; tests/corpus/count_to.nsc's
+// `while ...; fst(s) != snd(s); ...` is the shape.  This pass hoists such
+// instructions into the loop preheader: the code inserted immediately
+// before the loop header, which entry edges flow through and back edges
+// skip (cfg.hpp's insert_before).
 //
 // An instruction i (defining d, in loop L) is hoisted when:
 //   * every source register has no definition inside L, or only
-//     definitions that are themselves hoisted this round (the closure
-//     is computed iteratively; the preheader emits hoisted rounds in
-//     order, so dependencies execute first);
+//     definitions that are themselves hoisted (the closure is computed
+//     iteratively; the preheader emits hoisted instructions in the order
+//     they were admitted, so dependencies execute first);
 //   * d has exactly one definition inside L (i itself) and is not
 //     live into the header: no path from the header reads d before
 //     writing it, so neither the zero-trip exit nor any in-loop use can
@@ -26,29 +27,23 @@
 //     run is never moved to where it always runs);
 //   * every back edge is an explicit jump (a fall-through back edge
 //     would re-run the preheader each iteration);
-//   * i provably cannot trap (below).
+//   * i cannot trap, or i is the broadcast route below.
 //
-// Trap proofs.  Trap-free opcodes (LoadConst, LoadEmpty, Append,
-// Length, Enumerate, Select, ScanPlus) hoist as-is.  Trap-capable ones
-// hoist only when the value table discharges the certificate -- and
-// every certifying definition must have executed by the *preheader*
-// (it dominates the loop header from outside, or was hoisted there in
-// an earlier round), because that is where the hoisted copy runs:
-//   * Arith: lengths match when both operands are the same register, or
-//     when each is provably a singleton (its unique program-wide
-//     definition is a LoadConst or Length that dominates i); Div
-//     additionally needs the divisor's unique definition to be a
-//     LoadConst of a nonzero constant.
-//   * BmRoute (the broadcast pattern): sum(counts) == |bound| holds
-//     when counts' unique definition is Length(bound) dominating i with
-//     no definition of bound possibly executing between the Length and
-//     i; |counts| == |data| holds when data's unique definition is a
-//     LoadConst (both singletons).  This is exactly the catalog's
-//     ones_like / zeros_like / broadcast(konst, x) shape.
-//   * SbmRoute is never hoisted.
-// Because hoisted instructions cannot trap, moving them earlier cannot
-// introduce a trap or reorder one, and invariance makes the preheader
-// execution produce bit-identical values to every in-loop execution.
+// The one trap certificate.  The optimizer keeps every trap, so a
+// trap-capable instruction (Instr::can_trap()) stays where it is, just as
+// dce never deletes one -- except bm-route(m, bound, counts, data) when
+// counts' one in-loop definition is Length(bound) and data's one in-loop
+// definition is a LoadConst.  The route's sources have no in-loop
+// definition left, so the closure has already hoisted both into this
+// preheader ahead of it; the bound has none left either (one it had was
+// hoisted before the Length could be), so the preheader's Length
+// measures the very bound the route reads.  Hence sum(counts) =
+// |bound| and |counts| = 1 = |data| there, and the hoisted route cannot
+// trap.  (counts is never the bound itself: a Length(y, y) reads its own
+// in-loop definition, so it never hoists.)  Because hoisted instructions
+// cannot trap, moving them earlier cannot introduce a trap or reorder
+// one, and invariance makes the preheader execution produce
+// bit-identical values to every in-loop execution.
 #include <algorithm>
 #include <cstdint>
 #include <vector>
@@ -79,67 +74,6 @@ class Licm final : public Pass {
     const Liveness lv = Liveness::compute(p, cfg);
 
     const std::size_t n = p.code.size();
-
-    // Program-wide definition census, for the singleton/certificate
-    // proofs: defs_of[r] lists every instruction defining r, and
-    // unique_def[r] is the index of r's only defining instruction
-    // (kNoInstr when r has zero or several).
-    std::vector<std::vector<std::size_t>> defs_of(p.num_regs);
-    std::vector<std::size_t> unique_def(p.num_regs, kNoInstr);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p.code[i].has_dst()) defs_of[p.code[i].dst].push_back(i);
-    }
-    for (std::size_t r = 0; r < p.num_regs; ++r) {
-      if (defs_of[r].size() == 1) unique_def[r] = defs_of[r][0];
-    }
-
-    // Block-to-block reachability (successor closure, so a block inside
-    // a cycle reaches itself), for the "no definition in between" check.
-    // Only the BmRoute certificate consults it, so rows are computed on
-    // first use rather than filling an nb x nb matrix up front.
-    const std::size_t nb = cfg.blocks.size();
-    std::vector<std::vector<bool>> reach_rows(nb);
-    auto reaches = [&](std::size_t from, std::size_t to) {
-      auto& row = reach_rows[from];
-      if (row.empty()) {
-        row.assign(nb, false);
-        std::vector<std::size_t> stack{from};
-        while (!stack.empty()) {
-          const std::size_t q = stack.back();
-          stack.pop_back();
-          for (std::size_t s : cfg.blocks[q].succs) {
-            if (!row[s]) {
-              row[s] = true;
-              stack.push_back(s);
-            }
-          }
-        }
-      }
-      return row[to];
-    };
-    // Instruction a may execute strictly before instruction b on some
-    // path (block-level over-approximation).
-    auto may_precede = [&](std::size_t a, std::size_t b) {
-      const std::size_t ba = cfg.block_of[a], bb = cfg.block_of[b];
-      return (ba == bb && a < b) || reaches(ba, bb);
-    };
-    // i's block dominates j's block and, within a shared block, comes
-    // first: i executes on every path reaching j.
-    auto dominates_instr = [&](std::size_t i, std::size_t j) {
-      const std::size_t bi = cfg.block_of[i], bj = cfg.block_of[j];
-      return bi == bj ? i < j : dom.dominates(bi, bj);
-    };
-
-    // reg r is a provable singleton at instruction i: its one and only
-    // definition is a LoadConst or Length executing on every path to i.
-    auto singleton_at = [&](std::uint32_t r, std::size_t i) {
-      const std::size_t d = unique_def[r];
-      if (d == kNoInstr) return false;
-      const Op op = p.code[d].op;
-      return (op == Op::LoadConst || op == Op::Length) &&
-             dominates_instr(d, i);
-    };
-
     std::vector<bool> hoisted(n, false);  // global, across all loops
     // For each instruction index: the instructions to insert before it
     // (preheader runs keyed by the header's begin index).
@@ -151,17 +85,17 @@ class Licm final : public Pass {
     // outer loop leaves it entirely in one pass; whatever is only
     // invariant deeper hoists to the inner preheader (still inside the
     // outer loop) and may bubble further out on the next pipeline round.
+    // Two natural loops are disjoint or nested, and a loop has more
+    // blocks than every loop nested in it, so larger loops go first.
     std::vector<std::size_t> order(loops.loops.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return loops.loops[a].depth < loops.loops[b].depth;
+      return loops.loops[a].blocks.size() > loops.loops[b].blocks.size();
     });
 
     for (std::size_t li : order) {
-      const Loop& loop = loops.loops[li];
-      hoist_loop(p, cfg, dom, lv, loop, singleton_at, may_precede,
-                 dominates_instr, unique_def, defs_of, hoisted, ins,
-                 land_after, any);
+      hoist_loop(p, cfg, dom, lv, loops.loops[li], hoisted, ins, land_after,
+                 any);
     }
     if (!any) return false;
 
@@ -176,14 +110,8 @@ class Licm final : public Pass {
   }
 
  private:
-  template <typename SingletonAt, typename MayPrecede, typename DominatesInstr>
   void hoist_loop(const Program& p, const Cfg& cfg, const DomTree& dom,
                   const Liveness& lv, const Loop& loop,
-                  const SingletonAt& singleton_at,
-                  const MayPrecede& may_precede,
-                  const DominatesInstr& dominates_instr,
-                  const std::vector<std::size_t>& unique_def,
-                  const std::vector<std::vector<std::size_t>>& defs_of,
                   std::vector<bool>& hoisted,
                   std::vector<std::vector<Instr>>& ins,
                   std::vector<bool>& land_after, bool& any) {
@@ -206,9 +134,6 @@ class Licm final : public Pass {
       return;  // fall-through back edge: preheader would run per iteration
     }
 
-    std::vector<bool> in_loop(cfg.blocks.size(), false);
-    for (std::size_t b : loop.blocks) in_loop[b] = true;
-
     // Irreducibility guard: every in-loop edge onto the header must be a
     // back edge (its source a latch).  A non-dominated jump back to the
     // header would traverse the preheader once per pass, which could
@@ -221,87 +146,41 @@ class Licm final : public Pass {
       }
     }
 
-    // Definition counts within the loop, and membership of instructions.
+    // Definition counts within the loop, each register's one in-loop
+    // definition (kNoInstr when it has none or several), and membership
+    // of instructions.
     std::vector<std::size_t> defs_in_loop(p.num_regs, 0);
+    std::vector<std::size_t> loop_def(p.num_regs, kNoInstr);
     std::vector<std::size_t> loop_instrs;
     for (std::size_t b : loop.blocks) {
       for (std::size_t i = cfg.blocks[b].begin; i < cfg.blocks[b].end; ++i) {
         if (hoisted[i]) continue;  // already moved out by an outer loop
         loop_instrs.push_back(i);
-        if (p.code[i].has_dst()) ++defs_in_loop[p.code[i].dst];
+        if (!p.code[i].has_dst()) continue;
+        const std::uint32_t d = p.code[i].dst;
+        loop_def[d] = ++defs_in_loop[d] == 1 ? i : kNoInstr;
       }
     }
 
-    // Iterative closure: each round admits instructions whose loop-side
-    // source definitions were all hoisted in earlier rounds, and emits
-    // them in that round order so preheader dependencies run first.
-    std::vector<bool> local(p.code.size(), false);  // hoisted from THIS loop
-
-    // A trap certificate is discharged at the *preheader*, where the
-    // hoisted copy runs -- so the certifying definition must have
-    // executed by then on every path: either it lies outside the loop
-    // in a block dominating the header, or it was itself hoisted into
-    // this very preheader in an earlier round.  (Proving it merely at
-    // the original in-loop site is not enough: a path that enters the
-    // loop without ever reaching the instruction -- say, spinning on an
-    // exit-free cycle -- would run the hoisted copy on uncertified
-    // values and could newly trap.)
-    auto available_at_preheader = [&](std::size_t d) {
-      return local[d] || (!in_loop[cfg.block_of[d]] &&
-                          dom.dominates(cfg.block_of[d], loop.header));
-    };
-    auto certified_singleton = [&](std::uint32_t r, std::size_t i) {
-      return singleton_at(r, i) && available_at_preheader(unique_def[r]);
+    // Called once i's sources have no in-loop definition left, so a
+    // source's one in-loop definition is already in this preheader.
+    auto cannot_trap = [&](const Instr& in) {
+      if (in.op != Op::BmRoute) return !in.can_trap();
+      const std::size_t dc = loop_def[in.b], dd = loop_def[in.c];
+      return dc != kNoInstr && p.code[dc].op == Op::Length &&
+             p.code[dc].a == in.a && dd != kNoInstr &&
+             p.code[dd].op == Op::LoadConst;
     };
 
-    auto provably_no_trap = [&](std::size_t i) {
-      const Instr& in = p.code[i];
-      switch (in.op) {
-        case Op::Arith: {
-          const bool len_ok =
-              in.a == in.b ||
-              (certified_singleton(in.a, i) && certified_singleton(in.b, i));
-          if (!len_ok) return false;
-          if (in.aop != lang::ArithOp::Div) return true;
-          const std::size_t d = unique_def[in.b];
-          return d != kNoInstr && p.code[d].op == Op::LoadConst &&
-                 p.code[d].imm != 0 && dominates_instr(d, i) &&
-                 available_at_preheader(d);
-        }
-        case Op::BmRoute: {
-          // The catalog broadcast: counts := Length(bound) dominating i,
-          // bound not possibly redefined between the Length and i, and
-          // data a LoadConst singleton.  counts == bound is rejected
-          // outright: Length(y, y) clobbers its own source, so the
-          // measured length no longer describes the bound register.
-          const std::size_t dc = unique_def[in.b];
-          if (in.b == in.a || dc == kNoInstr || p.code[dc].op != Op::Length ||
-              p.code[dc].a != in.a || !dominates_instr(dc, i) ||
-              !available_at_preheader(dc)) {
-            return false;
-          }
-          for (std::size_t j : defs_of[in.a]) {
-            if (j == dc) continue;
-            if (may_precede(dc, j) && may_precede(j, i)) return false;
-          }
-          const std::size_t dd = unique_def[in.c];
-          return dd != kNoInstr && p.code[dd].op == Op::LoadConst &&
-                 dominates_instr(dd, i) && available_at_preheader(dd);
-        }
-        case Op::SbmRoute:
-          return false;
-        default:
-          return !in.can_trap();
-      }
-    };
+    // Iterative closure: each sweep admits instructions whose loop-side
+    // source definitions were all hoisted before them, and emits them in
+    // that order so preheader dependencies run first.
     bool grew = true;
     while (grew) {
       grew = false;
       for (std::size_t i : loop_instrs) {
         const Instr& in = p.code[i];
-        if (local[i] || hoisted[i] || !in.has_dst() || in.op == Op::Move) {
-          continue;
-        }
+        if (hoisted[i] || !in.has_dst() || in.op == Op::Move) continue;
         if (defs_in_loop[in.dst] != 1) continue;
         if (lv.live_in[loop.header].test(in.dst)) continue;
         bool src_ok = true;
@@ -317,9 +196,8 @@ class Licm final : public Pass {
           dominates_exits &= dom.dominates(cfg.block_of[i], e);
         }
         if (!dominates_exits) continue;
-        if (!provably_no_trap(i)) continue;
+        if (!cannot_trap(in)) continue;
 
-        local[i] = true;
         hoisted[i] = true;
         --defs_in_loop[in.dst];  // its sources become invariant for later
         ins[header_begin].push_back(in);

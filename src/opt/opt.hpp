@@ -42,13 +42,13 @@
 //               "non-input registers start empty", from the taken edge of
 //               a GotoIfEmpty, and around loops from the definitions that
 //               reproduce a register's fact.
-//   licm        loop-invariant code motion over the natural-loop forest
-//               (opt/cfg.hpp): invariant, provably-non-trapping
-//               instructions -- including the catalog's ones_like /
-//               broadcast masks, whose route certificate is discharged
-//               through a program-wide definition census -- move to a
-//               preheader that entry edges flow through and back edges
-//               skip.
+//   licm        loop-invariant code motion over the natural loops
+//               (opt/cfg.hpp), outermost first: invariant instructions
+//               that cannot trap move to a preheader that entry edges
+//               flow through and back edges skip.  Of the trap-capable
+//               ones only the catalog's ones_like broadcast moves: a
+//               bm-route whose counts and data are the loop's own
+//               Length of its bound and LoadConst, hoisted ahead of it.
 //   dce         unreachable-code elimination plus liveness-based dead
 //               code elimination on the fixed register file; a Goto to
 //               the next instruction and a Halt that ends the code go too.

@@ -102,13 +102,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::peek(
   return it == map_.end() ? nullptr : it->second->second;
 }
 
-void ProgramCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  map_.clear();
-  stats_.size = 0;
-}
-
 CacheStats ProgramCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats s = stats_;

@@ -116,9 +116,6 @@ class ProgramCache {
   /// The cached artifact, or nullptr without compiling (stats untouched).
   std::shared_ptr<const CompiledProgram> peek(const CacheKey& key) const;
 
-  /// Drop every entry (in-flight refs keep their artifacts alive).
-  void clear();
-
   CacheStats stats() const;
 
  private:

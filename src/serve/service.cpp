@@ -256,11 +256,6 @@ std::future<Response> Service::submit(
   return fut;
 }
 
-Response Service::call(const std::shared_ptr<const CompiledProgram>& program,
-                       const ValueRef& arg) {
-  return submit(program, arg).get();
-}
-
 void Service::drain() {
   std::unique_lock<std::mutex> lk(mu_);
   idle_cv_.wait(lk, [this] {
@@ -282,13 +277,13 @@ void Service::resume() {
 }
 
 void Service::worker_loop(std::size_t worker) {
-  // One warm arena per worker, held for the thread's lifetime: the
-  // cross-run generalization of the engine's per-run buffer pool.
-  ArenaLease lease = arenas_.acquire();
+  // One arena per worker, warm after its first runs and never shared:
+  // the engine's per-run buffer pool carried across this thread's runs.
+  bvram::BufferPool arena;
   for (;;) {
     std::vector<Pending> batch = next_batch();
     if (batch.empty()) return;
-    execute(std::move(batch), lease.get(), worker);
+    execute(std::move(batch), &arena, worker);
   }
 }
 
@@ -559,18 +554,6 @@ obs::Registry& Service::metrics() {
       .set(c.size);
   registry_.gauge("nscc_serve_cache_capacity", "Program cache capacity.")
       .set(c.capacity);
-  const ArenaPoolStats a = arenas_.stats();
-  registry_.gauge("nscc_serve_arena_leases", "Register-file arena leases.")
-      .set(a.leases);
-  registry_
-      .gauge("nscc_serve_arena_created", "Leases that built a cold arena.")
-      .set(a.created);
-  registry_.gauge("nscc_serve_arena_idle", "Warm arenas currently parked.")
-      .set(a.idle);
-  registry_
-      .gauge("nscc_serve_arena_idle_bytes",
-             "Spare capacity held by parked arenas.")
-      .set(a.idle_bytes);
   registry_
       .gauge("nscc_serve_uptime_ns", "Nanoseconds since Service start.")
       .set(ns_between(started_, Clock::now()));
@@ -606,7 +589,6 @@ ServeStats Service::stats() const {
     s.latency_mean_ns = lat.mean();
   }
   s.cache = cache_.stats();
-  s.arena = arenas_.stats();
   return s;
 }
 
@@ -614,7 +596,7 @@ std::string Service::stats_json() const {
   const ServeStats s = stats();
   std::ostringstream os;
   os << "{\n";
-  os << "  \"schema\": \"nscc-serve-stats/v3\",\n";
+  os << "  \"schema\": \"nscc-serve-stats/v4\",\n";
   os << "  \"config\": {\"workers\": " << cfg_.workers
      << ", \"max_queue\": " << cfg_.max_queue
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
@@ -649,10 +631,7 @@ std::string Service::stats_json() const {
      << ", \"evictions\": " << s.cache.evictions
      << ", \"compile_wall_ns\": " << s.cache.compile_wall_ns
      << ", \"size\": " << s.cache.size
-     << ", \"capacity\": " << s.cache.capacity << "},\n";
-  os << "  \"arena\": {\"leases\": " << s.arena.leases
-     << ", \"created\": " << s.arena.created << ", \"idle\": " << s.arena.idle
-     << ", \"idle_bytes\": " << s.arena.idle_bytes << "}\n";
+     << ", \"capacity\": " << s.cache.capacity << "}\n";
   os << "}";
   return os.str();
 }

@@ -13,10 +13,10 @@
 //      keeps all run state in a private Engine, so N workers executing
 //      one Program concurrently need no synchronization.
 //
-//   2. ArenaPool (serve/arena.hpp): each worker thread leases one warm
-//      register-file arena for its lifetime, so steady-state execution
-//      allocates nothing (the within-run BufferPool generalized across
-//      runs).
+//   2. Per-worker arenas: each worker thread owns one bvram::BufferPool
+//      for its lifetime and runs every request against it
+//      (RunConfig::arena), so steady-state execution allocates nothing
+//      (the within-run buffer pool carried across runs).
 //
 //   3. Request batching: queued requests against the same program are
 //      appended into ONE segment-descriptor level -- Value::seq of the
@@ -51,12 +51,12 @@
 #include <thread>
 #include <vector>
 
+#include "bvram/pool.hpp"
 #include "object/value.hpp"
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "opt/opt.hpp"
-#include "serve/arena.hpp"
 #include "serve/cache.hpp"
 #include "support/cost.hpp"
 
@@ -157,7 +157,6 @@ struct ServeStats {
   std::uint64_t latency_mean_ns = 0;
 
   CacheStats cache;
-  ArenaPoolStats arena;
 };
 
 /// The query service.  Construction starts the worker threads; the
@@ -187,10 +186,6 @@ class Service {
   std::future<Response> submit(
       std::shared_ptr<const CompiledProgram> program, ValueRef arg);
 
-  /// submit + wait.
-  Response call(const std::shared_ptr<const CompiledProgram>& program,
-                const ValueRef& arg);
-
   /// Block until every request submitted so far has completed.
   void drain();
 
@@ -201,12 +196,12 @@ class Service {
   void resume();
 
   ServeStats stats() const;
-  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v3;
+  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v4;
   /// latency percentiles are histogram quantiles).
   std::string stats_json() const;
 
   /// The metrics registry, with the derived gauges (queue depth, cache,
-  /// arena, uptime) refreshed to the current instant.
+  /// uptime) refreshed to the current instant.
   /// Write with registry.write_prometheus().
   obs::Registry& metrics();
 
@@ -264,7 +259,6 @@ class Service {
 
   ServeConfig cfg_;
   ProgramCache cache_;
-  ArenaPool arenas_;
   std::chrono::steady_clock::time_point started_;
 
   obs::Registry registry_;

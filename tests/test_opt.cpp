@@ -483,15 +483,13 @@ TEST(Analysis, LoopForestOfAWhile) {
   ASSERT_EQ(loops.loops.size(), 1u);
   const Loop& l = loops.loops[0];
   EXPECT_EQ(l.header, cfg.block_of[1]);  // the select at `top`
-  EXPECT_EQ(l.depth, 1u);
-  EXPECT_EQ(l.parent, kNoBlock);
   ASSERT_EQ(l.latches.size(), 1u);
   EXPECT_EQ(l.latches[0], cfg.block_of[4]);  // the jump back
   ASSERT_EQ(l.exits.size(), 1u);
   EXPECT_EQ(l.exits[0], cfg.block_of[1]);  // the conditional exit
-  EXPECT_EQ(l.blocks.size(), 2u);          // header + body
-  EXPECT_TRUE(loops.contains(0, cfg.block_of[3]));
-  EXPECT_EQ(loops.loop_of[cfg.block_of[0]], kNoBlock);  // preheader code
+  // header + body; the preheader code stays out
+  EXPECT_EQ(l.blocks,
+            (std::vector<std::size_t>{cfg.block_of[1], cfg.block_of[3]}));
 }
 
 TEST(Analysis, LoopForestNesting) {
@@ -521,17 +519,17 @@ TEST(Analysis, LoopForestNesting) {
   const Cfg cfg = Cfg::build(p);
   const LoopForest loops = LoopForest::build(cfg, DomTree::build(cfg));
   ASSERT_EQ(loops.loops.size(), 2u);
-  const std::size_t outer = loops.loops[0].depth == 1 ? 0 : 1;
+  const std::size_t outer = loops.loops[0].header == cfg.block_of[1] ? 0 : 1;
   const std::size_t inner = 1 - outer;
-  EXPECT_EQ(loops.loops[inner].depth, 2u);
-  EXPECT_EQ(loops.loops[inner].parent, outer);
-  EXPECT_EQ(loops.loops[outer].parent, kNoBlock);
-  EXPECT_GT(loops.loops[outer].blocks.size(),
-            loops.loops[inner].blocks.size());
-  // The inner header belongs to the inner loop, the outer header only to
-  // the outer one.
-  EXPECT_EQ(loops.loop_of[loops.loops[inner].header], inner);
-  EXPECT_EQ(loops.loop_of[loops.loops[outer].header], outer);
+  EXPECT_EQ(loops.loops[outer].header, cfg.block_of[1]);
+  EXPECT_EQ(loops.loops[inner].header, cfg.block_of[2]);
+  // The outer loop strictly contains the inner one, so it has more blocks
+  // (licm's outermost-first order), and its header is outside the inner.
+  const auto& ob = loops.loops[outer].blocks;
+  const auto& ib = loops.loops[inner].blocks;
+  EXPECT_GT(ob.size(), ib.size());
+  EXPECT_TRUE(std::includes(ob.begin(), ob.end(), ib.begin(), ib.end()));
+  EXPECT_EQ(std::count(ib.begin(), ib.end(), cfg.block_of[1]), 0);
 }
 
 TEST(Analysis, SingleBlockSelfLoop) {
@@ -563,7 +561,6 @@ TEST(Analysis, SingleBlockSelfLoop) {
   EXPECT_EQ(l.blocks, (std::vector<std::size_t>{l.header}));
   EXPECT_EQ(l.latches, (std::vector<std::size_t>{l.header}));
   EXPECT_EQ(l.exits, (std::vector<std::size_t>{l.header}));
-  EXPECT_EQ(loops.loop_of[cfg.block_of[0]], kNoBlock);
 
   // LICM works on self-loops too: the invariant enumerate hoists.
   bvram::RunConfig rc;
@@ -1384,6 +1381,41 @@ TEST(Licm, SelfClobberingLengthDoesNotCertifyRoute) {
   // preheader (which the spin path executes).
   EXPECT_THROW(bvram::run(p, {{}, {1}}, fuel), FuelExhausted);
   EXPECT_THROW(bvram::run(p, {{}, {}}, fuel), MachineError);
+}
+
+TEST(Licm, EnumeratedRouteDataDoesNotCertifyRoute) {
+  // The same spin shape, with counts := Length(bound) in the loop -- the
+  // half of the certificate that holds -- but data an invariant
+  // Enumerate(bound) instead of a LoadConst: |data| = |bound|, so the
+  // route traps unless |bound| == 1.  Every operand is hoistable, yet
+  // hoisting the route would run that trap on the spin path too.
+  Assembler a;
+  a.reserve_regs(3);  // V0: out, V1: spin selector, V2: bound
+  auto n = a.reg(), e = a.reg(), m = a.reg();
+  auto top = a.fresh_label(), route_l = a.fresh_label(),
+       exit = a.fresh_label();
+  a.bind(top);
+  a.jump_if_empty(1, route_l);
+  a.jump(top);  // spin while V1 is non-empty
+  a.bind(route_l);
+  a.length(n, 2);
+  a.enumerate(e, 2);
+  a.bm_route(m, 2, n, e);  // |counts| = 1 != |data| unless |V2| == 1
+  a.jump_if_empty(0, exit);
+  a.jump(top);
+  a.bind(exit);
+  a.move(0, m);
+  a.halt();
+  Program p = a.finish(3, 1);
+  bvram::RunConfig fuel;
+  fuel.max_instructions = 1000;
+  EXPECT_THROW(bvram::run(p, {{}, {1}, {5, 5}}, fuel), FuelExhausted);
+  EXPECT_THROW(bvram::run(p, {{}, {}, {5, 5}}, fuel), MachineError);
+  optimize(p);
+  EXPECT_THROW(bvram::run(p, {{}, {1}, {5, 5}}, fuel), FuelExhausted);
+  EXPECT_THROW(bvram::run(p, {{}, {}, {5, 5}}, fuel), MachineError);
+  EXPECT_EQ(bvram::run(p, {{}, {}, {5}}, fuel).outputs[0],
+            (std::vector<std::uint64_t>{0}));
 }
 
 TEST(Licm, UnprovableRouteCertificateStays) {

@@ -308,7 +308,7 @@ TEST(ScheduleWork, StagedBeatsNaiveOnStragglers) {
     EXPECT_GT(gain, prev_gain) << "n=" << n;
     prev_gain = gain;
   }
-  EXPECT_GT(prev_gain, 2.0);  // measured ~5.4x at n=1024
+  EXPECT_GT(prev_gain, 2.0);  // measured 4.56x at n=1024 (W 4810871/1056034)
 }
 
 TEST(ScheduleWork, NaiveRatioGrowsStagedStaysBounded) {

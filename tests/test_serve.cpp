@@ -1,4 +1,4 @@
-// Serve-layer tests (src/serve/: ProgramCache, ArenaPool, Service).
+// Serve-layer tests (src/serve/: ProgramCache, Service).
 //
 //   * the cross-run arena is a pure allocator swap: outputs, traps, T,
 //     W, traces, and profiles are bit-identical with and without one,
@@ -34,7 +34,6 @@
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "sa/compile.hpp"
-#include "serve/arena.hpp"
 #include "serve/cache.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
@@ -75,7 +74,7 @@ ValueRef nat_seq(std::initializer_list<std::uint64_t> ns) {
   return Value::nat_seq(std::vector<std::uint64_t>(ns));
 }
 
-// -- BufferPool / ArenaPool ----------------------------------------------
+// -- BufferPool / cross-run arenas ---------------------------------------
 
 TEST(Pool, AcquireRecycleReuse) {
   bvram::BufferPool pool;
@@ -106,30 +105,6 @@ TEST(Pool, AcquireRecycleReuse) {
   EXPECT_EQ(small.capacity(), 16u);
   EXPECT_EQ(pool.hits(), 2u);
   EXPECT_EQ(pool.spare_count(), 0u);
-}
-
-TEST(Arena, LeaseReturnsWarmArena) {
-  serve::ArenaPool arenas;
-  bvram::BufferPool* first = nullptr;
-  {
-    serve::ArenaLease lease = arenas.acquire();
-    ASSERT_TRUE(lease);
-    first = lease.get();
-    lease->recycle(lease->acquire(64));
-  }
-  serve::ArenaPoolStats st = arenas.stats();
-  EXPECT_EQ(st.leases, 1u);
-  EXPECT_EQ(st.created, 1u);
-  EXPECT_EQ(st.idle, 1u);
-  EXPECT_GT(st.idle_bytes, 0u);
-  {
-    serve::ArenaLease lease = arenas.acquire();  // LIFO: same arena, warm
-    EXPECT_EQ(lease.get(), first);
-    EXPECT_EQ(lease->spare_count(), 1u);
-  }
-  EXPECT_EQ(arenas.stats().created, 1u);
-  arenas.reset();
-  EXPECT_EQ(arenas.stats().idle, 0u);
 }
 
 TEST(Arena, SteadyStateZeroAllocation) {
@@ -489,7 +464,7 @@ TEST(Serve, StatsJsonCoherent) {
   EXPECT_GE(st.latency_p95_ns, st.latency_p50_ns);
   EXPECT_GE(st.latency_p99_ns, st.latency_p95_ns);
   const std::string json = svc.stats_json();
-  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v3\""),
+  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v4\""),
             std::string::npos);
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"source\": \"log2-histogram\""), std::string::npos);
@@ -659,7 +634,7 @@ TEST(Serve, MetricsRegistryCoherent) {
   EXPECT_NE(text.find("nscc_serve_requests_ok_total 10"), std::string::npos);
   EXPECT_NE(text.find("nscc_serve_latency_ns_count 10"), std::string::npos);
   EXPECT_NE(text.find("nscc_serve_cache_hits"), std::string::npos);
-  EXPECT_NE(text.find("nscc_serve_arena_leases"), std::string::npos);
+  EXPECT_NE(text.find("nscc_serve_uptime_ns"), std::string::npos);
 }
 
 }  // namespace

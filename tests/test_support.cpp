@@ -2,7 +2,7 @@
 // PRNG determinism, the table printer, the JSON string escaper against
 // the JSON reader, and the reader's nesting bound.  The Cli case drives
 // the nscc binary: values that would switch off a CI gate (a nan
-// tolerance, a baseline nested past the reader's bound or missing a key
+// percentage, a baseline nested past the reader's bound or missing a key
 // the comparison reads) exit 2.
 #include <gtest/gtest.h>
 
@@ -215,12 +215,9 @@ TEST(Cli, GateDisablingValuesExit2) {
       {compare(files[1]), "--compare: json: missing key 'configs'"},
       {compare(files[2]), "--compare: json: '-1' is not an unsigned integer"},
       {compare(files[3]), "--compare: json: 'configs' is empty"},
-      {"bench " + file + " --compare " + baseline + " --tolerance nan",
-       "bad --tolerance 'nan'"},
-      {"bench " + file + " --compare " + baseline + " --tolerance inf",
-       "bad --tolerance 'inf'"},
-      {"bench " + file + " --compare " + baseline + " --tolerance 5abc",
-       "bad --tolerance '5abc'"},
+      // Retired: any growth fails --compare, so there is no tolerance.
+      {"bench " + file + " --compare " + baseline + " --tolerance 0",
+       "unknown option '--tolerance'"},
       {"profile " + file + " --min-attribution nan",
        "bad --min-attribution 'nan'"},
       {"profile " + file + " --min-attribution 95x",
@@ -234,12 +231,9 @@ TEST(Cli, GateDisablingValuesExit2) {
         << c.args << "\n" << err;
   }
   for (const auto& path : files) std::filesystem::remove(path);
-  // The same baseline still passes at a well-formed tolerance.
+  // The same baseline still passes.
   std::string err;
-  EXPECT_EQ(run_nscc("bench " + file + " --compare " + baseline +
-                         " --tolerance 0.5",
-                     err),
-            0)
+  EXPECT_EQ(run_nscc("bench " + file + " --compare " + baseline, err), 0)
       << err;
 }
 

@@ -31,12 +31,10 @@
 // bench options:
 //   --compare BASELINE.json   diff this run against a committed baseline
 //                   (a previous `nscc bench --json` for the same file);
-//                   exit 1 when any config regresses executed T/W or
-//                   its static instruction count beyond --tolerance,
-//                   traps where the baseline didn't, or loses
-//                   eval/compiled agreement
-//   --tolerance PCT allowed executed-T/W and code-size growth over the
-//                   baseline (default 0: the counts are deterministic)
+//                   exit 1 when any config's executed T/W or static
+//                   instruction count grows at all (the counts are
+//                   deterministic), traps where the baseline didn't, or
+//                   loses eval/compiled agreement
 //
 // serve options (see docs/serve.md):
 //   --requests PATH one request expression per line ('-' = stdin); these
@@ -140,7 +138,6 @@ struct Options {
   std::uint64_t slow_ms = 0;       // --slow-ms (0 = off)
   // bench comparison
   std::string compare_path;        // --compare (baseline bench JSON)
-  double tolerance_pct = 0.0;      // --tolerance (allowed growth %)
 };
 
 [[noreturn]] void usage(const char* argv0) {
@@ -156,7 +153,7 @@ struct Options {
                "[--max-queue N] [--fuel N] "
                "[--stats-json PATH] [--metrics PATH] "
                "[--events PATH] [--trace PATH] [--snapshot-every N] "
-               "[--slow-ms T] [--compare BASELINE.json] [--tolerance PCT]\n"
+               "[--slow-ms T] [--compare BASELINE.json]\n"
                "       %s doc\n",
                argv0, argv0);
   std::exit(2);
@@ -328,8 +325,6 @@ Options parse_args(int argc, char** argv) {
       }
     } else if (arg == "--compare") {
       o.compare_path = need_value("--compare");
-    } else if (arg == "--tolerance") {
-      o.tolerance_pct = parse_percent("--tolerance", need_value("--tolerance"));
     } else {
       fail("unknown option '" + arg + "'");
     }
@@ -588,13 +583,11 @@ int cmd_dump(const F::SourceFile& src, const Options& o) {
 /// `bench --compare`: diff a fresh bench report against a committed
 /// baseline (a previous `nscc bench --json` for the same file).  The
 /// executed T/W counts and the code size are deterministic functions of
-/// (program, input, config), so the default tolerance is 0; --tolerance
-/// PCT loosens these gates for workloads whose inputs legitimately
-/// drift.  Gates:
+/// (program, input, config), so any growth is a regression.  Gates:
 ///
-///   * executed_T / executed_W may not exceed baseline * (1 + PCT/100)
-///     for any (opt, sched, input) present in the baseline, nor may a
-///     config's static_instrs (the emitted code size);
+///   * executed_T / executed_W may not exceed the baseline for any
+///     (opt, sched, input) present in the baseline, nor may a config's
+///     static_instrs (the emitted code size);
 ///   * a run that didn't trap in the baseline may not trap now;
 ///   * eval/compiled agreement may not be lost.
 ///
@@ -628,14 +621,12 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
     ++regressions;
   };
 
-  // A count past the tolerance is a regression; a drop is reported.
-  const double factor = 1.0 + o.tolerance_pct / 100.0;
+  // A count above the baseline is a regression; a drop is reported.
   const auto gate = [&](const std::string& at, const char* dim,
                         std::uint64_t b, std::uint64_t v) {
-    if (static_cast<double>(v) > static_cast<double>(b) * factor) {
+    if (v > b) {
       regress(at + ": " + dim + " " + std::to_string(v) +
-              " exceeds baseline " + std::to_string(b) + " (+" +
-              std::to_string(o.tolerance_pct) + "% allowed)");
+              " exceeds baseline " + std::to_string(b));
     } else if (v < b) {
       std::printf("bench --compare: %s: %s improved %llu -> %llu\n",
                   at.c_str(), dim, static_cast<unsigned long long>(b),
@@ -697,9 +688,8 @@ int compare_bench(const std::string& fresh_text, const Options& o) {
                  o.compare_path.c_str());
     return 1;
   }
-  std::printf("bench --compare: no regressions vs %s (%zu configs, "
-              "tolerance %.1f%%)\n",
-              o.compare_path.c_str(), compared, o.tolerance_pct);
+  std::printf("bench --compare: no regressions vs %s (%zu configs)\n",
+              o.compare_path.c_str(), compared);
   return 0;
 }
 
