@@ -126,12 +126,12 @@ std::string Type::show() const {
     case TypeKind::Nat:
       return "N";
     case TypeKind::Prod:
-      return "(" + a_->show() + " x " + b_->show() + ")";
+      return std::string("(") + a_->show() + " x " + b_->show() + ")";
     case TypeKind::Sum:
       if (is_boolean()) return "B";
-      return "(" + a_->show() + " + " + b_->show() + ")";
+      return std::string("(") + a_->show() + " + " + b_->show() + ")";
     case TypeKind::Seq:
-      return "[" + a_->show() + "]";
+      return std::string("[") + a_->show() + "]";
   }
   return "?";
 }

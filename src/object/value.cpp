@@ -180,7 +180,7 @@ std::string Value::show() const {
     case ValueKind::Nat:
       return std::to_string(nat_);
     case ValueKind::Pair:
-      return "(" + a_->show() + ", " + b_->show() + ")";
+      return std::string("(") + a_->show() + ", " + b_->show() + ")";
     case ValueKind::In1:
       if (a_->is(ValueKind::Unit)) return "true";
       return "in1(" + a_->show() + ")";

@@ -6,7 +6,10 @@ std::string DebugSite::show() const {
   if (!has_loc() && nsa.empty()) return "?";
   std::string out = nsa.empty() ? "?" : nsa;
   if (has_loc()) {
-    out += "@" + std::to_string(line) + ":" + std::to_string(col);
+    out += '@';
+    out += std::to_string(line);
+    out += ':';
+    out += std::to_string(col);
   }
   return out;
 }

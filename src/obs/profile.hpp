@@ -80,8 +80,8 @@ void write_chrome_trace(std::ostream& out, const bvram::Program& p,
 // -- serve-path span tracing ---------------------------------------------
 //
 // The request-path counterpart of the per-instruction profiler: the
-// Service records one ServeSpan per request phase (queue-wait, compile,
-// batch-assembly, execute, replay, split) into a SpanLog, and
+// Service records one ServeSpan per request phase (admission, queue-wait,
+// compile, batch-assembly, execute, replay, split) into a SpanLog, and
 // write_serve_trace lays them out as a Chrome trace_event timeline --
 // each service worker is a trace thread, queued requests live on a
 // "queue" thread as async events, and flow arrows connect every request's
@@ -89,8 +89,8 @@ void write_chrome_trace(std::ostream& out, const bvram::Program& p,
 
 struct ServeSpan {
   /// Phase names are stable strings (they become trace event names):
-  /// "queue-wait", "compile", "cache-hit", "batch-assembly", "execute",
-  /// "replay", "split".
+  /// "admission", "queue-wait", "compile", "cache-hit", "batch-assembly",
+  /// "execute", "replay", "split".
   std::string phase;
   std::uint64_t request_id = 0;  ///< 0 for batch-level / service-level spans
   std::uint64_t batch_id = 0;    ///< machine-run id; 0 = none (e.g. compile)
@@ -98,7 +98,9 @@ struct ServeSpan {
   std::uint64_t t0_ns = 0;       ///< monotonic, since the SpanLog's origin
   std::uint64_t dur_ns = 0;
   std::uint64_t size = 0;        ///< payload: batch size, queue depth, ...
-  std::string note;              ///< outcome or diagnostic ("" = none)
+  /// "" = none; else a failed run's "<outcome>: <error>", a failed
+  /// batch's error, "rejected", or a compile/cache-hit's program name.
+  std::string note;
 };
 
 struct SpanLogStats {
@@ -108,10 +110,10 @@ struct SpanLogStats {
   std::size_t capacity = 0;
 };
 
-/// Bounded, thread-safe span sink (same degradation contract as the
-/// event log: a full log drops new spans and counts the drops, it never
-/// blocks the request path).  now_ns() gives producers a shared
-/// monotonic origin so spans from different threads align.
+/// Bounded, thread-safe span sink: a full log drops new spans and counts
+/// the drops, so a saturated sink degrades telemetry, never the request
+/// path.  now_ns() gives producers a shared monotonic origin so spans
+/// from different threads align.
 class SpanLog {
  public:
   explicit SpanLog(std::size_t capacity = std::size_t{1} << 16);

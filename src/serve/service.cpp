@@ -96,20 +96,6 @@ void Service::register_metrics() {
       "nscc_serve_in_flight", "Requests claimed but not yet finished.");
   registry_.gauge("nscc_serve_workers", "Worker threads serving requests.")
       .set(cfg_.workers);
-
-  m_.eng_pool_hits = &registry_.counter(
-      "nscc_engine_pool_hits_total",
-      "Engine buffer acquires served from the pool (profile_runs only).");
-  m_.eng_pool_misses = &registry_.counter(
-      "nscc_engine_pool_misses_total",
-      "Engine buffer acquires that touched the allocator (profile_runs "
-      "only).");
-  m_.eng_inplace_hits = &registry_.counter(
-      "nscc_engine_inplace_hits_total",
-      "Kernels that wrote over a dying operand (profile_runs only).");
-  m_.eng_move_swaps = &registry_.counter(
-      "nscc_engine_move_swaps_total",
-      "Moves executed as O(1) buffer swaps (profile_runs only).");
 }
 
 Service::Service(ServeConfig cfg)
@@ -169,8 +155,6 @@ std::shared_ptr<const CompiledProgram> Service::load(
   key.eps_num = sched.eps.num;
   key.eps_den = sched.eps.den;
 
-  const std::uint64_t evictions_before =
-      cfg_.events != nullptr ? cache_.stats().evictions : 0;
   const std::uint64_t t0 =
       cfg_.spans != nullptr ? cfg_.spans->now_ns() : 0;
   bool compiled = false;
@@ -187,20 +171,6 @@ std::shared_ptr<const CompiledProgram> Service::load(
     s.dur_ns = cfg_.spans->now_ns() - t0;
     s.note = name;
     cfg_.spans->record(std::move(s));
-  }
-  if (cfg_.events != nullptr) {
-    if (compiled) {
-      cfg_.events->emit(obs::Event("serve.compile", obs::Severity::Info)
-                            .str("program", name)
-                            .num("cache_size", cache_.stats().size));
-    }
-    const std::uint64_t evicted =
-        cache_.stats().evictions - evictions_before;
-    if (evicted > 0) {
-      cfg_.events->emit(obs::Event("serve.cache_evict", obs::Severity::Info)
-                            .num("evicted", evicted)
-                            .str("trigger", name));
-    }
   }
   return prog;
 }
@@ -246,11 +216,6 @@ std::future<Response> Service::submit(
     s.size = depth;
     if (rejected) s.note = "rejected";
     cfg_.spans->record(std::move(s));
-  }
-  if (rejected && cfg_.events != nullptr) {
-    cfg_.events->emit(obs::Event("serve.rejected", obs::Severity::Warn)
-                          .num("request", id)
-                          .num("queue_depth", depth));
   }
   if (!rejected) cv_.notify_one();
   return fut;
@@ -314,13 +279,6 @@ std::vector<Service::Pending> Service::next_batch() {
   return batch;
 }
 
-void Service::note_engine(const bvram::EngineProfile& e) {
-  m_.eng_pool_hits->inc(e.pool_hits);
-  m_.eng_pool_misses->inc(e.pool_misses);
-  m_.eng_inplace_hits->inc(e.inplace_hits);
-  m_.eng_move_swaps->inc(e.move_swaps);
-}
-
 void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
                       std::size_t worker) {
   const std::shared_ptr<const CompiledProgram> prog = batch.front().program;
@@ -375,18 +333,15 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
     bvram::RunConfig rc;
     rc.max_instructions = sat_mul_u64(cfg_.fuel, k);
     rc.arena = arena;
-    rc.profile = cfg_.profile_runs;
 
     const std::uint64_t exec_t0 = spans != nullptr ? spans->now_ns() : 0;
     const auto t0 = Clock::now();
     bool batch_ok = false;
     std::string batch_err;
     sa::CompiledRun out;
-    bvram::RunResult raw;
     try {
       out = sa::run_compiled(prog->batch, Type::seq(prog->dom),
-                             Type::seq(prog->cod), Value::seq(args), rc,
-                             cfg_.profile_runs ? &raw : nullptr);
+                             Type::seq(prog->cod), Value::seq(args), rc);
       batch_ok = true;
     } catch (const Error& e) {
       // A trap (Omega) or fuel exhaustion anywhere in the batch aborts
@@ -405,7 +360,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
       m_.batched_requests->inc(k);
       m_.cost_time->inc(out.cost.time);
       m_.cost_work->inc(out.cost.work);
-      if (cfg_.profile_runs) note_engine(raw.engine);
     }
 
     if (batch_ok) {
@@ -422,12 +376,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
       }
       record("split", split_t0, 0, "");
       return;
-    }
-    if (cfg_.events != nullptr) {
-      cfg_.events->emit(obs::Event("serve.replay", obs::Severity::Warn)
-                            .num("run", run_id)
-                            .num("batch_size", k)
-                            .str("error", batch_err));
     }
     for (Pending& p : batch) {
       m_.replays->inc();
@@ -449,17 +397,14 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
   bvram::RunConfig rc;
   rc.max_instructions = cfg_.fuel;
   rc.arena = arena;
-  rc.profile = cfg_.profile_runs;
 
   Response r;
   const std::uint64_t span_t0 =
       cfg_.spans != nullptr ? cfg_.spans->now_ns() : 0;
   const auto t0 = Clock::now();
-  bvram::RunResult raw;
   try {
     const sa::CompiledRun out =
-        sa::run_compiled(prog.unit, prog.dom, prog.cod, arg, rc,
-                         cfg_.profile_runs ? &raw : nullptr);
+        sa::run_compiled(prog.unit, prog.dom, prog.cod, arg, rc);
     r.outcome = Outcome::Ok;
     r.value = out.value;
     r.cost = out.cost;
@@ -484,21 +429,10 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
     s.t0_ns = span_t0;
     s.dur_ns = cfg_.spans->now_ns() - span_t0;
     s.size = 1;
-    if (!r.ok()) s.note = outcome_name(r.outcome);
+    if (!r.ok()) {
+      s.note = std::string(outcome_name(r.outcome)) + ": " + r.error;
+    }
     cfg_.spans->record(std::move(s));
-  }
-  if (cfg_.events != nullptr && !r.ok()) {
-    const char* name = r.outcome == Outcome::Trap ? "serve.trap"
-                       : r.outcome == Outcome::FuelExhausted
-                           ? "serve.fuel_exhausted"
-                           : "serve.error";
-    const obs::Severity sev = r.outcome == Outcome::Error
-                                  ? obs::Severity::Error
-                                  : obs::Severity::Warn;
-    cfg_.events->emit(obs::Event(name, sev)
-                          .num("request", request_id)
-                          .num("run", run_id)
-                          .str("error", r.error));
   }
 
   m_.runs->inc();
@@ -507,7 +441,6 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
     m_.cost_time->inc(r.cost.time);
     m_.cost_work->inc(r.cost.work);
   }
-  if (cfg_.profile_runs && r.ok()) note_engine(raw.engine);
   return r;
 }
 
@@ -522,13 +455,6 @@ void Service::finish(Pending& p, Response r) {
     case Outcome::Error: m_.errors->inc(); break;
   }
   m_.latency_ns->observe(r.latency_ns);
-  if (cfg_.events != nullptr && cfg_.slow_ms > 0 &&
-      r.latency_ns > cfg_.slow_ms * 1000000ull) {
-    cfg_.events->emit(obs::Event("serve.slow", obs::Severity::Warn)
-                          .num("request", p.id)
-                          .num("latency_ns", r.latency_ns)
-                          .str("outcome", outcome_name(r.outcome)));
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     --in_flight_;
@@ -596,12 +522,11 @@ std::string Service::stats_json() const {
   const ServeStats s = stats();
   std::ostringstream os;
   os << "{\n";
-  os << "  \"schema\": \"nscc-serve-stats/v4\",\n";
+  os << "  \"schema\": \"nscc-serve-stats/v5\",\n";
   os << "  \"config\": {\"workers\": " << cfg_.workers
      << ", \"max_queue\": " << cfg_.max_queue
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
      << ", \"batching\": " << (cfg_.max_batch > 1 ? "true" : "false")
-     << ", \"profile_runs\": " << (cfg_.profile_runs ? "true" : "false")
      << "},\n";
   os << "  \"requests\": {\"submitted\": " << s.submitted
      << ", \"completed\": " << s.completed << ", \"ok\": " << s.ok

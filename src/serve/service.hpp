@@ -53,7 +53,6 @@
 
 #include "bvram/pool.hpp"
 #include "object/value.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "opt/opt.hpp"
@@ -78,26 +77,11 @@ struct ServeConfig {
   /// batch of k runs under k * fuel.
   std::uint64_t fuel = std::uint64_t{1} << 32;
 
-  // -- telemetry (pure observers; see docs/observability.md) -------------
-  //
-  // The invisibility contract from the profiling layer extends here:
-  // with every sink wired and every flag on, responses, traps, T/W, and
-  // traces are bit-identical to a dark service.  Telemetry may only cost
-  // wall time, never change behavior (test Serve.TelemetryInvisible).
-
-  /// Structured event sink (traps, replays, evictions, rejections, slow
-  /// requests).  Null = no events.  Not owned.
-  obs::EventLog* events = nullptr;
   /// Per-request span sink for the Chrome trace exporter.  Null = no
-  /// spans.  Not owned.
+  /// spans.  Not owned.  A pure observer: with spans on, responses,
+  /// traps, T/W and counters are bit-identical to a service without
+  /// them; spans may only cost wall time (test Serve.TelemetryInvisible).
   obs::SpanLog* spans = nullptr;
-  /// Emit a `serve.slow` event for requests slower than this (ms);
-  /// 0 disables the threshold.
-  std::uint64_t slow_ms = 0;
-  /// Run every machine run with RunConfig::profile and fold the engine's
-  /// counters (pool hits, in-place writes, move swaps, ...) into the
-  /// metrics registry.  Costs engine-side bookkeeping; off by default.
-  bool profile_runs = false;
 };
 
 enum class Outcome {
@@ -196,7 +180,7 @@ class Service {
   void resume();
 
   ServeStats stats() const;
-  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v4;
+  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v5;
   /// latency percentiles are histogram quantiles).
   std::string stats_json() const;
 
@@ -236,11 +220,6 @@ class Service {
     obs::Histogram* batch_size = nullptr;
     obs::Gauge* queue_depth = nullptr;
     obs::Gauge* in_flight = nullptr;
-    // Engine-profile accumulators (only advance under cfg.profile_runs).
-    obs::Counter* eng_pool_hits = nullptr;
-    obs::Counter* eng_pool_misses = nullptr;
-    obs::Counter* eng_inplace_hits = nullptr;
-    obs::Counter* eng_move_swaps = nullptr;
   };
 
   void register_metrics();
@@ -255,7 +234,6 @@ class Service {
                    std::uint64_t request_id, std::uint64_t run_id,
                    const char* phase);
   void finish(Pending& p, Response r);
-  void note_engine(const bvram::EngineProfile& e);
 
   ServeConfig cfg_;
   ProgramCache cache_;

@@ -1,4 +1,4 @@
-// Observability-layer units (src/obs/metrics, events, serve spans) and
+// Observability-layer units (src/obs/metrics, serve spans) and
 // the minimal JSON reader that validates their outputs:
 //
 //   * log2 histogram bucket edges and nearest-rank quantiles (a quantile
@@ -8,7 +8,7 @@
 //   * Prometheus exposition shape: HELP/TYPE pairs, cumulative
 //     bucket{le=...} series, the +Inf bucket equals _count, and the
 //     nscc_build_info provenance metric with escaped label values;
-//   * the bounded event log and span log drop-and-count at capacity;
+//   * the bounded span log drops and counts at capacity;
 //   * the Chrome serve-trace writer emits well-formed JSON with thread
 //     metadata, async queue events, and flow arrows;
 //   * an 8-thread hammer over one registry (the TSan job's target for
@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/provenance.hpp"
@@ -165,62 +164,6 @@ TEST(Metrics, ConcurrentHammerLosesNothing) {
   const obs::HistogramSnapshot s = h.snapshot();
   EXPECT_EQ(s.count, static_cast<std::uint64_t>(kThreads) * kReps);
   EXPECT_LT(g.value(), static_cast<std::uint64_t>(kReps));
-}
-
-// -- EventLog ------------------------------------------------------------
-
-TEST(Events, FluentFieldsPreserveOrder) {
-  std::ostringstream out;
-  obs::EventLog::write_event(
-      out, obs::Event("serve.trap", obs::Severity::Warn)
-               .num("request", 7)
-               .str("error", "div by \"zero\"\n")
-               .num("run", 3));
-  const std::string line = out.str();
-  // Numbers raw, strings escaped+quoted, declaration order preserved.
-  EXPECT_NE(line.find("\"event\":\"serve.trap\""), std::string::npos);
-  EXPECT_NE(line.find("\"sev\":\"warn\""), std::string::npos);
-  const std::size_t req = line.find("\"request\":7");
-  const std::size_t err = line.find("\"error\":\"div by \\\"zero\\\"\\n\"");
-  const std::size_t run = line.find("\"run\":3");
-  ASSERT_NE(req, std::string::npos);
-  ASSERT_NE(err, std::string::npos);
-  ASSERT_NE(run, std::string::npos);
-  EXPECT_LT(req, err);
-  EXPECT_LT(err, run);
-  EXPECT_EQ(line.back(), '\n');
-  json::parse(line);  // throws if the line is not valid JSON
-}
-
-TEST(Events, BoundedQueueDropsAndCounts) {
-  obs::EventLog log(2);
-  for (int i = 0; i < 5; ++i) {
-    log.emit(obs::Event("e", obs::Severity::Info).num("i", i));
-  }
-  obs::EventLogStats st = log.stats();
-  EXPECT_EQ(st.emitted, 2u);
-  EXPECT_EQ(st.dropped, 3u);
-  EXPECT_EQ(st.queued, 2u);
-  EXPECT_EQ(st.capacity, 2u);
-  const std::vector<obs::Event> drained = log.drain();
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_GE(drained[1].mono_ns, drained[0].mono_ns);  // emission order
-  // Draining frees capacity; the drop counter is cumulative.
-  log.emit(obs::Event("e", obs::Severity::Info));
-  st = log.stats();
-  EXPECT_EQ(st.emitted, 3u);
-  EXPECT_EQ(st.dropped, 3u);
-}
-
-TEST(Events, HeaderIsSelfDescribing) {
-  obs::EventLog log;
-  std::ostringstream out;
-  log.write_header(out);
-  const json::Value v = json::parse(out.str());
-  EXPECT_EQ(v.at("schema").as_string(), "nscc-serve-events/v1");
-  EXPECT_EQ(v.at("capacity").as_u64(), 4096u);
-  EXPECT_EQ(v.at("dropped").as_u64(), 0u);
-  EXPECT_NE(v.at("provenance").find("compiler"), nullptr);
 }
 
 // -- SpanLog + Chrome serve trace ----------------------------------------

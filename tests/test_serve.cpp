@@ -30,7 +30,6 @@
 #include "bvram/pool.hpp"
 #include "front/front.hpp"
 #include "object/value.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "sa/compile.hpp"
@@ -464,7 +463,7 @@ TEST(Serve, StatsJsonCoherent) {
   EXPECT_GE(st.latency_p95_ns, st.latency_p50_ns);
   EXPECT_GE(st.latency_p99_ns, st.latency_p95_ns);
   const std::string json = svc.stats_json();
-  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v4\""),
+  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v5\""),
             std::string::npos);
   EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
   EXPECT_NE(json.find("\"source\": \"log2-histogram\""), std::string::npos);
@@ -502,10 +501,9 @@ TEST(Serve, ProfiledBatchBitIdentical) {
 
 // -- Service: telemetry --------------------------------------------------
 
-// The invisibility contract: with EVERY telemetry sink wired (events,
-// spans, slow threshold, engine profiling), responses are bit-identical
-// to a dark service -- outcomes, values, T/W, batching decisions --
-// including across the trap-in-batch replay cascade.
+// The invisibility contract: with the span sink wired, responses are
+// bit-identical to a dark service -- outcomes, values, T/W, batching
+// decisions -- including across the trap-in-batch replay cascade.
 TEST(Serve, TelemetryInvisible) {
   const auto prog = compile_source(kMeans);
   // Request 2 traps (empty segment): the batch run aborts and replays,
@@ -534,13 +532,9 @@ TEST(Serve, TelemetryInvisible) {
   serve::Service dark_svc(dark);
   const std::vector<serve::Response> want = run_all(dark_svc);
 
-  obs::EventLog events;
   obs::SpanLog spans;
   serve::ServeConfig lit = dark;
-  lit.events = &events;
   lit.spans = &spans;
-  lit.slow_ms = 1;  // latency-dependent events must not affect responses
-  lit.profile_runs = true;
   serve::Service lit_svc(lit);
   const std::vector<serve::Response> got = run_all(lit_svc);
 
@@ -564,40 +558,51 @@ TEST(Serve, TelemetryInvisible) {
   EXPECT_EQ(a.replays, b.replays);
   EXPECT_EQ(a.total_cost, b.total_cost);
 
-  // The telemetry side actually observed the cascade.
-  bool saw_trap = false, saw_replay = false;
-  for (const obs::Event& e : events.drain()) {
-    saw_trap = saw_trap || e.name == "serve.trap";
-    saw_replay = saw_replay || e.name == "serve.replay";
+  // The trace observed the cascade and carries each failure's message:
+  // the aborted batch's execute span holds the error the batch raised,
+  // and the trapping request's (id 3) replay span reads "trap: <error>".
+  ASSERT_EQ(got[2].outcome, serve::Outcome::Trap);
+  std::string batch_err;
+  try {
+    sa::run_compiled(prog->batch, Type::seq(prog->dom), Type::seq(prog->cod),
+                     Value::seq(args));
+  } catch (const Error& e) {
+    batch_err = e.what();
   }
-  EXPECT_TRUE(saw_trap);
-  EXPECT_TRUE(saw_replay);
-  bool saw_execute = false, saw_replay_span = false, saw_wait = false;
+  ASSERT_FALSE(batch_err.empty());
+  std::size_t executes = 0, replays = 0, waits = 0;
   for (const obs::ServeSpan& s : spans.drain()) {
-    saw_execute = saw_execute || s.phase == "execute";
-    saw_replay_span = saw_replay_span || s.phase == "replay";
-    saw_wait = saw_wait || s.phase == "queue-wait";
+    if (s.phase == "execute") {
+      ++executes;
+      EXPECT_EQ(s.note, batch_err);
+    } else if (s.phase == "replay") {
+      ++replays;
+      EXPECT_EQ(s.note, s.request_id == 3 ? "trap: " + got[2].error : "")
+          << "request " << s.request_id;
+    } else if (s.phase == "queue-wait") {
+      ++waits;
+    }
   }
-  EXPECT_TRUE(saw_execute);
-  EXPECT_TRUE(saw_replay_span);
-  EXPECT_TRUE(saw_wait);
+  EXPECT_EQ(executes, 1u);
+  EXPECT_EQ(replays, args.size());
+  EXPECT_EQ(waits, args.size());
 }
 
-// A saturated event queue degrades telemetry, never the request path:
-// events beyond capacity are dropped and counted, and every request
+// A saturated span log degrades telemetry, never the request path:
+// spans beyond capacity are dropped and counted, and every request
 // still completes correctly.
-TEST(Serve, EventDropAccountingUnderSaturation) {
+TEST(Serve, SpanDropAccountingUnderSaturation) {
   const auto prog = compile_source(kMeans);
-  obs::EventLog events(2);  // tiny on purpose
+  obs::SpanLog spans(2);  // tiny on purpose
   serve::ServeConfig cfg;
   cfg.workers = 1;
   cfg.max_batch = 8;
-  cfg.events = &events;
+  cfg.spans = &spans;
   serve::Service svc(cfg);
   svc.pause();
   std::vector<std::future<serve::Response>> futs;
-  // Every request traps solo (all-empty segments), and the batch replay
-  // cascade emits replay + trap events well past the capacity of 2.
+  // Every request traps solo (all-empty segments), and the admission,
+  // queue-wait, execute and replay spans run well past the capacity of 2.
   for (int i = 0; i < 8; ++i) {
     futs.push_back(
         svc.submit(prog, Value::seq({nat_seq({}), nat_seq({})})));
@@ -607,11 +612,11 @@ TEST(Serve, EventDropAccountingUnderSaturation) {
     EXPECT_EQ(f.get().outcome, serve::Outcome::Trap);
   }
   svc.drain();
-  const obs::EventLogStats es = events.stats();
-  EXPECT_EQ(es.emitted, 2u);
-  EXPECT_GT(es.dropped, 0u);
-  EXPECT_EQ(es.queued, 2u);
-  EXPECT_EQ(events.drain().size(), 2u);
+  const obs::SpanLogStats ss = spans.stats();
+  EXPECT_EQ(ss.recorded, 2u);
+  EXPECT_GT(ss.dropped, 0u);
+  EXPECT_EQ(ss.queued, 2u);
+  EXPECT_EQ(spans.drain().size(), 2u);
 }
 
 // Registry-backed stats must match the responses the service actually

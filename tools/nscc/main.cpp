@@ -45,23 +45,18 @@
 //                   1 = solo runs only)
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
-//   --stats-json PATH   write the nscc-serve-stats/v3 snapshot there
+//   --stats-json PATH   write the nscc-serve-stats/v5 snapshot there
 //
 // serve telemetry (all pure observers; see docs/observability.md):
 //   --metrics PATH  write the metrics registry as Prometheus text
 //                   exposition (includes an nscc_build_info provenance
 //                   metric)
-//   --events PATH   write the structured event log as JSONL (header line
-//                   carries schema + provenance; then one event per line)
 //   --trace PATH    write a Chrome trace_event timeline of request spans
-//                   (queue-wait / admission / batch-assembly / execute /
-//                   replay / split; workers are trace threads, flow
-//                   arrows link waits to the runs that answered them)
+//                   (admission / queue-wait / compile / cache-hit /
+//                   batch-assembly / execute / replay / split; workers are
+//                   trace threads, flow arrows link waits to their runs)
 //   --snapshot-every N  rewrite --metrics and --stats-json after every N
 //                   completed requests (0 = only at exit)
-//   --slow-ms T     emit a serve.slow event for requests slower than T ms
-//   --profile       serve: fold the engine's execution counters (pool
-//                   hits, in-place writes, ...) into the metrics registry
 //
 // profile options (see docs/observability.md):
 //   --by-line       per-source-line table only (the default prints all views)
@@ -87,7 +82,6 @@
 #include "nsc/eval.hpp"
 #include "nsc/typecheck.hpp"
 #include "object/value.hpp"
-#include "obs/events.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/provenance.hpp"
@@ -132,10 +126,8 @@ struct Options {
   std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
-  std::string events_path;         // --events (JSONL event log)
   std::string trace_path;          // --trace (Chrome trace_event)
   std::size_t snapshot_every = 0;  // --snapshot-every (0 = only at exit)
-  std::uint64_t slow_ms = 0;       // --slow-ms (0 = off)
   // bench comparison
   std::string compare_path;        // --compare (baseline bench JSON)
 };
@@ -152,8 +144,8 @@ struct Options {
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
                "[--max-queue N] [--fuel N] "
                "[--stats-json PATH] [--metrics PATH] "
-               "[--events PATH] [--trace PATH] [--snapshot-every N] "
-               "[--slow-ms T] [--compare BASELINE.json]\n"
+               "[--trace PATH] [--snapshot-every N] "
+               "[--compare BASELINE.json]\n"
                "       %s doc\n",
                argv0, argv0);
   std::exit(2);
@@ -278,7 +270,7 @@ Options parse_args(int argc, char** argv) {
       o.requests_path = need_value("--requests");
     } else if (arg == "--repeat" || arg == "--workers" ||
                arg == "--max-batch" || arg == "--max-queue" ||
-               arg == "--fuel") {
+               arg == "--fuel" || arg == "--snapshot-every") {
       const std::string v = need_value(arg.c_str());
       if (v.empty() || v.size() > 18 ||
           v.find_first_not_of("0123456789") != std::string::npos) {
@@ -300,6 +292,8 @@ Options parse_args(int argc, char** argv) {
       } else if (arg == "--max-queue") {
         if (n == 0) fail("--max-queue must be positive");
         o.max_queue = static_cast<std::size_t>(n);
+      } else if (arg == "--snapshot-every") {
+        o.snapshot_every = static_cast<std::size_t>(n);
       } else {
         if (n == 0) fail("--fuel must be positive");
         o.fuel = n;
@@ -308,21 +302,8 @@ Options parse_args(int argc, char** argv) {
       o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
       o.metrics_path = need_value("--metrics");
-    } else if (arg == "--events") {
-      o.events_path = need_value("--events");
     } else if (arg == "--trace") {
       o.trace_path = need_value("--trace");
-    } else if (arg == "--snapshot-every" || arg == "--slow-ms") {
-      const std::string v = need_value(arg.c_str());
-      if (v.empty() || v.size() > 18 ||
-          v.find_first_not_of("0123456789") != std::string::npos) {
-        fail("bad " + arg + " '" + v + "' (expected a nonnegative integer)");
-      }
-      if (arg == "--snapshot-every") {
-        o.snapshot_every = static_cast<std::size_t>(std::stoull(v));
-      } else {
-        o.slow_ms = std::stoull(v);
-      }
     } else if (arg == "--compare") {
       o.compare_path = need_value("--compare");
     } else {
@@ -899,20 +880,13 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.max_batch = o.max_batch;
   cfg.fuel = o.fuel;
 
-  // Telemetry sinks (pure observers; declared before the Service so they
-  // outlive the worker threads that write into them).
-  std::optional<obs::EventLog> events;
+  // The span sink (a pure observer; declared before the Service so it
+  // outlives the worker threads that write into it).
   std::optional<obs::SpanLog> spans;
-  if (!o.events_path.empty()) {
-    events.emplace();
-    cfg.events = &*events;
-  }
   if (!o.trace_path.empty()) {
     spans.emplace();
     cfg.spans = &*spans;
   }
-  cfg.slow_ms = o.slow_ms;
-  cfg.profile_runs = o.profile;
   serve::Service svc(cfg);
   const obs::Provenance prov = obs::Provenance::collect();
   const auto write_snapshots = [&] {
@@ -1006,19 +980,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   }
   if (!o.stats_json_path.empty()) {
     std::printf("wrote %s\n", o.stats_json_path.c_str());
-  }
-  if (events.has_value()) {
-    const obs::EventLogStats es = events->stats();
-    std::ofstream f(o.events_path, std::ios::binary);
-    if (!f) fail("cannot write " + o.events_path);
-    events->write_header(f);
-    for (const obs::Event& e : events->drain()) {
-      obs::EventLog::write_event(f, e);
-    }
-    std::printf("wrote %s (%llu events, %llu dropped)\n",
-                o.events_path.c_str(),
-                static_cast<unsigned long long>(es.emitted),
-                static_cast<unsigned long long>(es.dropped));
   }
   if (spans.has_value()) {
     const obs::SpanLogStats ss = spans->stats();
