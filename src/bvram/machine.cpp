@@ -135,7 +135,15 @@ using Vec = std::vector<std::uint64_t>;
 }
 
 std::uint64_t sat_sum(const std::uint64_t* p, std::size_t n) {
-  std::uint64_t s = 0;
+  // The plain sum vectorizes, and with fewer than 2^32 terms, each below
+  // 2^32, it cannot wrap.  Otherwise saturate term by term.
+  std::uint64_t s = 0, any = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    s += p[i];
+    any |= p[i];
+  }
+  if ((any >> 32) == 0 && (std::uint64_t{n} >> 32) == 0) return s;
+  s = 0;
   for (std::size_t i = 0; i < n; ++i) s = sat_add(s, p[i]);
   return s;
 }
@@ -187,7 +195,13 @@ void arith_into(ArithOp op, std::uint64_t* out, const std::uint64_t* a,
       arith_loop(out, a, b, n, [](U x, U y) { return sat_add(x, y); });
       return;
     case ArithOp::Monus:
-      arith_loop(out, a, b, n, [](U x, U y) { return monus(x, y); });
+      // monus without a branch, so the loop vectorizes: x - y borrows
+      // iff x < y, and the borrow masks the difference to 0.
+      arith_loop(out, a, b, n, [](U x, U y) {
+        const U d = x - y;
+        const U borrow = ((~x & y) | (~(x ^ y) & d)) >> 63;
+        return d & (borrow - 1);
+      });
       return;
     case ArithOp::Mul:
       arith_loop(out, a, b, n, [](U x, U y) { return sat_mul(x, y); });

@@ -16,13 +16,17 @@
 // DFS the table tracks the state at the end of the dominating block;
 // registers that may be redefined on some idom(c) -> c path that avoids
 // re-entering idom(c) (the *kill region*) are invalidated ("killed" to a
-// fresh value number) at c's entry.  For a block whose only CFG
-// predecessor is its dominator-tree parent the kill set is empty (the
-// EBB case); for a loop header dominated by the preheader it is exactly
-// the loop body's definitions, which is what makes header facts sound on
-// every iteration without iterating the analysis.  Block 0 is killed the
-// same way, over the region of every cycle through it, when a jump
-// targets instruction 0.
+// fresh value number) at c's entry.  The region is the reachable blocks
+// that reach a predecessor of c without passing idom(c).  Each lies on
+// such a path: every path from the entry to one, b, passes idom(c) --
+// else it would go on through b to c, avoiding c's dominator -- so its
+// part after the last visit of idom(c) runs idom(c) -> b -> c.  For a
+// block whose only CFG predecessor is its dominator-tree parent the kill
+// set is empty (the EBB case); for a loop header dominated by the
+// preheader it is exactly the loop body's definitions, which is what
+// makes header facts sound on every iteration without iterating the
+// analysis.  Block 0 is killed the same way, over the region of every
+// cycle through it, when a jump targets instruction 0.
 //
 // Facts.  Beside its number, every value carries what is known about it,
 // kept in a vector indexed by value number: its *length class* (the
@@ -99,11 +103,13 @@
 //   * branch folding: a GotoIfEmpty of a known empty becomes a Goto, and
 //     one of a known singleton is dropped.  (dce then drops a Goto to the
 //     next instruction.)
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "opt/cfg.hpp"
@@ -126,6 +132,18 @@ using VnKey = std::tuple<std::uint8_t, std::uint8_t, std::uint64_t,
                          std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint64_t>;
 
+/// Nothing iterates the table, so its order cannot reach the output.
+struct VnKeyHash {
+  std::size_t operator()(const VnKey& k) const {
+    const auto& [op, aop, imm, a, b, c, d] = k;
+    std::uint64_t h = op | std::uint64_t{aop} << 8;
+    for (const std::uint64_t x : {imm, a, b, c, d}) {
+      h = std::rotl((h ^ x) * 0x9e3779b97f4a7c15ull, 29);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 struct VnEntry {
   std::uint32_t reg = 0;
   std::uint64_t vn = 0;
@@ -143,7 +161,12 @@ struct VnTable {
   std::vector<std::uint32_t> first;
   /// register -> a kept CSE hit: its uses keep reading it.
   std::vector<bool> keeps_name;
-  std::map<VnKey, VnEntry> exprs;
+  /// Every register ever set to each value number: newest[v] indexes v's
+  /// last entry {register, v's entry before it or kNoReg} in `holders`.
+  /// Entries are never undone, so a reader checks each against reg_vn.
+  std::vector<std::uint32_t> newest;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> holders;
+  std::unordered_map<VnKey, VnEntry, VnKeyHash> exprs;
 
   struct UndoRecord {
     enum Kind : std::uint8_t { Reg, ExprSet, ExprNew } kind;
@@ -157,7 +180,11 @@ struct VnTable {
 
   explicit VnTable(std::size_t num_regs)
       : reg_vn(num_regs), first(num_regs), keeps_name(num_regs, false) {
-    for (std::size_t r = 0; r < num_regs; ++r) reg_vn[r] = first[r] = r;
+    for (std::uint32_t r = 0; r < num_regs; ++r) {
+      reg_vn[r] = first[r] = r;
+      newest.push_back(r);
+      holders.push_back({r, kNoReg});
+    }
   }
 
   std::size_t mark() const { return undo.size(); }
@@ -165,12 +192,18 @@ struct VnTable {
   /// A new value number, held by no register yet.
   std::uint64_t fresh() {
     first.push_back(kNoReg);
+    newest.push_back(kNoReg);
     return first.size() - 1;
   }
 
   void set_reg_vn(std::uint32_t r, std::uint64_t v, bool keep_name = false) {
     if (first[v] == kNoReg) first[v] = r;
-    if (reg_vn[r] == v && keeps_name[r] == keep_name) return;
+    if (reg_vn[r] != v) {
+      holders.push_back({r, newest[v]});
+      newest[v] = static_cast<std::uint32_t>(holders.size() - 1);
+    } else if (keeps_name[r] == keep_name) {
+      return;
+    }
     undo.push_back({.kind = UndoRecord::Reg,
                     .old_keeps_name = keeps_name[r],
                     .reg = r,
@@ -251,90 +284,6 @@ bool cse_eligible(const Instr& in) {
       return false;
   }
 }
-
-// ---------------------------------------------------------------------------
-// kill regions
-// ---------------------------------------------------------------------------
-
-/// The definitions that may execute on some path idom(c) ->* c that does
-/// not pass through idom(c) again: those in the forward reach of
-/// idom(c)'s successors intersected with the backward reach of c's
-/// predecessors, both computed with idom(c) removed from the graph.
-/// Empty when c's only predecessor is idom(c).  idom == kNoBlock stands
-/// for the program entry, whose only successor is block 0.  The forward
-/// reach is shared by every dominator-tree child of the same idom, so it
-/// is memoized per idom across the DFS.
-class KillRegions {
- public:
-  KillRegions(const Program& p, const Cfg& cfg) : p_(p), cfg_(cfg) {}
-
-  std::vector<std::size_t> defs(std::size_t c, std::size_t idom) {
-    const auto& preds = cfg_.blocks[c].preds;
-    if (preds.empty() || (preds.size() == 1 && preds[0] == idom)) return {};
-
-    const std::size_t nb = cfg_.blocks.size();
-    auto cached = fwd_cache_.find(idom);
-    if (cached == fwd_cache_.end()) {
-      std::vector<bool> fwd(nb, false);
-      std::vector<std::size_t> stack;
-      auto visit = [&](std::size_t s) {
-        if (s != idom && !fwd[s]) {
-          fwd[s] = true;
-          stack.push_back(s);
-        }
-      };
-      if (idom == kNoBlock) {
-        visit(0);
-      } else {
-        for (std::size_t s : cfg_.blocks[idom].succs) visit(s);
-      }
-      while (!stack.empty()) {
-        const std::size_t b = stack.back();
-        stack.pop_back();
-        for (std::size_t s : cfg_.blocks[b].succs) visit(s);
-      }
-      cached = fwd_cache_.emplace(idom, std::move(fwd)).first;
-    }
-    const std::vector<bool>& fwd = cached->second;
-
-    std::vector<bool> bwd(nb, false);
-    std::vector<std::size_t> stack;
-    for (std::size_t q : preds) {
-      if (q != idom && !bwd[q]) {
-        bwd[q] = true;
-        stack.push_back(q);
-      }
-    }
-    while (!stack.empty()) {
-      const std::size_t b = stack.back();
-      stack.pop_back();
-      for (std::size_t q : cfg_.blocks[b].preds) {
-        if (q != idom && !bwd[q]) {
-          bwd[q] = true;
-          stack.push_back(q);
-        }
-      }
-    }
-
-    std::vector<std::size_t> out;
-    for (std::size_t b = 0; b < nb; ++b) {
-      if (!fwd[b] || !bwd[b]) continue;
-      for (std::size_t i = cfg_.blocks[b].begin; i < cfg_.blocks[b].end;
-           ++i) {
-        if (p_.code[i].has_dst()) out.push_back(i);
-      }
-    }
-    return out;
-  }
-
- private:
-  const Program& p_;
-  const Cfg& cfg_;
-  // idom -> forward reach of its successors with the idom removed; one
-  // bit-vector per dominator-tree node that has a merge child, shared
-  // by all of that node's children.
-  std::unordered_map<std::size_t, std::vector<bool>> fwd_cache_;
-};
 
 // ---------------------------------------------------------------------------
 // facts
@@ -424,7 +373,7 @@ class Walk {
         facts_(p.num_regs),
         keep_(p.code.size(), true),
         kept_(p.num_regs, false),
-        regions_(p, cfg_) {
+        in_region_(cfg_.blocks.size(), false) {
     singletons_ = fresh({});
     empties_ = fresh({});
     for (std::size_t r = 0; r < p.num_regs; ++r) {
@@ -638,12 +587,42 @@ class Walk {
     return key;
   }
 
+  /// The definitions in c's kill region (see the header), where c's
+  /// dominator-tree parent is idom (kNoBlock for block 0): in ascending
+  /// block order, and code order within a block.
+  std::vector<std::size_t> kill_defs(std::size_t c, std::size_t idom) {
+    const auto& preds = cfg_.blocks[c].preds;
+    if (preds.empty() || (preds.size() == 1 && preds[0] == idom)) return {};
+    // Backward from c's predecessors.  An unreachable block has only
+    // unreachable predecessors, so the walk stops at the first one.
+    std::vector<std::size_t> region;
+    auto visit = [&](std::size_t b) {
+      if (b != idom && cfg_.reached(b) && !in_region_[b]) {
+        in_region_[b] = true;
+        region.push_back(b);
+      }
+    };
+    for (std::size_t q : preds) visit(q);
+    for (std::size_t k = 0; k < region.size(); ++k) {
+      for (std::size_t q : cfg_.blocks[region[k]].preds) visit(q);
+    }
+    std::sort(region.begin(), region.end());
+    std::vector<std::size_t> defs;
+    for (std::size_t b : region) {
+      in_region_[b] = false;
+      for (std::size_t i = cfg_.blocks[b].begin; i < cfg_.blocks[b].end; ++i) {
+        if (p_.code[i].has_dst()) defs.push_back(i);
+      }
+    }
+    return defs;
+  }
+
   /// Block c's entry facts, where c's dominator-tree parent is idom
   /// (kNoBlock for block 0): kill what the kill region may redefine,
   /// keeping each fact that every definition there reproduces, then
   /// learn the taken edge of a GotoIfEmpty.
   void enter(std::size_t c, std::size_t idom) {
-    const std::vector<std::size_t> defs = regions_.defs(c, idom);
+    const std::vector<std::size_t> defs = kill_defs(c, idom);
     std::vector<std::uint32_t> killed;
     for (std::size_t i : defs) {
       const std::uint32_t r = p_.code[i].dst;
@@ -688,7 +667,9 @@ class Walk {
     const std::uint64_t e = fresh({empties_});
     const std::uint32_t f = vn_.first[v];
     if (vn_.reg_vn[f] == v) vn_.set_reg_vn(f, e, vn_.keeps_name[f]);
-    for (std::uint32_t r = 0; r < p_.num_regs; ++r) {
+    for (std::uint32_t h = vn_.newest[v]; h != VnTable::kNoReg;
+         h = vn_.holders[h].second) {
+      const std::uint32_t r = vn_.holders[h].first;
       if (vn_.reg_vn[r] == v) vn_.set_reg_vn(r, e, vn_.keeps_name[r]);
     }
   }
@@ -793,7 +774,7 @@ class Walk {
   std::uint64_t empties_ = 0;     // the class of every []
   std::vector<bool> keep_;
   std::vector<bool> kept_;  // enter(): a killed register still keeps its fact
-  KillRegions regions_;
+  std::vector<bool> in_region_;  // kill_defs(): visited, cleared on return
   bool changed_ = false;
 };
 

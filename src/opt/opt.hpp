@@ -49,9 +49,9 @@
 //               ones only the catalog's ones_like broadcast moves: a
 //               bm-route whose counts and data are the loop's own
 //               Length of its bound and LoadConst, hoisted ahead of it.
-//   dce         unreachable-code elimination plus liveness-based dead
-//               code elimination on the fixed register file; a Goto to
-//               the next instruction and a Halt that ends the code go too.
+//   dce         unreachable-code and liveness-based dead-code removal on
+//               the fixed register file, run to its own fixpoint; a Goto
+//               to the next instruction and a Halt that ends the code too.
 //   reg-compact dead-register elimination: renumber the register file so
 //               unused registers disappear (the I/O convention pins
 //               V_0 .. V_{max(in,out)-1}).

@@ -131,9 +131,7 @@ Service::~Service() {
     Response r;
     r.outcome = Outcome::Rejected;
     r.error = "service stopped before the request ran";
-    r.latency_ns = ns_between(p.enqueued, Clock::now());
-    m_.completed->inc();
-    m_.rejected->inc();
+    record_completion(p, r);
     p.promise.set_value(std::move(r));
   }
 }
@@ -194,11 +192,10 @@ std::future<Response> Service::submit(
     if (stopping_ || queue_.size() >= cfg_.max_queue) {
       rejected = true;
       depth = queue_.size();
-      m_.completed->inc();
-      m_.rejected->inc();
       Response r;
       r.outcome = Outcome::Rejected;
       r.error = stopping_ ? "service stopped" : "queue full";
+      record_completion(p, r);
       p.promise.set_value(std::move(r));
     } else {
       queue_.push_back(std::move(p));
@@ -444,7 +441,7 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
   return r;
 }
 
-void Service::finish(Pending& p, Response r) {
+void Service::record_completion(const Pending& p, Response& r) {
   r.latency_ns = ns_between(p.enqueued, Clock::now());
   m_.completed->inc();
   switch (r.outcome) {
@@ -455,6 +452,10 @@ void Service::finish(Pending& p, Response r) {
     case Outcome::Error: m_.errors->inc(); break;
   }
   m_.latency_ns->observe(r.latency_ns);
+}
+
+void Service::finish(Pending& p, Response r) {
+  record_completion(p, r);
   {
     std::lock_guard<std::mutex> lock(mu_);
     --in_flight_;

@@ -233,6 +233,10 @@ class Service {
                    bvram::BufferPool* arena, std::size_t worker,
                    std::uint64_t request_id, std::uint64_t run_id,
                    const char* phase);
+  /// Stamps r's latency and counts it as one completion: the completed
+  /// counter, its outcome's counter and the latency histogram.  Every
+  /// response goes through here, rejected ones included.
+  void record_completion(const Pending& p, Response& r);
   void finish(Pending& p, Response r);
 
   ServeConfig cfg_;

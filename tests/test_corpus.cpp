@@ -296,5 +296,54 @@ TEST(Corpus, EmittedCodeDigestsArePinned) {
   EXPECT_EQ(checked, std::size(kPinned)) << "a pinned program is gone";
 }
 
+// ---------------------------------------------------------------------------
+// O2 pipeline rounds
+// ---------------------------------------------------------------------------
+
+struct PinnedRounds {
+  const char* program;  ///< corpus file stem
+  std::size_t unit;     ///< rounds of `main`'s O2 compile
+  std::size_t lifted;   ///< rounds of `map main`'s
+};
+
+// Naive-schedule O2 compiles of tests/corpus/*.nsc.  Every round runs gvn
+// and licm over the whole program, so a round that only finishes what a
+// pass left undone costs a full pass of each; the last round changes
+// nothing.
+constexpr PinnedRounds kRounds[] = {
+    {"count_to", 3, 2},        {"countdown", 2, 2},
+    {"divide_conquer", 2, 2},  {"histogram", 4, 2},
+    {"merge_sorted", 4, 3},    {"nested_join", 4, 2},
+    {"nested_query", 2, 2},    {"quickstart", 2, 2},
+    {"segmented_filter_reduce", 3, 3},
+    {"sqrt_blocks", 3, 3},     {"stragglers", 2, 2},
+    {"tokenizer", 3, 3},       {"trap_division", 2, 2},
+};
+
+TEST(Corpus, O2RoundCountsArePinned) {
+  std::size_t checked = 0;
+  for (const auto& path : corpus_files()) {
+    const std::string stem = std::filesystem::path(path).stem().string();
+    const F::ResolvedModule mod = F::compile_file(F::load_file(path));
+    const L::FuncRef& fn = mod.main().fn;
+    const PinnedRounds* pin = nullptr;
+    for (const PinnedRounds& r : kRounds) {
+      if (stem == r.program) pin = &r;
+    }
+    opt::PipelineStats unit, lifted;
+    sa::compile_nsc(fn, opt::OptLevel::O2, {}, &unit);
+    sa::compile_nsc(L::map_f(fn), opt::OptLevel::O2, {}, &lifted);
+    if (pin == nullptr) {
+      ADD_FAILURE() << "no pinned rounds; add the row\n{\"" << stem
+                    << "\", " << unit.rounds << ", " << lifted.rounds << "},";
+      continue;
+    }
+    ++checked;
+    EXPECT_EQ(pin->unit, unit.rounds) << stem << " unit";
+    EXPECT_EQ(pin->lifted, lifted.rounds) << stem << " lifted";
+  }
+  EXPECT_EQ(checked, std::size(kRounds)) << "a pinned program is gone";
+}
+
 }  // namespace
 }  // namespace nsc

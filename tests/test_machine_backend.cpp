@@ -186,6 +186,35 @@ TEST(Backend, ArithSaturates) {
   expect_identical(p, {huge, small});
 }
 
+TEST(Backend, MonusEdgePairs) {
+  // Every pair from the edges of the 32- and 64-bit ranges: the kernel's
+  // branch-free monus must borrow exactly where x < y.
+  const std::uint64_t kEdges[] = {0,
+                                  1,
+                                  (std::uint64_t{1} << 32) - 1,
+                                  std::uint64_t{1} << 32,
+                                  (std::uint64_t{1} << 63) - 1,
+                                  std::uint64_t{1} << 63,
+                                  ~std::uint64_t{0}};
+  Vec xs, ys, want;
+  for (const std::uint64_t x : kEdges) {
+    for (const std::uint64_t y : kEdges) {
+      xs.push_back(x);
+      ys.push_back(y);
+      want.push_back(x >= y ? x - y : 0);
+    }
+  }
+  Assembler a;
+  auto x = a.reg();
+  auto y = a.reg();
+  auto z = a.reg();
+  a.arith(z, ArithOp::Monus, x, y);
+  a.halt();
+  auto p = a.finish(2, 3);
+  expect_identical(p, {xs, ys});
+  EXPECT_EQ(run(p, {xs, ys}).outputs[2], want);
+}
+
 TEST(Backend, ArithDivByZeroTraps) {
   Assembler a;
   auto x = a.reg();
@@ -779,6 +808,47 @@ TEST(DeadResult, BmRouteCertificate) {
   expect_identical(p, {Vec(2, 0), Vec{kMax, 3}, Vec{5, 6}});
   expect_identical(p, {Vec(5000, 0), Vec{kMax / 2 + 1, kMax / 2 + 1, 5000},
                        Vec{1, 2, 3}});
+}
+
+TEST(Backend, DeadBmRouteCountsPast32Bits) {
+  // An unread bm-route runs its certificate alone.  The count sum may
+  // skip saturation only while every count and their number are below
+  // 2^32; each case below wraps to |bound| if summed plainly.
+  Assembler a;
+  a.reserve_regs(3);
+  const auto t = a.reg();
+  a.bm_route(t, 0, 1, 2);
+  a.halt();
+  const Program p = a.finish(3, 1);
+  expect_dead_result(p, 0);
+  Program live = p;
+  opt::annotate_last_use(live);
+  const std::uint64_t k32 = std::uint64_t{1} << 32;
+  const std::uint64_t k63 = std::uint64_t{1} << 63;
+  const struct {
+    std::size_t bound;
+    Vec counts;
+    bool traps;
+  } cases[] = {
+      {0, {k63, k63}, true},
+      {3, {k63, 3, k63}, true},
+      {0, {k32, 0 - k32}, true},
+      {2, {0 - k32, k32 + 2}, true},
+      {4, {1, 0, 3}, false},
+  };
+  for (const auto& c : cases) {
+    const std::vector<Vec> inputs = {Vec(c.bound, 0), c.counts,
+                                     Vec(c.counts.size(), 9)};
+    expect_identical(p, inputs);
+    const Outcome o =
+        outcome_of(run, live, inputs, RunConfig{}.max_instructions);
+    EXPECT_EQ(o.trapped, c.traps) << o.error;
+    if (c.traps) {
+      EXPECT_NE(o.error.find("bound length != sum of counts"),
+                std::string::npos)
+          << o.error;
+    }
+  }
 }
 
 TEST(DeadResult, SbmRouteCertificate) {

@@ -741,6 +741,63 @@ void expect_no_worse(const Program& naive, const Program& opt,
   }
 }
 
+TEST(Gvn, UnreachableJumpIntoALoopKeepsHeaderFacts) {
+  // k = [5] on every entry to the loop header.  A block that nothing
+  // reaches redefines k and jumps into the body: it is no path into the
+  // header, so Length(k) there still folds to [1].
+  Assembler a;
+  a.reserve_regs(2);
+  auto k = a.reg(), x = a.reg();
+  auto top = a.fresh_label(), body = a.fresh_label(), exit = a.fresh_label();
+  a.load_const(k, 5);
+  a.bind(top);
+  a.length(x, k);
+  a.jump_if_empty(1, exit);
+  a.bind(body);
+  a.append(0, 0, x);
+  a.load_empty(1);
+  a.jump(top);
+  a.bind(exit);
+  a.halt();
+  a.enumerate(k, 0);  // unreachable
+  a.jump(body);
+  const Program naive = a.finish(2, 1);
+  Program p = naive;
+  make_gvn()->run(p);
+  EXPECT_EQ(count_op(p, Op::Length), 0u);
+  optimize(p);
+  expect_no_worse(naive, p, {{{}, {}}, {{7}, {1}}, {{7, 8}, {2, 3}}});
+}
+
+TEST(Gvn, TakenEdgeReachesACopyAfterASiblingRolledBack) {
+  // c copies V1 in the entry block.  The fall-through arm copies V1 again
+  // and is rolled back before the walk reaches `if empty?(V1)`, whose
+  // taken edge must still find c: Length(c) there folds to [0].
+  Assembler a;
+  a.reserve_regs(3);
+  auto c = a.reg(), d = a.reg();
+  auto test = a.fresh_label(), taken = a.fresh_label();
+  a.move(c, 1);
+  a.jump_if_empty(2, test);
+  a.move(d, 1);
+  a.append(0, 0, d);
+  a.bind(test);
+  a.jump_if_empty(1, taken);
+  a.append(0, 0, 1);
+  a.halt();
+  a.bind(taken);
+  a.length(0, c);
+  a.halt();
+  const Program naive = a.finish(3, 1);
+  Program p = naive;
+  make_gvn()->run(p);
+  EXPECT_EQ(count_op(p, Op::Length), 0u);
+  optimize(p);
+  expect_no_worse(naive, p,
+                  {{{}, {}, {}}, {{4}, {}, {1}}, {{4}, {5, 6}, {}},
+                   {{4}, {5}, {1}}});
+}
+
 /// bm-route(over, [length(over)], [c]): the catalog's broadcast of c.
 std::uint32_t broadcast(Assembler& a, std::uint64_t c, std::uint32_t over) {
   auto k = a.reg(), len = a.reg(), out = a.reg();
@@ -1516,6 +1573,49 @@ TEST(Dataflow, LivenessMatchesRoundRobinReference) {
       for (std::uint32_t r = 0; r < p.num_regs; ++r) {
         ASSERT_EQ(lv.live_in[b].test(r), ref[b][r])
             << c.label << " block " << b << " V" << r;
+      }
+    }
+  }
+}
+
+TEST(Passes, DceRunsToItsFixpoint) {
+  // x's only read is a dead Move in a later block, and the Goto skips a
+  // dead Length: one dce run removes the Move, the Length, then x, then
+  // the Goto and the Halt, which now lead to the next kept instruction.
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto x = a.reg(), y = a.reg(), z = a.reg();
+    auto skip = a.fresh_label(), end = a.fresh_label();
+    a.enumerate(x, 0);
+    a.jump_if_empty(1, skip);
+    a.move(y, x);
+    a.jump(end);
+    a.bind(skip);
+    a.length(z, 0);
+    a.bind(end);
+    a.halt();
+    const Program naive = a.finish(2, 1);
+    Program p = naive;
+    EXPECT_TRUE(make_dce()->run(p));
+    ASSERT_EQ(p.code.size(), 1u);
+    EXPECT_EQ(p.code[0].op, Op::GotoIfEmpty);
+    EXPECT_FALSE(make_dce()->run(p));
+    expect_no_worse(naive, p, {{{}, {}}, {{3, 4}, {}}, {{3, 4}, {5}}});
+  }
+  // Every corpus compile, through every round of the O2 pipeline.
+  for (NaiveCompile& c : naive_corpus()) {
+    Program& p = c.p;
+    p.last_use.clear();
+    std::unique_ptr<Pass> passes[] = {make_gvn(), make_licm(), make_dce(),
+                                      make_reg_compact()};
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (auto& pass : passes) {
+        changed |= pass->run(p);
+        if (std::string(pass->name()) != "dce") continue;
+        Program again = p;
+        EXPECT_FALSE(make_dce()->run(again)) << c.label;
       }
     }
   }

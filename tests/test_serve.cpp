@@ -416,6 +416,13 @@ TEST(Serve, AdmissionQueueLimit) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(rejected, 3u);
+  // Every completion is in the latency histogram, rejections included.
+  std::ostringstream prom;
+  svc.metrics().write_prometheus(prom);
+  const std::string text = prom.str();
+  EXPECT_NE(text.find("nscc_serve_requests_completed_total 5"),
+            std::string::npos);
+  EXPECT_NE(text.find("nscc_serve_latency_ns_count 5"), std::string::npos);
 }
 
 TEST(Serve, DestructorFailsPendingCleanly) {
