@@ -56,8 +56,6 @@ class Counter {
 class Gauge {
  public:
   void set(std::uint64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
-  void sub(std::uint64_t d) { v_.fetch_sub(d, std::memory_order_relaxed); }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -67,17 +67,6 @@ std::string render_rows(const char* key_header,
   return out.str();
 }
 
-/// Label for an instruction on the timeline: "arith (map@12:7)" when
-/// attributed, bare opcode otherwise.
-std::string event_name(const bvram::Program& p, std::size_t pc) {
-  const DebugSite& site = p.debug.site(p.code[pc].dbg);
-  std::string name = bvram::op_name(p.code[pc].op);
-  if (site.has_loc() || !site.nsa.empty()) {
-    name += " (" + site.show() + ")";
-  }
-  return name;
-}
-
 }  // namespace
 
 Profile Profile::build(const bvram::Program& p, const bvram::RunResult& r) {
@@ -175,66 +164,43 @@ std::string Profile::render_engine() const {
   return out.str();
 }
 
-void write_chrome_trace(std::ostream& out, const bvram::Program& p,
-                        const bvram::RunResult& r,
-                        const opt::PipelineStats* compile) {
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& name, int tid, double ts_us,
-                        double dur_us, const std::string& args) {
-    if (!first) out << ",";
-    first = false;
-    out << "{\"name\":\"" << json::escape(name)
-        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << tid << ",\"ts\":"
-        << std::fixed << std::setprecision(3) << ts_us << ",\"dur\":"
-        << dur_us << ",\"args\":{" << args << "}}";
-  };
-
-  double ts = 0.0;
+std::vector<ServeSpan> timeline_spans(const bvram::Program& p,
+                                      const bvram::RunResult& r,
+                                      const opt::PipelineStats* compile) {
+  std::vector<ServeSpan> spans;
   if (compile != nullptr) {
+    std::uint64_t t = 0;
     for (const auto& ps : compile->passes) {
-      const double dur =
-          static_cast<double>(ps.wall_ns) / 1e3;  // ns -> us
-      emit("opt:" + ps.name, 2, ts, dur,
-           "\"applications\":" + std::to_string(ps.applications) +
-               ",\"instrs_removed\":" + std::to_string(ps.instrs_removed));
-      ts += dur;
+      ServeSpan s;
+      s.phase = ps.name;
+      s.t0_ns = t;
+      s.dur_ns = ps.wall_ns;
+      s.size = ps.instrs_removed;
+      t += s.dur_ns;
+      spans.push_back(std::move(s));
     }
-    ts = 0.0;  // execution gets its own timeline origin
   }
-
-  // Synthetic execution timeline: each executed instruction gets its pc's
-  // average wall time as its duration, so the layout is faithful in the
-  // aggregate even when a single sample is below clock resolution.
+  std::uint64_t t = 0;  // execution gets its own timeline origin
   for (const auto& te : r.trace) {
     const std::size_t pc = static_cast<std::size_t>(te.instr);
-    double dur = 0.001;  // floor: keep zero-cost events visible (1ns)
+    ServeSpan s;
+    s.phase = bvram::op_name(te.op);
+    s.worker = 1;
+    s.t0_ns = t;
+    s.dur_ns = 1;  // floor: keep zero-cost events visible
     if (pc < r.profile.size() && r.profile[pc].count > 0) {
-      const double avg_ns = static_cast<double>(r.profile[pc].wall_ns) /
-                            static_cast<double>(r.profile[pc].count);
-      if (avg_ns / 1e3 > dur) dur = avg_ns / 1e3;
+      s.dur_ns = std::max<std::uint64_t>(
+          1, r.profile[pc].wall_ns / r.profile[pc].count);
     }
-    std::string args = "\"pc\":" + std::to_string(pc) +
-                       ",\"work\":" + std::to_string(te.work) +
-                       ",\"max_len\":" + std::to_string(te.max_len);
-    if (pc < p.code.size()) {
-      const DebugSite& site = p.debug.site(p.code[pc].dbg);
-      if (site.has_loc()) {
-        args += ",\"line\":" + std::to_string(site.line) +
-                ",\"col\":" + std::to_string(site.col);
-      }
-      emit(event_name(p, pc), 1, ts, dur, args);
-    } else {
-      emit(bvram::op_name(te.op), 1, ts, dur, args);
-    }
-    ts += dur;
+    s.size = te.work;
+    s.note = p.debug.site(pc < p.code.size() ? p.code[pc].dbg : 0).show();
+    t += s.dur_ns;
+    spans.push_back(std::move(s));
   }
-  out << "],\"otherData\":{\"total_work\":" << r.cost.work
-      << ",\"total_time_T\":" << r.cost.time << ",\"engine_wall_ns\":"
-      << r.engine.wall_ns << "}}";
+  return spans;
 }
 
-// -- serve-path span tracing ---------------------------------------------
+// -- spans and the Chrome trace -------------------------------------------
 
 SpanLog::SpanLog(std::size_t capacity)
     : origin_ns_(static_cast<std::uint64_t>(
@@ -278,8 +244,9 @@ SpanLogStats SpanLog::stats() const {
   return s;
 }
 
-void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
-                       std::size_t workers, const Provenance* prov) {
+void write_chrome_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
+                        const std::vector<std::string>& rows,
+                        const Provenance* prov) {
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   const auto comma = [&] {
@@ -287,18 +254,10 @@ void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
     first = false;
   };
 
-  // Thread rows: tid 0 is the queue (submitted-but-unclaimed requests as
-  // async events), tid 1..workers are the service workers, and compile /
-  // cache spans from caller threads keep tid 0 too (they run before any
-  // request is in flight on that program).
-  const auto thread_name = [&](std::size_t tid, const std::string& name) {
+  for (std::size_t tid = 0; tid < rows.size(); ++tid) {
     comma();
     out << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" << tid
-        << ",\"args\":{\"name\":\"" << json::escape(name) << "\"}}";
-  };
-  thread_name(0, "queue");
-  for (std::size_t w = 1; w <= workers; ++w) {
-    thread_name(w, "worker " + std::to_string(w));
+        << ",\"args\":{\"name\":\"" << json::escape(rows[tid]) << "\"}}";
   }
 
   // Index: batch id -> the earliest worker-side span of that machine run,
@@ -373,7 +332,7 @@ void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
     }
     comma();
     out << "{\"name\":\"" << json::escape(s.phase)
-        << "\",\"cat\":\"serve\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.worker
+        << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << s.worker
         << ",\"ts\":" << t0_us << ",\"dur\":" << dur_us << ",\"args\":{"
         << span_args(s) << "}}";
   }

@@ -8,11 +8,10 @@
 //   by_loop     natural back-edge loops (a backwards Goto/GotoIfEmpty),
 //               with trip counts and the cost of the loop body range
 //
-// plus a Chrome trace_event exporter (chrome://tracing / Perfetto): the
-// recorded instruction trace becomes one complete event per executed
-// instruction, laid out on a synthetic timeline built from the per-pc
-// average wall time, so the relative widths are faithful even though
-// individual samples are too short for the clock.
+// plus the one Chrome trace_event writer (chrome://tracing / Perfetto),
+// write_chrome_trace, which renders spans: the request spans of the
+// serve path, and the optimizer passes and executed instructions that
+// timeline_spans lays out for a profiled run.
 #pragma once
 
 #include <cstdint>
@@ -69,39 +68,45 @@ struct Profile {
   std::string render_engine() const;
 };
 
-/// Emit Chrome trace_event JSON for a profiled run.  Requires both
-/// cfg.profile and cfg.record_trace.  When `compile` is non-null, the
-/// optimizer's per-pass timings are emitted as a second thread of events
-/// ahead of the execution timeline.
-void write_chrome_trace(std::ostream& out, const bvram::Program& p,
-                        const bvram::RunResult& r,
-                        const opt::PipelineStats* compile = nullptr);
-
-// -- serve-path span tracing ---------------------------------------------
+// -- spans and the Chrome trace -------------------------------------------
 //
-// The request-path counterpart of the per-instruction profiler: the
-// Service records one ServeSpan per request phase (admission, queue-wait,
-// compile, batch-assembly, execute, replay, split) into a SpanLog, and
-// write_serve_trace lays them out as a Chrome trace_event timeline --
-// each service worker is a trace thread, queued requests live on a
-// "queue" thread as async events, and flow arrows connect every request's
-// queue-wait to the machine run (batch or solo) that answered it.
+// The Service records one ServeSpan per request phase (admission,
+// queue-wait, compile, batch-assembly, execute, replay, split) into a
+// SpanLog; timeline_spans turns a profiled run into the same spans; and
+// write_chrome_trace lays either out as a Chrome trace_event timeline.
 
+/// One timed span: a serve phase, an optimizer pass or an executed
+/// instruction.
 struct ServeSpan {
-  /// Phase names are stable strings (they become trace event names):
+  /// The trace event's name.  Serve phases are the stable strings
   /// "admission", "queue-wait", "compile", "cache-hit", "batch-assembly",
-  /// "execute", "replay", "split".
+  /// "execute", "replay" and "split"; a profile names a pass or an opcode.
   std::string phase;
   std::uint64_t request_id = 0;  ///< 0 for batch-level / service-level spans
   std::uint64_t batch_id = 0;    ///< machine-run id; 0 = none (e.g. compile)
-  std::size_t worker = 0;        ///< 0 = caller thread, 1.. = worker threads
-  std::uint64_t t0_ns = 0;       ///< monotonic, since the SpanLog's origin
+  /// Trace row.  Serve: 0 = caller thread, 1.. = worker threads.
+  std::size_t worker = 0;
+  std::uint64_t t0_ns = 0;  ///< since the timeline's origin (SpanLog::now_ns)
   std::uint64_t dur_ns = 0;
-  std::uint64_t size = 0;        ///< payload: batch size, queue depth, ...
+  /// Payload: batch size, queue depth, a pass's instructions removed, an
+  /// instruction's W charged, ...
+  std::uint64_t size = 0;
   /// "" = none; else a failed run's "<outcome>: <error>", a failed
-  /// batch's error, "rejected", or a compile/cache-hit's program name.
+  /// batch's error, "rejected", a compile/cache-hit's program name, or an
+  /// executed instruction's debug site.
   std::string note;
 };
+
+/// The timeline of a profiled run (requires cfg.profile and
+/// cfg.record_trace).  Row 0: one span per pass of `compile` (when
+/// non-null), back to back, sized by the instructions it removed.  Row 1:
+/// one span per executed instruction, named by its opcode, noted with its
+/// debug site and sized by the W it charged.  An instruction lasts its
+/// pc's average wall time (at least 1 ns), so the relative widths are
+/// faithful even though single samples are too short for the clock.
+std::vector<ServeSpan> timeline_spans(const bvram::Program& p,
+                                      const bvram::RunResult& r,
+                                      const opt::PipelineStats* compile);
 
 struct SpanLogStats {
   std::uint64_t recorded = 0;
@@ -134,11 +139,15 @@ class SpanLog {
   std::uint64_t dropped_ = 0;
 };
 
-/// Chrome trace_event JSON for a set of serve spans.  `workers` names the
-/// worker-thread rows up front (metadata events); spans index into them
-/// via ServeSpan::worker.  When `prov` is non-null the provenance is
-/// embedded in otherData so the trace is self-describing.
-void write_serve_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
-                       std::size_t workers, const Provenance* prov = nullptr);
+/// Chrome trace_event JSON for a set of spans.  `rows` names the trace
+/// rows up front (metadata events; a row's tid is its index), and a span
+/// lands on row ServeSpan::worker as a complete event.  A "queue-wait"
+/// span is an async begin/end pair on row 0 instead (queued requests
+/// overlap), with a flow arrow into the earliest span of the run that
+/// answered it.  When `prov` is non-null the provenance is embedded in
+/// otherData so the trace is self-describing.
+void write_chrome_trace(std::ostream& out, const std::vector<ServeSpan>& spans,
+                        const std::vector<std::string>& rows,
+                        const Provenance* prov = nullptr);
 
 }  // namespace nsc::obs

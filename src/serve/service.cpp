@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
 #include <utility>
 
 #include "front/front.hpp"
@@ -517,49 +516,6 @@ ServeStats Service::stats() const {
   }
   s.cache = cache_.stats();
   return s;
-}
-
-std::string Service::stats_json() const {
-  const ServeStats s = stats();
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"schema\": \"nscc-serve-stats/v5\",\n";
-  os << "  \"config\": {\"workers\": " << cfg_.workers
-     << ", \"max_queue\": " << cfg_.max_queue
-     << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
-     << ", \"batching\": " << (cfg_.max_batch > 1 ? "true" : "false")
-     << "},\n";
-  os << "  \"requests\": {\"submitted\": " << s.submitted
-     << ", \"completed\": " << s.completed << ", \"ok\": " << s.ok
-     << ", \"rejected\": " << s.rejected << ", \"trapped\": " << s.trapped
-     << ", \"fuel_exhausted\": " << s.fuel_exhausted
-     << ", \"errors\": " << s.errors << "},\n";
-  os << "  \"execution\": {\"runs\": " << s.runs
-     << ", \"batch_runs\": " << s.batch_runs
-     << ", \"batched_requests\": " << s.batched_requests
-     << ", \"replays\": " << s.replays
-     << ", \"batch_occupancy\": " << s.batch_occupancy
-     << ", \"T\": " << s.total_cost.time << ", \"W\": " << s.total_cost.work
-     << ", \"exec_wall_ns\": " << s.exec_wall_ns << "},\n";
-  os << "  \"latency_ns\": {\"p50\": " << s.latency_p50_ns
-     << ", \"p95\": " << s.latency_p95_ns << ", \"p99\": " << s.latency_p99_ns
-     << ", \"mean\": " << s.latency_mean_ns
-     << ", \"source\": \"log2-histogram\"},\n";
-  os << "  \"throughput_rps\": "
-     << (s.uptime_ns > 0
-             ? static_cast<double>(s.completed) * 1e9 /
-                   static_cast<double>(s.uptime_ns)
-             : 0.0)
-     << ",\n";
-  os << "  \"uptime_ns\": " << s.uptime_ns << ",\n";
-  os << "  \"cache\": {\"hits\": " << s.cache.hits
-     << ", \"misses\": " << s.cache.misses
-     << ", \"evictions\": " << s.cache.evictions
-     << ", \"compile_wall_ns\": " << s.cache.compile_wall_ns
-     << ", \"size\": " << s.cache.size
-     << ", \"capacity\": " << s.cache.capacity << "}\n";
-  os << "}";
-  return os.str();
 }
 
 }  // namespace nsc::serve

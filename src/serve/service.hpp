@@ -36,7 +36,7 @@
 // exhaustion the replay path re-runs each request under its own fuel,
 // so a diverging request cannot starve a batched neighbor either).
 //
-// See docs/serve.md for the full semantics and the stats schema.
+// See docs/serve.md for the full semantics and the stats.
 #pragma once
 
 #include <atomic>
@@ -180,9 +180,6 @@ class Service {
   void resume();
 
   ServeStats stats() const;
-  /// The stats snapshot as a JSON object (schema nscc-serve-stats/v5;
-  /// latency percentiles are histogram quantiles).
-  std::string stats_json() const;
 
   /// The metrics registry, with the derived gauges (queue depth, cache,
   /// uptime) refreshed to the current instant.

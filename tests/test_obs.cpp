@@ -166,7 +166,7 @@ TEST(Metrics, ConcurrentHammerLosesNothing) {
   EXPECT_LT(g.value(), static_cast<std::uint64_t>(kReps));
 }
 
-// -- SpanLog + Chrome serve trace ----------------------------------------
+// -- SpanLog + the Chrome trace writer ------------------------------------
 
 TEST(Spans, BoundedLogDropsAndCounts) {
   obs::SpanLog log(2);
@@ -208,7 +208,8 @@ TEST(Spans, ChromeTraceShape) {
   obs::Provenance prov;
   prov.compiler = "test";
   std::ostringstream out;
-  obs::write_serve_trace(out, spans, 2, &prov);
+  obs::write_chrome_trace(out, spans, {"queue", "worker 1", "worker 2"},
+                          &prov);
   const std::string text = out.str();
   const json::Value doc = json::parse(text);  // must be well-formed JSON
   EXPECT_NE(doc.find("traceEvents"), nullptr);

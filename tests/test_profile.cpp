@@ -12,9 +12,12 @@
 //   * >= 95% of *executed* instructions on the O2-compiled corpus carry
 //     surface attribution (the CI profile-smoke gate, measured here via
 //     Program::debug_coverage weighted by execution counts);
-//   * DebugTable interning and the obs::Profile report views.
+//   * DebugTable interning and the obs::Profile report views, and the
+//     profile's Chrome timeline written through the one span writer.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
 #include <string>
 #include <typeinfo>
 #include <vector>
@@ -32,6 +35,7 @@
 #include "sa/layout.hpp"
 #include "support/checked.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "corpus_files.hpp"
 
 namespace nsc {
@@ -313,6 +317,59 @@ TEST(Profile, DebugTableInternsAndResolves) {
 
   // Out-of-range indices resolve to the unknown site, never throw.
   EXPECT_EQ(t.site(9999).show(), "?");
+}
+
+// `nscc profile --chrome` renders through the one span writer: the
+// optimizer row holds the passes, and the execute row one complete event
+// per executed instruction, named by opcode, noted with its debug site,
+// and sized so the sizes add up to the run's W.
+TEST(Profile, ChromeTimelineThroughTheSpanWriter) {
+  const F::SourceFile src =
+      F::load_file(std::string(NSCC_CORPUS_DIR) + "/nested_query.nsc");
+  const F::ResolvedModule mod = F::compile_file(src);
+  const F::ResolvedFn& main_fn = mod.main();
+  ASSERT_FALSE(mod.inputs.empty());
+  opt::PipelineStats stats;
+  const bvram::Program p =
+      sa::compile_nsc(main_fn.fn, opt::OptLevel::O2, {}, &stats);
+  bvram::RunConfig cfg;
+  cfg.profile = true;
+  cfg.record_trace = true;
+  const bvram::RunResult r = bvram::run(
+      p, sa::encode_value(L::eval(mod.inputs[0].term).value, main_fn.dom),
+      cfg);
+
+  std::ostringstream out;
+  obs::write_chrome_trace(out, obs::timeline_spans(p, r, &stats),
+                          {"optimizer", "execute"});
+  const json::Value doc = json::parse(out.str());
+  std::map<std::uint64_t, std::string> rows;
+  std::vector<const json::Value*> passes, instrs;
+  for (const json::Value& e : doc.at("traceEvents").items) {
+    if (e.at("ph").as_string() == "M") {
+      rows[e.at("tid").as_u64()] = e.at("args").at("name").as_string();
+      continue;
+    }
+    ASSERT_EQ(e.at("ph").as_string(), "X");
+    EXPECT_NE(e.find("ts"), nullptr);
+    EXPECT_NE(e.find("dur"), nullptr);
+    (e.at("tid").as_u64() == 0 ? passes : instrs).push_back(&e);
+  }
+  EXPECT_EQ(rows, (std::map<std::uint64_t, std::string>{
+                      {0, "optimizer"}, {1, "execute"}}));
+  EXPECT_EQ(passes.size(), stats.passes.size());
+  ASSERT_EQ(instrs.size(), r.cost.time);
+  ASSERT_EQ(instrs.size(), r.trace.size());
+  std::uint64_t work = 0;
+  for (std::size_t k = 0; k < instrs.size(); ++k) {
+    const json::Value& args = instrs[k]->at("args");
+    const json::Value* size = args.find("size");
+    work += size == nullptr ? 0 : size->as_u64();
+    const bvram::Instr& in = p.code.at(r.trace[k].instr);
+    EXPECT_EQ(instrs[k]->at("name").as_string(), bvram::op_name(in.op)) << k;
+    EXPECT_EQ(args.at("note").as_string(), p.debug.site(in.dbg).show()) << k;
+  }
+  EXPECT_EQ(work, r.cost.work);
 }
 
 TEST(Profile, PassTimingsArePopulated) {

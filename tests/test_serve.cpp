@@ -15,11 +15,12 @@
 //   * the cache compiles a key exactly once (hits never recompile),
 //     LRU-evicts at capacity, and keys on the compile options;
 //   * admission control rejects past max_queue and enforces per-request
-//     fuel; the stats snapshot and JSON report stay coherent.
+//     fuel; the stats snapshot and the Prometheus export stay coherent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -451,7 +452,7 @@ TEST(Serve, LoadCachesBySourceAndOptions) {
   EXPECT_EQ(st.hits, 1u);
 }
 
-TEST(Serve, StatsJsonCoherent) {
+TEST(Serve, StatsCoherent) {
   const auto prog = compile_source(kQuery);
   serve::ServeConfig cfg;
   cfg.workers = 2;
@@ -469,13 +470,6 @@ TEST(Serve, StatsJsonCoherent) {
   EXPECT_GT(st.total_cost.time, 0u);
   EXPECT_GE(st.latency_p95_ns, st.latency_p50_ns);
   EXPECT_GE(st.latency_p99_ns, st.latency_p95_ns);
-  const std::string json = svc.stats_json();
-  EXPECT_NE(json.find("\"schema\": \"nscc-serve-stats/v5\""),
-            std::string::npos);
-  EXPECT_NE(json.find("\"latency_ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"source\": \"log2-histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"cache\""), std::string::npos);
-  EXPECT_NE(json.find("\"batch_occupancy\""), std::string::npos);
 }
 
 // The profiling / tracing contract survives the serve path: a batched
@@ -629,24 +623,97 @@ TEST(Serve, SpanDropAccountingUnderSaturation) {
 // Registry-backed stats must match the responses the service actually
 // delivered (the counters are relaxed atomics, but after drain() every
 // update is complete).
-TEST(Serve, MetricsRegistryCoherent) {
-  const auto prog = compile_source(kQuery);
-  serve::ServeConfig cfg;
-  cfg.workers = 2;
-  serve::Service svc(cfg);
-  std::vector<std::future<serve::Response>> futs;
-  for (int i = 0; i < 10; ++i) {
-    futs.push_back(svc.submit(prog, nat_seq({static_cast<std::uint64_t>(i)})));
+/// The unlabelled samples of a Prometheus exposition, by metric name.
+std::map<std::string, std::uint64_t> prometheus_samples(
+    const std::string& text) {
+  std::map<std::string, std::uint64_t> out;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#' || line.find('{') != std::string::npos) {
+      continue;
+    }
+    const std::size_t sp = line.find(' ');
+    out[line.substr(0, sp)] = std::stoull(line.substr(sp + 1));
   }
-  for (auto& f : futs) EXPECT_TRUE(f.get().ok());
+  return out;
+}
+
+// Prometheus text is the service's one exporter, so every count of the
+// ServeStats snapshot must be there: a trapping batch that replays, an
+// admission rejection, a successful batch and a cache hit all land in
+// the exposition as the same numbers.
+TEST(Serve, MetricsRegistryCoherent) {
+  serve::ServeConfig cfg;
+  cfg.workers = 1;
+  cfg.max_batch = 8;
+  cfg.max_queue = 4;
+  serve::Service svc(cfg);
+  const auto prog = svc.load("means.nsc", kMeans);
+  EXPECT_EQ(svc.load("means.nsc", kMeans).get(), prog.get());  // cache hit
+  const ValueRef ok = Value::seq({nat_seq({1, 2, 3}), nat_seq({10, 20})});
+  const ValueRef trap = Value::seq({nat_seq({4}), nat_seq({}), nat_seq({6})});
+  std::vector<std::future<serve::Response>> futs;
+  // One batch of four whose third member traps, so all four replay; the
+  // fifth submit finds the queue full.
+  svc.pause();
+  for (const ValueRef& a : {ok, ok, trap, ok, ok}) {
+    futs.push_back(svc.submit(prog, a));
+  }
+  svc.resume();
   svc.drain();
+  // Then a batch of three that succeeds.
+  svc.pause();
+  for (int i = 0; i < 3; ++i) futs.push_back(svc.submit(prog, ok));
+  svc.resume();
+  for (auto& f : futs) f.get();
+  svc.drain();
+
+  const serve::ServeStats st = svc.stats();
+  EXPECT_EQ(st.submitted, 8u);
+  EXPECT_EQ(st.ok, 6u);
+  EXPECT_EQ(st.trapped, 1u);
+  EXPECT_EQ(st.rejected, 1u);
+  EXPECT_EQ(st.replays, 4u);
+  EXPECT_EQ(st.runs, 6u);
+  EXPECT_EQ(st.batch_runs, 1u);
+  EXPECT_EQ(st.batched_requests, 3u);
+  EXPECT_EQ(st.cache.hits, 1u);
+  EXPECT_EQ(st.cache.misses, 1u);
+
   std::ostringstream prom;
   svc.metrics().write_prometheus(prom);
-  const std::string text = prom.str();
-  EXPECT_NE(text.find("nscc_serve_requests_ok_total 10"), std::string::npos);
-  EXPECT_NE(text.find("nscc_serve_latency_ns_count 10"), std::string::npos);
-  EXPECT_NE(text.find("nscc_serve_cache_hits"), std::string::npos);
-  EXPECT_NE(text.find("nscc_serve_uptime_ns"), std::string::npos);
+  const std::map<std::string, std::uint64_t> m =
+      prometheus_samples(prom.str());
+  const auto sample = [&](const std::string& name) {
+    const auto it = m.find(name);
+    EXPECT_TRUE(it != m.end()) << name;
+    return it == m.end() ? ~std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(sample("nscc_serve_requests_submitted_total"), st.submitted);
+  EXPECT_EQ(sample("nscc_serve_requests_completed_total"), st.completed);
+  EXPECT_EQ(sample("nscc_serve_requests_ok_total"), st.ok);
+  EXPECT_EQ(sample("nscc_serve_requests_rejected_total"), st.rejected);
+  EXPECT_EQ(sample("nscc_serve_requests_trapped_total"), st.trapped);
+  EXPECT_EQ(sample("nscc_serve_requests_fuel_exhausted_total"),
+            st.fuel_exhausted);
+  EXPECT_EQ(sample("nscc_serve_requests_error_total"), st.errors);
+  EXPECT_EQ(sample("nscc_serve_runs_total"), st.runs);
+  EXPECT_EQ(sample("nscc_serve_batch_runs_total"), st.batch_runs);
+  EXPECT_EQ(sample("nscc_serve_batched_requests_total"), st.batched_requests);
+  EXPECT_EQ(sample("nscc_serve_replays_total"), st.replays);
+  EXPECT_EQ(sample("nscc_serve_cost_time_total"), st.total_cost.time);
+  EXPECT_EQ(sample("nscc_serve_cost_work_total"), st.total_cost.work);
+  EXPECT_EQ(sample("nscc_serve_exec_wall_ns_total"), st.exec_wall_ns);
+  EXPECT_EQ(sample("nscc_serve_latency_ns_count"), st.completed);
+  EXPECT_EQ(sample("nscc_serve_cache_hits"), st.cache.hits);
+  EXPECT_EQ(sample("nscc_serve_cache_misses"), st.cache.misses);
+  EXPECT_EQ(sample("nscc_serve_cache_evictions"), st.cache.evictions);
+  EXPECT_EQ(sample("nscc_serve_cache_compile_wall_ns"),
+            st.cache.compile_wall_ns);
+  EXPECT_EQ(sample("nscc_serve_cache_size"), st.cache.size);
+  EXPECT_EQ(sample("nscc_serve_cache_capacity"), st.cache.capacity);
+  EXPECT_GE(sample("nscc_serve_uptime_ns"), 1u);
 }
 
 }  // namespace

@@ -22,7 +22,6 @@
 //   --stage S       dump stage: surface | core | nsa | bvram (default bvram)
 //   --stats         dump: also print optimizer pipeline statistics
 //   --json PATH     bench: write the JSON there instead of stdout
-//   --profile       run/bench: collect and report the execution profile
 //   --scale N       bench: synthesize a size-N input for the entry point
 //                   (deterministic; replaces declared/--input arguments),
 //                   so corpus benches can run at n = 10^6+ without
@@ -45,24 +44,19 @@
 //                   1 = solo runs only)
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
-//   --stats-json PATH   write the nscc-serve-stats/v5 snapshot there
 //
 // serve telemetry (all pure observers; see docs/observability.md):
-//   --metrics PATH  write the metrics registry as Prometheus text
+//   --metrics PATH  write the metrics registry at exit as Prometheus text
 //                   exposition (includes an nscc_build_info provenance
 //                   metric)
 //   --trace PATH    write a Chrome trace_event timeline of request spans
 //                   (admission / queue-wait / compile / cache-hit /
 //                   batch-assembly / execute / replay / split; workers are
 //                   trace threads, flow arrows link waits to their runs)
-//   --snapshot-every N  rewrite --metrics and --stats-json after every N
-//                   completed requests (0 = only at exit)
 //
 // profile options (see docs/observability.md):
-//   --by-line       per-source-line table only (the default prints all views)
-//   --by-opcode     per-opcode table only
-//   --passes        optimizer pass timing table only
-//   --chrome PATH   write a Chrome trace_event JSON (chrome://tracing)
+//   --chrome PATH   write a Chrome trace_event JSON (chrome://tracing) of
+//                   the pass timings and the first completed input's run
 //   --min-attribution PCT   exit 1 if fewer than PCT% of executed
 //                   instructions carry surface attribution (the CI gate)
 //
@@ -110,10 +104,6 @@ struct Options {
   std::string json_path;
   std::size_t scale = 0;  // bench: synthesize a size-N input (0 = off)
   bool stats = false;
-  bool profile = false;    // run/bench: collect the execution profile
-  bool by_line = false;    // profile: restrict to the per-line view
-  bool by_opcode = false;  // profile: restrict to the per-opcode view
-  bool passes = false;     // profile: restrict to the pass-timing view
   std::string chrome_path;
   double min_attribution = -1.0;  // profile: CI gate ([0,100] when set)
   // serve
@@ -123,11 +113,9 @@ struct Options {
   std::size_t max_batch = 64;      // --max-batch
   std::size_t max_queue = 1024;    // --max-queue
   std::uint64_t fuel = std::uint64_t{1} << 32;  // --fuel
-  std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
   std::string trace_path;          // --trace (Chrome trace_event)
-  std::size_t snapshot_every = 0;  // --snapshot-every (0 = only at exit)
   // bench comparison
   std::string compare_path;        // --compare (baseline bench JSON)
 };
@@ -139,12 +127,9 @@ struct Options {
                "[--input EXPR] [--opt O0|O2] "
                "[--sched naive|staged[:N/D]] [--fn NAME] "
                "[--stage surface|core|nsa|bvram] [--stats] [--json PATH] "
-               "[--scale N] [--profile] [--by-line] [--by-opcode] [--passes] "
-               "[--chrome PATH] [--min-attribution PCT] "
+               "[--scale N] [--chrome PATH] [--min-attribution PCT] "
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
-               "[--max-queue N] [--fuel N] "
-               "[--stats-json PATH] [--metrics PATH] "
-               "[--trace PATH] [--snapshot-every N] "
+               "[--max-queue N] [--fuel N] [--metrics PATH] [--trace PATH] "
                "[--compare BASELINE.json]\n"
                "       %s doc\n",
                argv0, argv0);
@@ -250,14 +235,6 @@ Options parse_args(int argc, char** argv) {
       }
       o.scale = static_cast<std::size_t>(std::stoull(v));
       if (o.scale == 0) fail("--scale must be positive");
-    } else if (arg == "--profile") {
-      o.profile = true;
-    } else if (arg == "--by-line") {
-      o.by_line = true;
-    } else if (arg == "--by-opcode") {
-      o.by_opcode = true;
-    } else if (arg == "--passes") {
-      o.passes = true;
     } else if (arg == "--chrome") {
       o.chrome_path = need_value("--chrome");
     } else if (arg == "--min-attribution") {
@@ -270,7 +247,7 @@ Options parse_args(int argc, char** argv) {
       o.requests_path = need_value("--requests");
     } else if (arg == "--repeat" || arg == "--workers" ||
                arg == "--max-batch" || arg == "--max-queue" ||
-               arg == "--fuel" || arg == "--snapshot-every") {
+               arg == "--fuel") {
       const std::string v = need_value(arg.c_str());
       if (v.empty() || v.size() > 18 ||
           v.find_first_not_of("0123456789") != std::string::npos) {
@@ -292,14 +269,10 @@ Options parse_args(int argc, char** argv) {
       } else if (arg == "--max-queue") {
         if (n == 0) fail("--max-queue must be positive");
         o.max_queue = static_cast<std::size_t>(n);
-      } else if (arg == "--snapshot-every") {
-        o.snapshot_every = static_cast<std::size_t>(n);
       } else {
         if (n == 0) fail("--fuel must be positive");
         o.fuel = n;
       }
-    } else if (arg == "--stats-json") {
-      o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
       o.metrics_path = need_value("--metrics");
     } else if (arg == "--trace") {
@@ -433,15 +406,6 @@ RunOutcome compiled_outcome(const bvram::Program& program,
   return o;
 }
 
-/// The RunConfig for a profiled execution: the profiler needs the trace
-/// for the Chrome timeline and instruction-order views.
-bvram::RunConfig profile_config() {
-  bvram::RunConfig cfg;
-  cfg.profile = true;
-  cfg.record_trace = true;
-  return cfg;
-}
-
 void print_pass_timings(const opt::PipelineStats& stats) {
   std::printf("optimizer: instrs %zu -> %zu, regs %zu -> %zu, %zu rounds, "
               "%.3f ms total\n",
@@ -505,25 +469,13 @@ int cmd_run(const F::SourceFile& src, const Options& o) {
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     std::printf("input %zu: %s\n", i, inputs[i]->show().c_str());
     const RunOutcome ev = eval_outcome(entry, inputs[i]);
-    bvram::RunResult raw;
-    const RunOutcome mc =
-        o.profile
-            ? compiled_outcome(program, entry, inputs[i], profile_config(),
-                               &raw)
-            : compiled_outcome(program, entry, inputs[i]);
+    const RunOutcome mc = compiled_outcome(program, entry, inputs[i]);
     print_outcome("  nsc eval", ev);
     print_outcome("  compiled", mc);
     const bool agree = ev.trapped == mc.trapped &&
                        (ev.trapped || Value::equal(ev.value, mc.value));
     if (!agree) ok = false;
     std::printf("  agree: %s\n", agree ? "yes" : "NO");
-    if (o.profile && !mc.trapped) {
-      const obs::Profile prof = obs::Profile::build(program, raw);
-      std::printf("  profile: %.1f%% attributed; engine: %s\n",
-                  100.0 * prof.attributed_frac,
-                  prof.render_engine().c_str());
-      std::printf("%s", prof.render_by_line().c_str());
-    }
   }
   if (!ok) std::fprintf(stderr, "nscc run: evaluator/compiled MISMATCH\n");
   return ok ? 0 : 1;
@@ -711,11 +663,7 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
         << ", \"runs\": [";
     for (std::size_t i = 0; i < inputs.size(); ++i) {
       const RunOutcome ev = eval_outcome(entry, inputs[i]);
-      bvram::RunResult raw;
-      const RunOutcome mc =
-          o.profile ? compiled_outcome(program, entry, inputs[i],
-                                       profile_config(), &raw)
-                    : compiled_outcome(program, entry, inputs[i]);
+      const RunOutcome mc = compiled_outcome(program, entry, inputs[i]);
       if (i != 0) out << ", ";
       out << "{\"input\": " << i << ", \"eval_T\": " << ev.cost.time
           << ", \"eval_W\": " << ev.cost.work
@@ -727,16 +675,6 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
                (ev.trapped || Value::equal(ev.value, mc.value)))
                   ? "true"
                   : "false");
-      if (o.profile && !mc.trapped) {
-        const obs::Profile prof = obs::Profile::build(program, raw);
-        out << ", \"profile\": {\"attributed_frac\": "
-            << prof.attributed_frac << ", \"engine_wall_ns\": "
-            << prof.engine.wall_ns << ", \"pool_hits\": "
-            << prof.engine.pool_hits << ", \"pool_misses\": "
-            << prof.engine.pool_misses << ", \"inplace_hits\": "
-            << prof.engine.inplace_hits << ", \"move_swaps\": "
-            << prof.engine.move_swaps << "}";
-      }
       out << "}";
     }
     out << "]}";
@@ -769,21 +707,22 @@ int cmd_profile(const F::SourceFile& src, const Options& o) {
               sched_name(o.sched), program.num_regs, program.code.size(),
               100.0 * program.debug_coverage());
 
-  // With no view flag every view prints; flags restrict to the named ones.
-  const bool all_views = !o.by_line && !o.by_opcode && !o.passes;
-  if (all_views || o.passes) {
-    print_pass_timings(stats);
-  }
+  print_pass_timings(stats);
 
+  // The profiler records the trace for the Chrome timeline.
+  bvram::RunConfig cfg;
+  cfg.profile = true;
+  cfg.record_trace = true;
   // The --min-attribution gate is count-weighted over ALL inputs: a
   // degenerate run (empty input, a handful of prologue instructions) may
   // legitimately sit below the threshold without indicating any
   // attribution loss in the compiler.
   std::uint64_t gate_total = 0, gate_attributed = 0;
+  bool traced = false;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     bvram::RunResult raw;
     const RunOutcome mc =
-        compiled_outcome(program, entry, inputs[i], profile_config(), &raw);
+        compiled_outcome(program, entry, inputs[i], cfg, &raw);
     std::printf("\ninput %zu: %s\n", i, inputs[i]->show().c_str());
     if (mc.trapped) {
       std::printf("  trap (%s)\n", mc.error.c_str());
@@ -795,24 +734,28 @@ int cmd_profile(const F::SourceFile& src, const Options& o) {
                 static_cast<unsigned long long>(mc.cost.time),
                 static_cast<unsigned long long>(mc.cost.work),
                 100.0 * prof.attributed_frac, prof.render_engine().c_str());
-    if (all_views || o.by_line) {
-      std::printf("\n%s", prof.render_by_line().c_str());
-    }
-    if (all_views || o.by_opcode) {
-      std::printf("\n%s", prof.render_by_opcode().c_str());
-    }
-    if ((all_views || o.by_line) && !prof.by_loop.empty()) {
+    std::printf("\n%s", prof.render_by_line().c_str());
+    std::printf("\n%s", prof.render_by_opcode().c_str());
+    if (!prof.by_loop.empty()) {
       std::printf("\n%s", prof.render_loops().c_str());
     }
-    if (i == 0 && !o.chrome_path.empty()) {
+    if (!traced && !o.chrome_path.empty()) {
       std::ofstream f(o.chrome_path, std::ios::binary);
       if (!f) fail("cannot write " + o.chrome_path);
-      obs::write_chrome_trace(f, program, raw, &stats);
-      std::printf("\nwrote %s\n", o.chrome_path.c_str());
+      const obs::Provenance prov = obs::Provenance::collect();
+      obs::write_chrome_trace(f, obs::timeline_spans(program, raw, &stats),
+                              {"optimizer", "execute"}, &prov);
+      std::printf("\nwrote %s (input %zu)\n", o.chrome_path.c_str(), i);
+      traced = true;
     }
     gate_total += prof.total_count;
     gate_attributed += static_cast<std::uint64_t>(
         prof.attributed_frac * static_cast<double>(prof.total_count) + 0.5);
+  }
+  if (!o.chrome_path.empty() && !traced) {
+    std::fprintf(stderr, "nscc profile: every input trapped, so %s was not "
+                 "written\n", o.chrome_path.c_str());
+    return 1;
   }
   if (o.min_attribution >= 0.0 && gate_total > 0) {
     const double pct =
@@ -873,6 +816,13 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   if (requests.empty()) {
     fail("no requests: add `input ...` lines, --input, or --requests");
   }
+  // Every submission's future is kept, so the total must fit one vector
+  // (and must not wrap size_t on the way).
+  std::vector<std::future<serve::Response>> futures;
+  if (o.repeat > futures.max_size() / requests.size()) {
+    fail("--repeat " + std::to_string(o.repeat) + " times " +
+         std::to_string(requests.size()) + " requests is too many");
+  }
 
   serve::ServeConfig cfg;
   cfg.workers = o.workers;
@@ -889,18 +839,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   }
   serve::Service svc(cfg);
   const obs::Provenance prov = obs::Provenance::collect();
-  const auto write_snapshots = [&] {
-    if (!o.metrics_path.empty()) {
-      std::ofstream f(o.metrics_path, std::ios::binary);
-      if (!f) fail("cannot write " + o.metrics_path);
-      svc.metrics().write_prometheus(f, &prov);
-    }
-    if (!o.stats_json_path.empty()) {
-      std::ofstream f(o.stats_json_path, std::ios::binary);
-      if (!f) fail("cannot write " + o.stats_json_path);
-      f << svc.stats_json() << "\n";
-    }
-  };
 
   const auto prog = svc.load(src.name(), src.text(),
                              o.entry == "main" ? "" : o.entry, o.opt, o.sched);
@@ -913,9 +851,7 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
 
   // Pause the workers while the queue fills so the batcher sees the whole
   // request list at once (the steady-state shape of a loaded service).
-  const std::size_t total = requests.size() * o.repeat;
-  std::vector<std::future<serve::Response>> futures;
-  futures.reserve(total);
+  futures.reserve(requests.size() * o.repeat);
   svc.pause();
   for (std::size_t rep = 0; rep < o.repeat; ++rep) {
     for (const ValueRef& r : requests) futures.push_back(svc.submit(prog, r));
@@ -927,9 +863,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   for (std::size_t i = 0; i < futures.size(); ++i) {
     serve::Response r = futures[i].get();
     if (r.outcome == serve::Outcome::Error) internal_error = true;
-    if (o.snapshot_every > 0 && (i + 1) % o.snapshot_every == 0) {
-      write_snapshots();
-    }
     if (i == kPrint && futures.size() > kPrint) {
       std::printf("  ... (%zu more requests)\n", futures.size() - kPrint);
     }
@@ -974,18 +907,21 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
               static_cast<double>(st.latency_p99_ns) / 1e3,
               static_cast<double>(st.latency_mean_ns) / 1e3);
 
-  write_snapshots();
   if (!o.metrics_path.empty()) {
+    std::ofstream f(o.metrics_path, std::ios::binary);
+    if (!f) fail("cannot write " + o.metrics_path);
+    svc.metrics().write_prometheus(f, &prov);
     std::printf("wrote %s\n", o.metrics_path.c_str());
-  }
-  if (!o.stats_json_path.empty()) {
-    std::printf("wrote %s\n", o.stats_json_path.c_str());
   }
   if (spans.has_value()) {
     const obs::SpanLogStats ss = spans->stats();
     std::ofstream f(o.trace_path, std::ios::binary);
     if (!f) fail("cannot write " + o.trace_path);
-    obs::write_serve_trace(f, spans->drain(), svc.config().workers, &prov);
+    std::vector<std::string> rows{"queue"};
+    for (std::size_t w = 1; w <= svc.config().workers; ++w) {
+      rows.push_back("worker " + std::to_string(w));
+    }
+    obs::write_chrome_trace(f, spans->drain(), rows, &prov);
     std::printf("wrote %s (%llu spans, %llu dropped)\n", o.trace_path.c_str(),
                 static_cast<unsigned long long>(ss.recorded),
                 static_cast<unsigned long long>(ss.dropped));
@@ -1020,7 +956,7 @@ int main(int argc, char** argv) {
   } catch (const front::FrontError& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
-  } catch (const nsc::Error& e) {
+  } catch (const std::exception& e) {
     std::fprintf(stderr, "nscc: %s\n", e.what());
     return 1;
   }
