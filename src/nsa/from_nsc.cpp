@@ -3,7 +3,6 @@
 #include <set>
 
 #include "nsc/freevars.hpp"
-#include "nsc/typecheck.hpp"
 #include "support/error.hpp"
 
 namespace nsc::nsa {
@@ -14,16 +13,6 @@ using lang::FuncKind;
 using lang::FuncRef;
 using lang::TermKind;
 using lang::TermRef;
-
-/// Type environment view of the ordered context.
-lang::TypeEnv type_env(const Context& ctx) {
-  lang::TypeEnv env;
-  // Innermost bindings shadow outer ones: iterate outermost-first.
-  for (auto it = ctx.rbegin(); it != ctx.rend(); ++it) {
-    env[it->first] = it->second;
-  }
-  return env;
-}
 
 /// Trim a context to the variables in `used`, returning the restricted
 /// context and the restriction morphism <Gamma> -> <Gamma'>.  Inner
@@ -106,8 +95,10 @@ NsaRef translate_func(const FuncRef& f, const Context& ctx);
 
 NsaRef translate_term(const TermRef& m, const Context& ctx) {
   const TypeRef gamma = context_type(ctx);
-  const lang::TypeEnv env = type_env(ctx);
-  auto type_of = [&](const TermRef& t) { return lang::check_term(t, env); };
+  // Every subterm's type is its translation's codomain, so a child is
+  // translated before the combinator that consumes it is built; an
+  // ill-typed child fails in Type::left/right/elem or in compose/pairf.
+  auto sub = [&](const TermRef& t) { return from_nsc(t, ctx); };
 
   switch (m->kind()) {
     case TermKind::Var: {
@@ -122,41 +113,41 @@ NsaRef translate_term(const TermRef& m, const Context& ctx) {
       return compose(const_nat(m->nat_value()), bang(gamma));
     case TermKind::Arith:
       return compose(arith(m->op()),
-                     pairf(from_nsc(m->child0(), ctx),
-                           from_nsc(m->child1(), ctx)));
+                     pairf(sub(m->child0()), sub(m->child1())));
     case TermKind::Eq:
-      return compose(eqf(), pairf(from_nsc(m->child0(), ctx),
-                                  from_nsc(m->child1(), ctx)));
+      return compose(eqf(), pairf(sub(m->child0()), sub(m->child1())));
     case TermKind::UnitVal:
       return bang(gamma);
     case TermKind::MkPair:
-      return pairf(from_nsc(m->child0(), ctx), from_nsc(m->child1(), ctx));
+      return pairf(sub(m->child0()), sub(m->child1()));
     case TermKind::Proj1: {
-      TypeRef t = type_of(m->child0());
-      return compose(pi1(t->left(), t->right()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      const TypeRef& t = x->cod();
+      return compose(pi1(t->left(), t->right()), x);
     }
     case TermKind::Proj2: {
-      TypeRef t = type_of(m->child0());
-      return compose(pi2(t->left(), t->right()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      const TypeRef& t = x->cod();
+      return compose(pi2(t->left(), t->right()), x);
     }
     case TermKind::Inj1: {
-      TypeRef t = type_of(m->child0());
-      return compose(in1f(t, m->annotation()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(in1f(x->cod(), m->annotation()), x);
     }
     case TermKind::Inj2: {
-      TypeRef t = type_of(m->child0());
-      return compose(in2f(m->annotation(), t), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(in2f(m->annotation(), x->cod()), x);
     }
     case TermKind::Case: {
       // (f_N + f_P) . delta . <f_M, id>
-      TypeRef st = type_of(m->child0());
+      NsaRef scrut = sub(m->child0());  // Gamma -> t1 + t2
+      const TypeRef& st = scrut->cod();
       Context ctx1 = ctx;
       ctx1.insert(ctx1.begin(), {m->binder1(), st->left()});
       Context ctx2 = ctx;
       ctx2.insert(ctx2.begin(), {m->binder2(), st->right()});
       NsaRef branch1 = from_nsc(m->branch1(), ctx1);  // t1 x Gamma -> t
       NsaRef branch2 = from_nsc(m->branch2(), ctx2);  // t2 x Gamma -> t
-      NsaRef scrut = from_nsc(m->child0(), ctx);      // Gamma -> t1 + t2
       return compose(
           sum_case(branch1, branch2),
           compose(dist(st->left(), st->right(), gamma),
@@ -164,51 +155,44 @@ NsaRef translate_term(const TermRef& m, const Context& ctx) {
     }
     case TermKind::Apply: {
       // f_F . <f_M, id>
-      NsaRef arg = from_nsc(m->child0(), ctx);
+      NsaRef arg = sub(m->child0());
       NsaRef fn = from_nsc_func(m->fn(), ctx);
       return compose(fn, pairf(arg, id(gamma)));
     }
     case TermKind::Empty:
       return compose(empty_seq(m->annotation()), bang(gamma));
     case TermKind::Singleton: {
-      TypeRef t = type_of(m->child0());
-      return compose(singletonf(t), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(singletonf(x->cod()), x);
     }
     case TermKind::Append: {
-      TypeRef t = type_of(m->child0());
-      return compose(appendf(t->elem()),
-                     pairf(from_nsc(m->child0(), ctx),
-                           from_nsc(m->child1(), ctx)));
+      NsaRef xs = pairf(sub(m->child0()), sub(m->child1()));
+      return compose(appendf(xs->cod()->left()->elem()), xs);
     }
     case TermKind::Flatten: {
-      TypeRef t = type_of(m->child0());
-      return compose(flattenf(t->elem()->elem()),
-                     from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(flattenf(x->cod()->elem()->elem()), x);
     }
     case TermKind::Length: {
-      TypeRef t = type_of(m->child0());
-      return compose(lengthf(t->elem()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(lengthf(x->cod()->elem()), x);
     }
     case TermKind::Get: {
-      TypeRef t = type_of(m->child0());
-      return compose(getf(t->elem()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(getf(x->cod()->elem()), x);
     }
     case TermKind::Zip: {
-      TypeRef a = type_of(m->child0());
-      TypeRef b = type_of(m->child1());
-      return compose(zipf(a->elem(), b->elem()),
-                     pairf(from_nsc(m->child0(), ctx),
-                           from_nsc(m->child1(), ctx)));
+      NsaRef xs = pairf(sub(m->child0()), sub(m->child1()));
+      const TypeRef& t = xs->cod();
+      return compose(zipf(t->left()->elem(), t->right()->elem()), xs);
     }
     case TermKind::Enumerate: {
-      TypeRef t = type_of(m->child0());
-      return compose(enumeratef(t->elem()), from_nsc(m->child0(), ctx));
+      NsaRef x = sub(m->child0());
+      return compose(enumeratef(x->cod()->elem()), x);
     }
     case TermKind::Split: {
-      TypeRef t = type_of(m->child0());
-      return compose(splitf(t->elem()),
-                     pairf(from_nsc(m->child0(), ctx),
-                           from_nsc(m->child1(), ctx)));
+      NsaRef xs = pairf(sub(m->child0()), sub(m->child1()));
+      return compose(splitf(xs->cod()->left()->elem()), xs);
     }
   }
   throw TypeError("from_nsc: unknown term kind");

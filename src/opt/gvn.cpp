@@ -43,12 +43,9 @@
 // zero divisor).  Facts are only derived from executed instructions, so
 // everything in the dominated region may rely on their certificates
 // having held.
-// Three more sources make the folds below fire:
+// Two more sources make the folds below fire:
 //   * non-input registers start empty (the machine zero-initializes the
 //     register file);
-//   * a dominator child whose only predecessor is the taken edge of a
-//     GotoIfEmpty learns that the tested value is empty, in every
-//     register that holds it;
 //   * at a kill set, a killed register keeps its fact when every
 //     definition of it in the kill region produces that same fact again,
 //     assuming every killed register that still keeps its fact does;
@@ -68,8 +65,8 @@
 //     further but ties a staged compile's register count to eps.
 //     Renaming changes no value or length, so T, W and traps stay;
 //   * the uniform algebra, when both Arith operands are of one class, so
-//     the length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x, x/1 and x>>0
-//     are x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n).
+//     the length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x and x>>0 are
+//     x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n).
 //     Select of a uniform(c != 0) is a copy (2n either way), and a
 //     bm-route whose counts are uniform(1) of its bound's and its data's
 //     class replicates every element once (both certificates discharged:
@@ -93,13 +90,10 @@
 //     are keyed by its class: enumerate(broadcast(c, x)) fuses with
 //     enumerate(x);
 //   * constant folding: an Arith of two known singletons that folds, and
-//     Length, Enumerate, Select and ScanPlus of a known [] or [n], become
-//     a LoadConst of the result (work 1, below a Move's 2) or, for
-//     an empty result, a Move of the empty operand (work 0) or a LoadEmpty
-//     (select([0]), work 1 either way).  An Arith of two empties is a
-//     Move of one of them, and an Append with a known-empty side a Move
-//     of the other.  A LoadEmpty or LoadConst whose register already
-//     holds that value, and a self-Move, are dropped;
+//     Length, Enumerate and ScanPlus of a known [n], become a LoadConst
+//     of the result (work 1, below a Move's 2).  An Append with a
+//     known-empty side is a Move of the other.  A LoadEmpty whose
+//     register already holds [], and a self-Move, are dropped;
 //   * branch folding: a GotoIfEmpty of a known empty becomes a Goto, and
 //     one of a known singleton is dropped.  (dce then drops a Goto to the
 //     next instruction.)
@@ -109,7 +103,6 @@
 #include <optional>
 #include <tuple>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "opt/cfg.hpp"
@@ -161,11 +154,6 @@ struct VnTable {
   std::vector<std::uint32_t> first;
   /// register -> a kept CSE hit: its uses keep reading it.
   std::vector<bool> keeps_name;
-  /// Every register ever set to each value number: newest[v] indexes v's
-  /// last entry {register, v's entry before it or kNoReg} in `holders`.
-  /// Entries are never undone, so a reader checks each against reg_vn.
-  std::vector<std::uint32_t> newest;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> holders;
   std::unordered_map<VnKey, VnEntry, VnKeyHash> exprs;
 
   struct UndoRecord {
@@ -180,11 +168,7 @@ struct VnTable {
 
   explicit VnTable(std::size_t num_regs)
       : reg_vn(num_regs), first(num_regs), keeps_name(num_regs, false) {
-    for (std::uint32_t r = 0; r < num_regs; ++r) {
-      reg_vn[r] = first[r] = r;
-      newest.push_back(r);
-      holders.push_back({r, kNoReg});
-    }
+    for (std::uint32_t r = 0; r < num_regs; ++r) reg_vn[r] = first[r] = r;
   }
 
   std::size_t mark() const { return undo.size(); }
@@ -192,18 +176,12 @@ struct VnTable {
   /// A new value number, held by no register yet.
   std::uint64_t fresh() {
     first.push_back(kNoReg);
-    newest.push_back(kNoReg);
     return first.size() - 1;
   }
 
   void set_reg_vn(std::uint32_t r, std::uint64_t v, bool keep_name = false) {
     if (first[v] == kNoReg) first[v] = r;
-    if (reg_vn[r] != v) {
-      holders.push_back({r, newest[v]});
-      newest[v] = static_cast<std::uint32_t>(holders.size() - 1);
-    } else if (keeps_name[r] == keep_name) {
-      return;
-    }
+    if (reg_vn[r] == v && keeps_name[r] == keep_name) return;
     undo.push_back({.kind = UndoRecord::Reg,
                     .old_keeps_name = keeps_name[r],
                     .reg = r,
@@ -322,7 +300,7 @@ std::optional<std::uint64_t> fold(ArithOp op, const Fact& a, const Fact& b) {
 }
 
 /// The operand an Arith over one length class equals: x+0, 0+x, x∸0,
-/// x*1, 1*x, x/1 and x>>0 are x; 0∸x, 0*x, x*0 and 0>>x are the zero.
+/// x*1, 1*x and x>>0 are x; 0∸x, 0*x, x*0 and 0>>x are the zero.
 std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
                                               const Fact& b) {
   switch (in.aop) {
@@ -339,8 +317,6 @@ std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
       if (is_uniform(a, 1) || is_uniform(b, 0)) return in.b;
       break;
     case ArithOp::Div:
-      if (is_uniform(b, 1)) return in.a;
-      break;
     case ArithOp::Log2:
       break;
   }
@@ -505,10 +481,6 @@ class Walk {
         return in.a == in.dst ? drop() : keep();
       case Op::LoadEmpty:
         return is_empty(fact(in.dst)) ? drop() : keep();
-      case Op::LoadConst: {
-        const Fact d = fact(in.dst);
-        return is_konst(d) && d.c == in.imm ? drop() : keep();
-      }
       case Op::Arith: {
         const Fact a = fact(in.a);
         const Fact b = fact(in.b);
@@ -517,9 +489,6 @@ class Walk {
           return replace(Op::LoadConst, in.dst, 0,
                          lang::arith_apply(in.aop, a.c, b.c));
         }
-        // Both empty: provably no trap, and a Move of an empty register
-        // costs 0 work (a LoadEmpty would cost 1).
-        if (is_empty(a) && is_empty(b)) return replace(Op::Move, in.dst, in.a);
         return keep();
       }
       case Op::Append:
@@ -528,22 +497,10 @@ class Walk {
         return keep();
       case Op::Length:
       case Op::Enumerate:
-      case Op::Select:
-      case Op::ScanPlus: {
-        const Fact a = fact(in.a);
-        if (is_empty(a)) {
-          // length([]) = [0]; otherwise an empty input gives an empty
-          // result: forward the input.
-          return in.op == Op::Length ? replace(Op::LoadConst, in.dst, 0, 0)
-                                     : replace(Op::Move, in.dst, in.a);
-        }
-        if (!is_konst(a)) return keep();
-        if (in.op == Op::Length) return replace(Op::LoadConst, in.dst, 0, 1);
-        if (in.op != Op::Select) return replace(Op::LoadConst, in.dst, 0, 0);
-        // select([0]) = []: a LoadEmpty costs the same 1 work.
-        return a.c == 0 ? replace(Op::LoadEmpty, in.dst)
-                        : replace(Op::LoadConst, in.dst, 0, a.c);
-      }
+      case Op::ScanPlus:
+        // length([n]) = [1]; enumerate([n]) = scan+([n]) = [0].
+        if (!is_konst(fact(in.a))) return keep();
+        return replace(Op::LoadConst, in.dst, 0, in.op == Op::Length ? 1 : 0);
       default:
         return keep();
     }
@@ -619,8 +576,7 @@ class Walk {
 
   /// Block c's entry facts, where c's dominator-tree parent is idom
   /// (kNoBlock for block 0): kill what the kill region may redefine,
-  /// keeping each fact that every definition there reproduces, then
-  /// learn the taken edge of a GotoIfEmpty.
+  /// keeping each fact that every definition there reproduces.
   void enter(std::size_t c, std::size_t idom) {
     const std::vector<std::size_t> defs = kill_defs(c, idom);
     std::vector<std::uint32_t> killed;
@@ -647,30 +603,6 @@ class Walk {
     for (std::uint32_t r : killed) {
       if (kept_[r]) vn_.set_reg_vn(r, fresh(fact(r)));
       kept_[r] = false;
-    }
-
-    const auto& preds = cfg_.blocks[c].preds;
-    if (preds.size() != 1 || preds[0] != idom) return;
-    const std::size_t last = cfg_.blocks[idom].end - 1;
-    const Instr& j = p_.code[last];
-    const std::size_t n = p_.code.size();
-    if (!keep_[last] || j.op != Op::GotoIfEmpty || j.target >= n ||
-        cfg_.block_of[j.target] != c) {
-      return;
-    }
-    // Only the unambiguously taken edge carries the fact.
-    if (last + 1 < n && cfg_.block_of[last + 1] == c) return;
-    const std::uint64_t v = vn_.reg_vn[j.a];
-    if (is_empty(facts_[v])) return;
-    // Every register holding the tested value moves to one new empty
-    // number, its first holder first, so copies still read that holder.
-    const std::uint64_t e = fresh({empties_});
-    const std::uint32_t f = vn_.first[v];
-    if (vn_.reg_vn[f] == v) vn_.set_reg_vn(f, e, vn_.keeps_name[f]);
-    for (std::uint32_t h = vn_.newest[v]; h != VnTable::kNoReg;
-         h = vn_.holders[h].second) {
-      const std::uint32_t r = vn_.holders[h].first;
-      if (vn_.reg_vn[r] == v) vn_.set_reg_vn(r, e, vn_.keeps_name[r]);
     }
   }
 
@@ -725,8 +657,8 @@ class Walk {
         }
       }
 
-      // Constant and branch folding of whatever is left.  A load its
-      // register already holds is numbered as if it ran, then dropped.
+      // Constant and branch folding of whatever is left.  A LoadEmpty of
+      // an empty register is numbered as if it ran, then dropped.
       bool redundant = false;
       if (keep_[i]) {
         const Rewrite rw = simplify(in);

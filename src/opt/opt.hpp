@@ -35,12 +35,11 @@
 //               class is a Move from the live copy, select of a uniform
 //               nonzero vector is a copy, an all-ones route is a Move at
 //               half the W -- and the folds: arithmetic on known
-//               singletons and Length / Enumerate / Select / ScanPlus of
-//               known empties or singletons become LoadConsts, Append of
-//               an empty is a Move, and a GotoIfEmpty of a known shape
-//               becomes a Goto or disappears.  Emptiness comes from
-//               "non-input registers start empty", from the taken edge of
-//               a GotoIfEmpty, and around loops from the definitions that
+//               singletons and Length / Enumerate / ScanPlus of known
+//               singletons become LoadConsts, Append of an empty is a
+//               Move, and a GotoIfEmpty of a known shape becomes a Goto or
+//               disappears.  Emptiness comes from "non-input registers
+//               start empty" and, around loops, from the definitions that
 //               reproduce a register's fact.
 //   licm        loop-invariant code motion over the natural loops
 //               (opt/cfg.hpp), outermost first: invariant instructions

@@ -248,5 +248,45 @@ TEST(FromNsc, OpenTermsViaContext) {
   EXPECT_EQ(eval(g, env_val).value->as_nat(), 42u);
 }
 
+TEST(FromNsc, IllTypedTermsThrowTypeError) {
+  // Variable elimination types each subterm by its own translation's
+  // codomain: an ill-typed term fails in Type::left/elem or in a
+  // combinator's domain check.  The nested rows put the ill-typed term
+  // under a parent that reads its child's type.
+  const auto n = [] { return L::nat(3); };
+  const auto ns = [] { return L::singleton(L::nat(3)); };
+  const auto pick = [](L::TermRef m) {
+    return L::case_of(std::move(m), "a", L::var("a"), "b", L::nat(0));
+  };
+  const std::pair<const char*, L::TermRef> cases[] = {
+      {"proj1(nat)", L::proj1(n())},
+      {"length(nat)", L::length(n())},
+      {"get(nat)", L::get(n())},
+      {"enumerate(nat)", L::enumerate(n())},
+      {"flatten(nat)", L::flatten(n())},
+      {"flatten([nat])", L::flatten(ns())},
+      {"append(nat, [nat])", L::append(n(), ns())},
+      {"append([nat], nat)", L::append(ns(), n())},
+      {"zip(nat, [nat])", L::zip(n(), ns())},
+      {"zip([nat], nat)", L::zip(ns(), n())},
+      {"split(nat, [nat])", L::split(n(), ns())},
+      {"split([nat], nat)", L::split(ns(), n())},
+      {"case nat", pick(n())},
+      {"[] + nat", L::add(L::empty(N), n())},
+      {"inj1 + nat", L::add(n(), L::inj1(n(), N))},
+      {"[nat] * nat", L::mul(ns(), n())},
+      {"length([[nat] + nat])", L::length(L::singleton(L::add(ns(), n())))},
+      {"proj1((inj1 + nat, nat))",
+       L::proj1(L::pair(L::add(L::inj1(n(), N), n()), n()))},
+      {"case [] + nat", pick(L::inj1(L::add(L::empty(N), n()), N))},
+      {"unbound", L::var("nowhere")},
+      {"length(unbound)", L::length(L::var("nowhere"))},
+  };
+  for (const auto& [what, m] : cases) {
+    SCOPED_TRACE(what);
+    EXPECT_THROW(from_nsc(m), TypeError);
+  }
+}
+
 }  // namespace
 }  // namespace nsc::nsa

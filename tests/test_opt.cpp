@@ -769,10 +769,10 @@ TEST(Gvn, UnreachableJumpIntoALoopKeepsHeaderFacts) {
   expect_no_worse(naive, p, {{{}, {}}, {{7}, {1}}, {{7, 8}, {2, 3}}});
 }
 
-TEST(Gvn, TakenEdgeReachesACopyAfterASiblingRolledBack) {
+TEST(Gvn, RenamingSurvivesARolledBackSibling) {
   // c copies V1 in the entry block.  The fall-through arm copies V1 again
-  // and is rolled back before the walk reaches `if empty?(V1)`, whose
-  // taken edge must still find c: Length(c) there folds to [0].
+  // and is rolled back before the walk reaches `if empty?(V1)`; below it
+  // c still holds V1's number, so Length(c) reads V1.
   Assembler a;
   a.reserve_regs(3);
   auto c = a.reg(), d = a.reg();
@@ -791,7 +791,8 @@ TEST(Gvn, TakenEdgeReachesACopyAfterASiblingRolledBack) {
   const Program naive = a.finish(3, 1);
   Program p = naive;
   make_gvn()->run(p);
-  EXPECT_EQ(count_op(p, Op::Length), 0u);
+  ASSERT_EQ(p.code[7].op, Op::Length);
+  EXPECT_EQ(p.code[7].a, 1u);
   optimize(p);
   expect_no_worse(naive, p,
                   {{{}, {}, {}}, {{4}, {}, {1}}, {{4}, {5, 6}, {}},
@@ -820,10 +821,9 @@ TEST(Gvn, UniformIdentitiesFoldToMoves) {
   const Case cases[] = {
       {ArithOp::Add, 0, false, true},   {ArithOp::Add, 0, true, true},
       {ArithOp::Monus, 0, false, true}, {ArithOp::Mul, 1, false, true},
-      {ArithOp::Mul, 1, true, true},    {ArithOp::Div, 1, false, true},
-      {ArithOp::Rsh, 0, false, true},   {ArithOp::Monus, 0, true, false},
-      {ArithOp::Mul, 0, true, false},   {ArithOp::Mul, 0, false, false},
-      {ArithOp::Rsh, 0, true, false},
+      {ArithOp::Mul, 1, true, true},    {ArithOp::Rsh, 0, false, true},
+      {ArithOp::Monus, 0, true, false}, {ArithOp::Mul, 0, true, false},
+      {ArithOp::Mul, 0, false, false},  {ArithOp::Rsh, 0, true, false},
   };
   for (const Case& k : cases) {
     SCOPED_TRACE(std::string(lang::arith_op_name(k.op)) + " c=" +
@@ -871,6 +871,23 @@ TEST(Gvn, UniformIdentityNeedsProvenLengths) {
   expect_no_worse(naive, o2,
                   {{{}, {}}, {{4, 5}, {1, 1}}, {{4, 5}, {1}}, {{}, {1}}});
   EXPECT_THROW(bvram::run(o2, {{4, 5}, {1}}), MachineError);
+}
+
+TEST(Gvn, DivisionByBroadcastOneKeepsItsArith) {
+  // x / broadcast(1, x) equals x, but no corpus compile divides by a
+  // broadcast 1, so the uniform algebra has no x/1 identity.
+  Assembler a;
+  a.reserve_regs(1);
+  const std::uint32_t bc = broadcast(a, 1, 0);
+  auto r = a.reg();
+  a.arith(r, ArithOp::Div, 0, bc);
+  a.move(0, r);
+  a.halt();
+  const Program naive = a.finish(1, 1);
+  Program o2 = naive;
+  optimize(o2);
+  EXPECT_EQ(count_op(o2, Op::Arith), 1u);
+  expect_no_worse(naive, o2, {{{}}, {{5}}, {{0, 3, 7, 1}}});
 }
 
 TEST(Gvn, ZeroDivisorNeverFolds) {
@@ -971,56 +988,55 @@ TEST(Gvn, UniformCseRespectsScopes) {
 }
 
 // ---------------------------------------------------------------------------
-// branch-sensitive constant propagation
+// branches: neither edge of a GotoIfEmpty learns a fact
 // ---------------------------------------------------------------------------
-
-TEST(BranchSensitive, TakenEdgeKnowsTheRegisterIsEmpty)
-{
-  // The block reached only by the taken edge of `if empty?(V1)` knows V1
-  // is empty, so Length(V1) folds to [0] even though V1 is an input with
-  // no global fact.
-  Assembler a;
-  a.reserve_regs(2);
-  auto l = a.reg();
-  auto taken = a.fresh_label();
-  a.jump_if_empty(1, taken);
-  a.move(0, 1);
-  a.halt();
-  a.bind(taken);
-  a.length(l, 1);
-  a.move(0, l);
-  a.halt();
-  Program p = a.finish(2, 1);
-  optimize(p);
-  EXPECT_EQ(count_op(p, Op::Length), 0u);
-  EXPECT_EQ(bvram::run(p, {{}, {}}).outputs[0],
-            (std::vector<std::uint64_t>{0}));
-  EXPECT_EQ(bvram::run(p, {{}, {5}}).outputs[0],
-            (std::vector<std::uint64_t>{5}));
-}
 
 TEST(BranchSensitive, FallThroughEdgeLearnsNothing) {
   // On the fall-through edge the register is non-empty, which the
   // lattice cannot represent: downstream code must stay.
-  Assembler a;
-  a.reserve_regs(2);
-  auto l = a.reg();
-  auto taken = a.fresh_label();
-  a.jump_if_empty(1, taken);
-  a.length(l, 1);
-  a.move(0, l);
-  a.halt();
-  a.bind(taken);
-  a.load_const(l, 99);
-  a.move(0, l);
-  a.halt();
-  Program p = a.finish(2, 1);
-  optimize(p);
-  EXPECT_EQ(count_op(p, Op::Length), 1u);
-  EXPECT_EQ(bvram::run(p, {{}, {5, 6}}).outputs[0],
-            (std::vector<std::uint64_t>{2}));
-  EXPECT_EQ(bvram::run(p, {{}, {}}).outputs[0],
-            (std::vector<std::uint64_t>{99}));
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto l = a.reg();
+    auto taken = a.fresh_label();
+    a.jump_if_empty(1, taken);
+    a.length(l, 1);
+    a.move(0, l);
+    a.halt();
+    a.bind(taken);
+    a.load_const(l, 99);
+    a.move(0, l);
+    a.halt();
+    Program p = a.finish(2, 1);
+    optimize(p);
+    EXPECT_EQ(count_op(p, Op::Length), 1u);
+    EXPECT_EQ(bvram::run(p, {{}, {5, 6}}).outputs[0],
+              (std::vector<std::uint64_t>{2}));
+    EXPECT_EQ(bvram::run(p, {{}, {}}).outputs[0],
+              (std::vector<std::uint64_t>{99}));
+  }
+  // Nor does the taken edge learn that V1 is empty: no corpus compile
+  // gains from it, so Length(V1) there stays too.
+  {
+    Assembler a;
+    a.reserve_regs(2);
+    auto l = a.reg();
+    auto taken = a.fresh_label();
+    a.jump_if_empty(1, taken);
+    a.move(0, 1);
+    a.halt();
+    a.bind(taken);
+    a.length(l, 1);
+    a.move(0, l);
+    a.halt();
+    Program p = a.finish(2, 1);
+    optimize(p);
+    EXPECT_EQ(count_op(p, Op::Length), 1u);
+    EXPECT_EQ(bvram::run(p, {{}, {}}).outputs[0],
+              (std::vector<std::uint64_t>{0}));
+    EXPECT_EQ(bvram::run(p, {{}, {5}}).outputs[0],
+              (std::vector<std::uint64_t>{5}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,8 +1072,8 @@ TEST(Gvn, UsesOfAMoveReadItsSource) {
 }
 
 TEST(Gvn, CopyReadOnTheTakenEdgeIsRenamed) {
-  // The taken edge of `if empty?(V1)` learns that V1 is empty, and its
-  // copy c learns it with V1, so the read of c there still reads V1.
+  // c took V1's number in the entry block, which dominates the taken
+  // edge of `if empty?(V1)`, so the read of c there reads V1.
   Assembler a;
   a.reserve_regs(2);
   auto c = a.reg();

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "support/checked.hpp"
@@ -166,19 +167,26 @@ TEST(Json, NestingDepthIsBounded) {
 }
 
 /// Runs the nscc binary with `args` (already shell-quoted); returns its
-/// exit status and sets `err` to what it wrote to stderr.
-int run_nscc(const std::string& args, std::string& err) {
-  const std::filesystem::path err_path =
-      std::filesystem::temp_directory_path() /
-      ("nscc-test-support-" + std::to_string(::getpid()) + ".err");
+/// exit status and sets `err` to what it wrote to stderr and `out`, when
+/// given, to what it wrote to stdout.
+int run_nscc(const std::string& args, std::string& err,
+             std::string* out = nullptr) {
+  const std::string stem =
+      (std::filesystem::temp_directory_path() /
+       ("nscc-test-support-" + std::to_string(::getpid())))
+          .string();
   const std::string cmd = std::string("'") + NSCC_CLI + "' " + args +
-                          " > /dev/null 2> '" + err_path.string() + "'";
+                          " > '" + stem + ".out' 2> '" + stem + ".err'";
   const int raw = std::system(cmd.c_str());
-  std::ifstream in(err_path);
-  std::stringstream text;
-  text << in.rdbuf();
-  err = text.str();
-  std::filesystem::remove(err_path);
+  const auto slurp = [](const std::string& path) {
+    std::stringstream text;
+    text << std::ifstream(path).rdbuf();
+    std::filesystem::remove(path);
+    return text.str();
+  };
+  err = slurp(stem + ".err");
+  const std::string printed = slurp(stem + ".out");
+  if (out != nullptr) *out = printed;
   return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
 }
 
@@ -235,6 +243,30 @@ TEST(Cli, GateDisablingValuesExit2) {
   std::string err;
   EXPECT_EQ(run_nscc("bench " + file + " --compare " + baseline, err), 0)
       << err;
+}
+
+TEST(Cli, UnwritableOutputExits2BeforeAnyWork) {
+  // Every output file is opened before the work that fills it, so an
+  // unwritable path fails before a request is served, a profile table is
+  // printed or a bench config runs.
+  const std::string file =
+      "'" + std::string(NSCC_REPO_DIR) + "/tests/corpus/quickstart.nsc'";
+  const std::pair<const char*, const char*> cases[] = {
+      {"serve", "--metrics"},
+      {"serve", "--trace"},
+      {"profile", "--chrome"},
+      {"bench", "--json"},
+  };
+  for (const auto& [command, flag] : cases) {
+    const std::string args = std::string(command) + " " + file + " " + flag +
+                             " /nonexistent-dir/x.out";
+    std::string err, out;
+    EXPECT_EQ(run_nscc(args, err, &out), 2) << args << "\n" << err;
+    EXPECT_NE(err.find("cannot write /nonexistent-dir/x.out"),
+              std::string::npos)
+        << args << "\n" << err;
+    EXPECT_EQ(out, "") << args;
+  }
 }
 
 TEST(Table, AlignsAndCounts) {

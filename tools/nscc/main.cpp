@@ -141,6 +141,17 @@ struct Options {
   std::exit(2);
 }
 
+/// An output file, opened before the work that fills it, so an unwritable
+/// path exits 2 before anything runs or prints.  An empty path (the flag
+/// not given) opens nothing.
+std::ofstream open_output(const std::string& path) {
+  std::ofstream f;
+  if (path.empty()) return f;
+  f.open(path, std::ios::binary);
+  if (!f) fail("cannot write " + path);
+  return f;
+}
+
 /// A flag's percentage: at most 32 digits with at most one decimal point
 /// and nothing else, so the value is finite.  std::stod alone would read
 /// "5abc" as 5 and accept nan and inf, which pass (or skip) every gate
@@ -643,6 +654,7 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
       {opt::OptLevel::O2, opt::WhileSchedule::naive()},
       {opt::OptLevel::O2, opt::WhileSchedule::staged({1, 2})},
   };
+  std::ofstream json_file = open_output(o.json_path);
   std::ostringstream out;
   out << "{\n  \"file\": \"" << json::escape(src.name())
       << "\",\n  \"entry\": \"" << json::escape(entry.name)
@@ -683,9 +695,7 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
   if (o.json_path.empty()) {
     std::fputs(out.str().c_str(), stdout);
   } else {
-    std::ofstream f(o.json_path, std::ios::binary);
-    if (!f) fail("cannot write " + o.json_path);
-    f << out.str();
+    json_file << out.str();
     std::printf("wrote %s\n", o.json_path.c_str());
   }
   if (!o.compare_path.empty()) return compare_bench(out.str(), o);
@@ -697,6 +707,7 @@ int cmd_profile(const F::SourceFile& src, const Options& o) {
   const F::ResolvedFn& entry = entry_of(mod, o);
   const auto inputs = gather_inputs(mod, entry, o);
   if (inputs.empty()) fail("no inputs: add `input ...` lines or --input");
+  std::ofstream chrome = open_output(o.chrome_path);
   opt::PipelineStats stats;
   const bvram::Program program =
       sa::compile_nsc(entry.fn, o.opt, o.sched, &stats);
@@ -739,11 +750,10 @@ int cmd_profile(const F::SourceFile& src, const Options& o) {
     if (!prof.by_loop.empty()) {
       std::printf("\n%s", prof.render_loops().c_str());
     }
-    if (!traced && !o.chrome_path.empty()) {
-      std::ofstream f(o.chrome_path, std::ios::binary);
-      if (!f) fail("cannot write " + o.chrome_path);
+    if (!traced && chrome.is_open()) {
       const obs::Provenance prov = obs::Provenance::collect();
-      obs::write_chrome_trace(f, obs::timeline_spans(program, raw, &stats),
+      obs::write_chrome_trace(chrome,
+                              obs::timeline_spans(program, raw, &stats),
                               {"optimizer", "execute"}, &prov);
       std::printf("\nwrote %s (input %zu)\n", o.chrome_path.c_str(), i);
       traced = true;
@@ -752,7 +762,9 @@ int cmd_profile(const F::SourceFile& src, const Options& o) {
     gate_attributed += static_cast<std::uint64_t>(
         prof.attributed_frac * static_cast<double>(prof.total_count) + 0.5);
   }
-  if (!o.chrome_path.empty() && !traced) {
+  if (chrome.is_open() && !traced) {
+    chrome.close();
+    std::remove(o.chrome_path.c_str());
     std::fprintf(stderr, "nscc profile: every input trapped, so %s was not "
                  "written\n", o.chrome_path.c_str());
     return 1;
@@ -829,6 +841,9 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.max_queue = o.max_queue;
   cfg.max_batch = o.max_batch;
   cfg.fuel = o.fuel;
+
+  std::ofstream metrics_file = open_output(o.metrics_path);
+  std::ofstream trace_file = open_output(o.trace_path);
 
   // The span sink (a pure observer; declared before the Service so it
   // outlives the worker threads that write into it).
@@ -907,21 +922,17 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
               static_cast<double>(st.latency_p99_ns) / 1e3,
               static_cast<double>(st.latency_mean_ns) / 1e3);
 
-  if (!o.metrics_path.empty()) {
-    std::ofstream f(o.metrics_path, std::ios::binary);
-    if (!f) fail("cannot write " + o.metrics_path);
-    svc.metrics().write_prometheus(f, &prov);
+  if (metrics_file.is_open()) {
+    svc.metrics().write_prometheus(metrics_file, &prov);
     std::printf("wrote %s\n", o.metrics_path.c_str());
   }
   if (spans.has_value()) {
     const obs::SpanLogStats ss = spans->stats();
-    std::ofstream f(o.trace_path, std::ios::binary);
-    if (!f) fail("cannot write " + o.trace_path);
     std::vector<std::string> rows{"queue"};
     for (std::size_t w = 1; w <= svc.config().workers; ++w) {
       rows.push_back("worker " + std::to_string(w));
     }
-    obs::write_chrome_trace(f, spans->drain(), rows, &prov);
+    obs::write_chrome_trace(trace_file, spans->drain(), rows, &prov);
     std::printf("wrote %s (%llu spans, %llu dropped)\n", o.trace_path.c_str(),
                 static_cast<unsigned long long>(ss.recorded),
                 static_cast<unsigned long long>(ss.dropped));
