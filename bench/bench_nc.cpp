@@ -1,7 +1,10 @@
 // E7 (Propositions 6.1/6.2): NSC with polylog time and polynomial work
 // coincides with NC (for NC arithmetic ops).  Empirical shape: programs in
 // the fragment keep polylog measured T across geometrically growing
-// inputs.  We sweep three NC-style programs.
+// inputs.  We sweep three NC-style programs.  Gate (exit 1, naming the
+// row): per program, T/lg^2 n never rises from one n to the next, and the
+// largest W/n is within 1.05 of the smallest.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -35,15 +38,31 @@ int main() {
   };
 
   SplitMix64 rng(17);
+  bool ok = true;
   for (const auto& row : programs) {
     Table t({"n", "T", "W", "T/lg^2 n", "W/n"});
+    double last_t = INFINITY, min_w = INFINITY, max_w = 0;
     for (std::size_t n : {64u, 256u, 1024u, 4096u}) {
       auto arg = Value::nat_seq(rng.vec(n, 1 << 16));
       auto r = L::apply_fn(row.f, arg);
       const double lg = std::log2(static_cast<double>(n));
+      const double t_lg2 = r.cost.time / (lg * lg);
+      const double w_n = static_cast<double>(r.cost.work) / n;
       t.row({Table::num(n), Table::num(r.cost.time), Table::num(r.cost.work),
-             Table::fixed(r.cost.time / (lg * lg), 2),
-             Table::fixed(static_cast<double>(r.cost.work) / n, 1)});
+             Table::fixed(t_lg2, 2), Table::fixed(w_n, 1)});
+      if (t_lg2 > last_t) {
+        std::fprintf(stderr, "FAIL: %s: T/lg^2 n rises at n=%zu\n", row.name,
+                     n);
+        ok = false;
+      }
+      last_t = t_lg2;
+      min_w = std::min(min_w, w_n);
+      max_w = std::max(max_w, w_n);
+    }
+    if (max_w > 1.05 * min_w) {
+      std::fprintf(stderr, "FAIL: %s: W/n spreads %.3fx\n", row.name,
+                   max_w / min_w);
+      ok = false;
     }
     std::printf("-- %s --\n", row.name);
     t.print();
@@ -52,5 +71,5 @@ int main() {
   std::printf(
       "reading: T columns grow ~log or stay constant while n grows 64x;\n"
       "W/n stays bounded -- the polylog-time poly-work fragment.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

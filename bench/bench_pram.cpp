@@ -1,7 +1,8 @@
 // E6 (Proposition 3.2): simulate an NSC computation on a CREW PRAM with
 // scan primitives and p processors in O(T + W/p) steps.  We compile a
 // program, record its BVRAM trace (same T/W orders as the NSC source), and
-// Brent-schedule it across a processor sweep.
+// Brent-schedule it across a processor sweep.  Gate (exit 1, naming the
+// row): the scheduled steps stay within 2 (T + W/p) at every p.
 #include <cstdio>
 
 #include "nsc/prelude.hpp"
@@ -26,17 +27,23 @@ int main() {
               static_cast<unsigned long long>(result.cost.work));
 
   Table t({"p", "scheduled steps", "T + W/p bound", "sched/bound"});
+  bool ok = true;
   for (std::size_t p : {1u, 2u, 4u, 16u, 64u, 256u, 1024u, 4096u}) {
     const auto sched = pram::scheduled_time(result.trace, p);
     const auto bound =
         pram::brent_bound(result.cost.time, result.cost.work, p);
     t.row({Table::num(p), Table::num(sched), Table::num(bound),
            Table::fixed(static_cast<double>(sched) / bound, 2)});
+    if (sched > 2 * bound) {
+      std::fprintf(stderr, "FAIL: p=%zu: %llu scheduled steps > 2 (T + W/p)\n",
+                   p, static_cast<unsigned long long>(sched));
+      ok = false;
+    }
   }
   t.print();
   std::printf(
       "\nreading: scheduled steps track T + W/p within a constant across\n"
       "a 4096x processor sweep: work-bound for small p, time-bound (the\n"
       "critical path) once p ~ W/T.\n");
-  return 0;
+  return ok ? 0 : 1;
 }

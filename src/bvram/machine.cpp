@@ -265,35 +265,22 @@ void copy_words(std::uint64_t* dst, const std::uint64_t* src, std::size_t n) {
 // ---------------------------------------------------------------------------
 // The execution engine (v2)
 // ---------------------------------------------------------------------------
-// The register representation (Buf) and the recycling allocator
-// (BufferPool) live in bvram/pool.hpp so the serve layer can keep a pool
-// alive across runs (RunConfig::arena).
+
+/// The calling thread's register pool (thread_pool()).  Every run on the
+/// thread draws its registers from it, inputs included, and parks its
+/// whole register file back into it at Halt, so the thread's next run
+/// reuses those buffers instead of allocating and faulting in its own.
+/// A pool has exactly one owning thread, so it needs no lock.
+thread_local BufferPool t_pool;
 
 class Engine {
  public:
   Engine(const Program& program, const std::vector<Vec>& inputs,
          const RunConfig& cfg)
-      : p_(program),
-        cfg_(cfg),
-        pool_(cfg.arena != nullptr ? cfg.arena : &own_pool_),
-        pool_hits0_(pool_->hits()),
-        pool_misses0_(pool_->misses()),
-        regs_(program.num_regs) {
-    if (cfg.arena != nullptr) {
-      // Draw the input registers from the arena too, so a warmed-up arena
-      // serves the whole run -- inputs included -- without allocating.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        Buf b = pool_->acquire(inputs[i].size());
-        if (!inputs[i].empty()) {
-          std::memcpy(b.data(), inputs[i].data(),
-                      inputs[i].size() * sizeof(std::uint64_t));
-        }
-        regs_[i] = std::move(b);
-      }
-    } else {
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        regs_[i].assign(inputs[i]);
-      }
+      : p_(program), cfg_(cfg), regs_(program.num_regs) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      regs_[i] = acquire(inputs[i].size());
+      copy_words(regs_[i].data(), inputs[i].data(), inputs[i].size());
     }
     if (!p_.code.empty() && p_.last_use.size() == p_.code.size()) {
       last_use_ = p_.last_use.data();
@@ -311,12 +298,12 @@ class Engine {
   /// Pooled allocation (BufferPool, bvram/pool.hpp): reuse a spare from
   /// the smallest size class sure to fit; failing that, sacrifice the
   /// largest spare (one realloc instead of a fresh heap block).  The pool
-  /// holds buffers displaced by overwrites and buffers released at their
-  /// register's last use (release() below); with an external arena, a
-  /// prior run's whole register file as well.
-  Buf acquire(std::size_t n) { return pool_->acquire(n); }
+  /// holds buffers displaced by overwrites, buffers released at their
+  /// register's last use (release() below) and the register files this
+  /// thread's earlier runs parked at Halt.
+  Buf acquire(std::size_t n) { return pool_.acquire(n); }
 
-  void recycle(Buf&& b) { pool_->recycle(std::move(b)); }
+  void recycle(Buf&& b) { pool_.recycle(std::move(b)); }
 
   /// A register smaller than one 4 KiB page keeps its buffer past its
   /// last use: handing it back would avoid no page fault, only add a
@@ -342,8 +329,8 @@ class Engine {
 
   /// Resize register d to one slot.  A register without a buffer (never
   /// written, or released) takes one from the pool, not the allocator: a
-  /// buffer made outside the pool would join a cross-run arena when the
-  /// run parks its register file, and the arena would grow every run.
+  /// buffer made outside the pool would join the pool when the run parks
+  /// its register file, and the thread's pool would grow every run.
   void make_scalar(Buf& d) {
     if (d.capacity() == 0) {
       d = acquire(1);
@@ -363,12 +350,9 @@ class Engine {
 
   const Program& p_;
   const RunConfig& cfg_;
-  /// The run's buffer source: the caller's cross-run arena when
-  /// RunConfig::arena is set, else a private per-run pool.
-  BufferPool own_pool_;
-  BufferPool* pool_;
-  const std::uint64_t pool_hits0_;
-  const std::uint64_t pool_misses0_;
+  BufferPool& pool_ = t_pool;
+  const std::uint64_t pool_hits0_ = pool_.hits();
+  const std::uint64_t pool_misses0_ = pool_.misses();
   std::vector<Buf> regs_;
   const std::uint8_t* last_use_ = nullptr;
   // Allocator/kernel event counters, maintained unconditionally (a handful
@@ -764,24 +748,25 @@ RunResult Engine::exec() {
   for (std::size_t i = 0; i < p_.num_outputs; ++i) {
     result.outputs.push_back(regs_[i].to_vec());
   }
-  if (cfg_.arena != nullptr) {
-    // Outputs are deep-copied above, so the whole register file can be
-    // parked in the arena for the next run to reuse.
-    for (Buf& b : regs_) pool_->recycle(std::move(b));
-  }
+  // Outputs are copied out above, so the whole register file parks in the
+  // thread's pool for its next run.  A run that throws never gets here:
+  // its registers are freed with the Engine.
+  for (Buf& b : regs_) recycle(std::move(b));
   if (prof) {
     eng_.wall_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              run_start)
             .count());
-    eng_.pool_hits = pool_->hits() - pool_hits0_;
-    eng_.pool_misses = pool_->misses() - pool_misses0_;
+    eng_.pool_hits = pool_.hits() - pool_hits0_;
+    eng_.pool_misses = pool_.misses() - pool_misses0_;
     result.engine = eng_;
   }
   return result;
 }
 
 }  // namespace
+
+const BufferPool& thread_pool() { return t_pool; }
 
 RunResult run(const Program& program, const std::vector<Vec>& inputs,
               const RunConfig& cfg) {

@@ -44,7 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "bvram/pool.hpp"  // Buf / BufferPool (RunConfig::arena)
+#include "bvram/pool.hpp"  // Buf / BufferPool (thread_pool())
 #include "nsc/ast.hpp"     // ArithOp (the shared operation set Sigma)
 #include "obs/debuginfo.hpp"
 #include "support/cost.hpp"
@@ -293,43 +293,34 @@ struct RunConfig {
   /// and traces are bit-identical either way (profiling never touches
   /// the machine state -- the differential test in test_profile.cpp).
   bool profile = false;
-  /// Optional cross-run register-file arena (non-owning).  When set, the
-  /// engine draws every buffer -- input registers included -- from this
-  /// pool instead of a private per-run one, and parks the whole register
-  /// file back into it when the run finishes (outputs are copied out
-  /// first).  Re-running the same program against the same arena is then
-  /// allocation-free for registers in steady state: every acquire is
-  /// served by a buffer the previous run recycled, and the arena stops
-  /// growing (EngineProfile::pool_misses reads 0 and the spare count and
-  /// bytes hold still, the Arena.SteadyStateZeroAllocation gate).  Purely
-  /// an allocator swap: outputs, traps, T, W, traces, and profiles are
-  /// bit-identical with or without an arena.  An arena must not be shared
-  /// by two concurrent runs (see pool.hpp); each serve worker owns one.
-  BufferPool* arena = nullptr;
 };
 
 // Why the execution engine is invisible to the T/W cost model
 // -----------------------------------------------------------
 // run() executes programs with a pooled register file: freed buffers are
-// recycled instead of returned to the allocator, Move executes as a buffer
-// swap when Program::last_use proves the source dead, Arith / Enumerate /
-// ScanPlus / Select (the pack never writes past its read index)
-// write their result in place over a dead source operand, and a register
-// of a page or more that dies at an instruction -- a source read for the
-// last time, or a destination whose result is never read -- hands its
-// buffer back to the pool once the instruction completes.  An Arith,
-// BmRoute or SbmRoute whose result is never read (DCE keeps them for
-// their trap: they are the compiler's runtime certificates) runs as its
-// certificate alone: the same checks in the same order, and no output.
+// recycled into the calling thread's pool instead of returned to the
+// allocator, and a run reuses the buffers the thread's earlier runs parked
+// there at Halt.  Move executes as a buffer swap when Program::last_use
+// proves the source dead, Arith / Enumerate / ScanPlus / Select (the pack
+// never writes past its read index) write their result in place over a
+// dead source operand, and a register of a page or more that dies at an
+// instruction -- a source read for the last time, or a destination whose
+// result is never read -- hands its buffer back to the pool once the
+// instruction completes.  An Arith, BmRoute or SbmRoute whose result is
+// never read (DCE keeps them for their trap: they are the compiler's
+// runtime certificates) runs as its certificate alone: the same checks in
+// the same order, and no output.
 // None of this can be observed through the paper's semantics:
 //
 //   * T charges 1 per executed instruction and W charges the *lengths* of
 //     the registers an instruction touches (section 2).  Both are functions
 //     of the register *contents*, never of where those contents live in
-//     host memory.  Buffer reuse changes addresses only, so the engine
-//     charges exactly the costs the naive interpreter charges -- a Move
-//     executed as an O(1) pointer swap still charges 2*|V_j|, and a
-//     certificate that builds no output still charges its output's length.
+//     host memory.  Buffer reuse changes addresses only (every kernel
+//     writes every slot of its output, so no old contents are read), so
+//     the engine charges exactly the costs the naive interpreter charges
+//     -- a Move executed as an O(1) pointer swap still charges 2*|V_j|,
+//     and a certificate that builds no output still charges its output's
+//     length.
 //   * Stealing or releasing a buffer, or writing no result, touches only
 //     registers that liveness proved dead on every path
 //     (opt/liveness.hpp), so no later read --
@@ -350,9 +341,15 @@ struct RunConfig {
 
 /// Execute a program.  Throws MachineError on ill-formed programs
 /// (register/length/jump violations) and FuelExhausted past the budget.
+/// Registers come from the calling thread's pool, and a run that halts
+/// parks its register file there for the thread's next run.
 RunResult run(const Program& program,
               const std::vector<std::vector<std::uint64_t>>& inputs,
               const RunConfig& cfg = {});
+
+/// The calling thread's register pool, read-only: its spares are what
+/// the thread's runs have parked and released and not yet reused.
+const BufferPool& thread_pool();
 
 /// The reference interpreter: section 2's instructions and charges,
 /// executed serially with a fresh output vector per instruction.  It reads

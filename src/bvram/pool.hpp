@@ -1,6 +1,4 @@
-// The execution engine's buffer primitives, split out of machine.cpp so
-// the register-file pool can outlive a single run (the arena each serve
-// worker owns, src/serve/service.cpp).
+// The execution engine's buffer primitives.
 //
 //   Buf         a raw uninitialized uint64 buffer: growing never
 //               value-initializes and shrinking/regrowing within capacity
@@ -17,23 +15,18 @@
 //               flow edge rather than at an instruction, and every
 //               register of a program without masks keep their buffers
 //               until overwritten or Halt.
-//               Kept across runs of the same program it serves every
-//               register buffer of a steady-state run from the previous
-//               run's spares: the allocator is touched for registers only
-//               while the pool warms up, and the pool then stops growing
-//               (the serve layer's amortization claim, gated by the
-//               Arena.* tests).
+//               Each thread owns one (bvram::thread_pool()), and a run
+//               that halts parks its whole register file in it, so a
+//               steady-state run of a program the thread ran before
+//               draws every register buffer from spares and the pool
+//               stops growing (the Arena.* tests).
 //
-// A BufferPool is NOT thread-safe: it is either private to one Engine
-// (the historical per-run pool) or owned by exactly one serve worker,
-// which runs one request at a time against it.  Sharing one pool between
-// two concurrent runs is a data race by construction.
+// A BufferPool is NOT thread-safe: each one belongs to exactly one thread.
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <new>
 #include <utility>
@@ -101,13 +94,6 @@ class Buf {
     n_ = n;
   }
 
-  void assign(const std::vector<std::uint64_t>& v) {
-    reset_size(v.size());
-    if (!v.empty()) {
-      std::memcpy(d_, v.data(), v.size() * sizeof(std::uint64_t));
-    }
-  }
-
   std::vector<std::uint64_t> to_vec() const {
     return n_ == 0 ? std::vector<std::uint64_t>{}
                    : std::vector<std::uint64_t>(d_, d_ + n_);
@@ -131,8 +117,7 @@ class Buf {
 /// bin that guarantees capacity >= n, found with one bit scan over the
 /// mask of non-empty bins, and a recycle pushes onto its bin's LIFO
 /// stack.  O(1) matters here -- a register file parks hundreds of
-/// buffers per run into a cross-run arena (RunConfig::arena), a small
-/// run acquires mostly from an empty pool, and a scan per acquire would
+/// buffers per run into its thread's pool, and a scan per acquire would
 /// cost more than the mallocs the pool exists to avoid.  When no bin can
 /// satisfy a request the pool sacrifices its largest spare (one realloc
 /// instead of a fresh heap block, and the buffer population stays

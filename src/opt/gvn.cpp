@@ -65,8 +65,8 @@
 //     further but ties a staged compile's register count to eps.
 //     Renaming changes no value or length, so T, W and traps stay;
 //   * the uniform algebra, when both Arith operands are of one class, so
-//     the length check cannot trap: x+0, 0+x, x∸0, x*1, 1*x and x>>0 are
-//     x; 0∸x, 0*x, x*0 and 0>>x are the zero operand (3n -> 2n).
+//     the length check cannot trap: x+0, 0+x, x∸0, x*1 and 1*x are x;
+//     0∸x, 0*x and x*0 are the zero operand (3n -> 2n).
 //     Select of a uniform(c != 0) is a copy (2n either way), and a
 //     bm-route whose counts are uniform(1) of its bound's and its data's
 //     class replicates every element once (both certificates discharged:
@@ -300,7 +300,7 @@ std::optional<std::uint64_t> fold(ArithOp op, const Fact& a, const Fact& b) {
 }
 
 /// The operand an Arith over one length class equals: x+0, 0+x, x∸0,
-/// x*1, 1*x and x>>0 are x; 0∸x, 0*x, x*0 and 0>>x are the zero.
+/// x*1 and 1*x are x; 0∸x, 0*x and x*0 are the zero.
 std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
                                               const Fact& b) {
   switch (in.aop) {
@@ -309,7 +309,6 @@ std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
       if (is_uniform(a, 0)) return in.b;
       break;
     case ArithOp::Monus:
-    case ArithOp::Rsh:
       if (is_uniform(b, 0) || is_uniform(a, 0)) return in.a;
       break;
     case ArithOp::Mul:
@@ -317,6 +316,7 @@ std::optional<std::uint32_t> identity_operand(const Instr& in, const Fact& a,
       if (is_uniform(a, 1) || is_uniform(b, 0)) return in.b;
       break;
     case ArithOp::Div:
+    case ArithOp::Rsh:
     case ArithOp::Log2:
       break;
   }

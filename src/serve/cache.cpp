@@ -95,13 +95,6 @@ std::shared_ptr<const CompiledProgram> ProgramCache::get_or_compile(
   return prog;
 }
 
-std::shared_ptr<const CompiledProgram> ProgramCache::peek(
-    const CacheKey& key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = map_.find(key);
-  return it == map_.end() ? nullptr : it->second->second;
-}
-
 CacheStats ProgramCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats s = stats_;

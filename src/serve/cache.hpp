@@ -113,9 +113,6 @@ class ProgramCache {
   std::shared_ptr<const CompiledProgram> get_or_compile(
       const CacheKey& key, const CompileFn& compile);
 
-  /// The cached artifact, or nullptr without compiling (stats untouched).
-  std::shared_ptr<const CompiledProgram> peek(const CacheKey& key) const;
-
   CacheStats stats() const;
 
  private:

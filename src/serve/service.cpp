@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <new>
 #include <utility>
 
 #include "front/front.hpp"
@@ -238,13 +239,10 @@ void Service::resume() {
 }
 
 void Service::worker_loop(std::size_t worker) {
-  // One arena per worker, warm after its first runs and never shared:
-  // the engine's per-run buffer pool carried across this thread's runs.
-  bvram::BufferPool arena;
   for (;;) {
     std::vector<Pending> batch = next_batch();
     if (batch.empty()) return;
-    execute(std::move(batch), &arena, worker);
+    execute(std::move(batch), worker);
   }
 }
 
@@ -275,8 +273,7 @@ std::vector<Service::Pending> Service::next_batch() {
   return batch;
 }
 
-void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
-                      std::size_t worker) {
+void Service::execute(std::vector<Pending> batch, std::size_t worker) {
   const std::shared_ptr<const CompiledProgram> prog = batch.front().program;
   const std::size_t k = batch.size();
   const std::uint64_t run_id =
@@ -328,7 +325,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
 
     bvram::RunConfig rc;
     rc.max_instructions = sat_mul_u64(cfg_.fuel, k);
-    rc.arena = arena;
 
     const std::uint64_t exec_t0 = spans != nullptr ? spans->now_ns() : 0;
     const auto t0 = Clock::now();
@@ -340,11 +336,13 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
                              Type::seq(prog->cod), Value::seq(args), rc);
       batch_ok = true;
     } catch (const Error& e) {
-      // A trap (Omega) or fuel exhaustion anywhere in the batch aborts
-      // the whole run -- the machine has no per-segment error state.
-      // Fall through to per-request replay: each request re-runs solo
-      // under its own fuel, so only the offender fails.
+      // A trap (Omega), fuel exhaustion or a failed allocation anywhere in
+      // the batch aborts the whole run -- the machine has no per-segment
+      // error state.  Fall through to per-request replay: each request
+      // re-runs solo under its own fuel, so only the offender fails.
       batch_err = e.what();
+    } catch (const std::bad_alloc& e) {
+      batch_err = std::string("out of memory: ") + e.what();
     }
     const std::uint64_t wall = ns_between(t0, Clock::now());
     record("execute", exec_t0, 0, batch_ok ? "" : batch_err);
@@ -375,24 +373,20 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
     }
     for (Pending& p : batch) {
       m_.replays->inc();
-      finish(p, run_one(*prog, p.arg, arena, worker, p.id, run_id,
-                        "replay"));
+      finish(p, run_one(*prog, p.arg, worker, p.id, run_id, "replay"));
     }
     return;
   }
 
-  finish(batch.front(),
-         run_one(*prog, batch.front().arg, arena, worker,
-                 batch.front().id, run_id, "execute"));
+  finish(batch.front(), run_one(*prog, batch.front().arg, worker,
+                                batch.front().id, run_id, "execute"));
 }
 
 Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
-                          bvram::BufferPool* arena, std::size_t worker,
-                          std::uint64_t request_id, std::uint64_t run_id,
-                          const char* phase) {
+                          std::size_t worker, std::uint64_t request_id,
+                          std::uint64_t run_id, const char* phase) {
   bvram::RunConfig rc;
   rc.max_instructions = cfg_.fuel;
-  rc.arena = arena;
 
   Response r;
   const std::uint64_t span_t0 =
@@ -413,6 +407,9 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
   } catch (const Error& e) {
     r.outcome = Outcome::Error;
     r.error = e.what();
+  } catch (const std::bad_alloc& e) {
+    r.outcome = Outcome::Error;
+    r.error = std::string("out of memory: ") + e.what();
   }
   const std::uint64_t wall = ns_between(t0, Clock::now());
 

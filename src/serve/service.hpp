@@ -13,10 +13,9 @@
 //      keeps all run state in a private Engine, so N workers executing
 //      one Program concurrently need no synchronization.
 //
-//   2. Per-worker arenas: each worker thread owns one bvram::BufferPool
-//      for its lifetime and runs every request against it
-//      (RunConfig::arena), so steady-state execution allocates nothing
-//      (the within-run buffer pool carried across runs).
+//   2. Per-worker register pools: each worker is a thread, and bvram::run
+//      draws every run's registers from its thread's pool, so a warm
+//      worker's steady-state runs allocate no register buffer.
 //
 //   3. Request batching: queued requests against the same program are
 //      appended into ONE segment-descriptor level -- Value::seq of the
@@ -51,7 +50,6 @@
 #include <thread>
 #include <vector>
 
-#include "bvram/pool.hpp"
 #include "object/value.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -224,12 +222,10 @@ class Service {
   /// Claim the next batch: front of the queue plus up to max_batch-1
   /// later entries sharing its program.  Empty when paused / stopping.
   std::vector<Pending> next_batch();
-  void execute(std::vector<Pending> batch, bvram::BufferPool* arena,
-               std::size_t worker);
+  void execute(std::vector<Pending> batch, std::size_t worker);
   Response run_one(const CompiledProgram& prog, const ValueRef& arg,
-                   bvram::BufferPool* arena, std::size_t worker,
-                   std::uint64_t request_id, std::uint64_t run_id,
-                   const char* phase);
+                   std::size_t worker, std::uint64_t request_id,
+                   std::uint64_t run_id, const char* phase);
   /// Stamps r's latency and counts it as one completion: the completed
   /// counter, its outcome's counter and the latency histogram.  Every
   /// response goes through here, rejected ones included.

@@ -15,13 +15,21 @@
 // unit and lifted, under every WhileSchedule.  An optimizer change that
 // is meant to be output-neutral must leave the table alone; one that is
 // not must say which digests it moves.
+//
+// A third holds the engine's per-thread register pool invisible: every
+// compile runs on a fresh thread and again on a thread that an earlier
+// run (another program's, a trapping one's or one stopped by fuel) left
+// with parked buffers, with identical outputs, traps, T, W and traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "front/front.hpp"
@@ -32,6 +40,7 @@
 #include "sa/compile.hpp"
 #include "support/error.hpp"
 #include "corpus_files.hpp"
+#include "fresh_thread.hpp"
 
 namespace nsc {
 namespace {
@@ -41,6 +50,7 @@ namespace L = nsc::lang;
 
 using nsc::testing::corpus_files;
 using nsc::testing::kSchedules;
+using nsc::testing::on_fresh_thread;
 
 struct Outcome {
   bool trapped = false;
@@ -343,6 +353,153 @@ TEST(Corpus, O2RoundCountsArePinned) {
     EXPECT_EQ(pin->lifted, lifted.rounds) << stem << " lifted";
   }
   EXPECT_EQ(checked, std::size(kRounds)) << "a pinned program is gone";
+}
+
+// ---------------------------------------------------------------------------
+// a warm register pool is invisible
+// ---------------------------------------------------------------------------
+
+/// What one machine run shows: outputs, T, W and trace, or its trap.
+struct RunRecord {
+  std::vector<std::vector<std::uint64_t>> outputs;
+  Cost cost;
+  std::vector<std::uint64_t> trace;  ///< op, work, max_len, instr per step
+  std::string trap;                  ///< exception type and message
+  bool operator==(const RunRecord&) const = default;
+};
+
+/// A compiled program and one argument for it.
+struct Job {
+  bvram::Program program;
+  TypeRef dom, cod;
+  ValueRef arg;
+};
+
+RunRecord record(const Job& job,
+                 std::uint64_t fuel = bvram::RunConfig{}.max_instructions) {
+  bvram::RunConfig cfg;
+  cfg.record_trace = true;
+  cfg.max_instructions = fuel;
+  bvram::RunResult raw;
+  RunRecord r;
+  try {
+    sa::run_compiled(job.program, job.dom, job.cod, job.arg, cfg, &raw);
+  } catch (const Error& e) {
+    r.trap = std::string(typeid(e).name()) + ": " + e.what();
+    return r;
+  }
+  r.outputs = std::move(raw.outputs);
+  r.cost = raw.cost;
+  for (const bvram::TraceEntry& t : raw.trace) {
+    r.trace.insert(r.trace.end(), {static_cast<std::uint64_t>(t.op), t.work,
+                                   t.max_len, t.instr});
+  }
+  return r;
+}
+
+RunRecord record_on_fresh_thread(const Job& job) {
+  return on_fresh_thread([&] { return record(job); });
+}
+
+/// Each corpus program's lifted O0 compile on all its non-trapping inputs
+/// at once, the most registers first: the runs that warm a thread up
+/// before the run under test, parking a buffer per register they wrote.
+std::vector<std::pair<std::string, Job>> warmups(
+    const std::vector<CorpusProgram>& programs) {
+  std::vector<std::pair<std::string, Job>> out;
+  for (const auto& prog : programs) {
+    std::vector<ValueRef> batch;
+    for (const auto& a : prog.args) {
+      if (!eval_outcome(prog.main.fn, a).trapped) batch.push_back(a);
+    }
+    out.push_back({prog.path,
+                   {sa::compile_nsc(L::map_f(prog.main.fn), opt::OptLevel::O0),
+                    Type::seq(prog.main.dom), Type::seq(prog.main.cod),
+                    Value::seq(batch)}});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
+    return x.second.program.num_regs > y.second.program.num_regs;
+  });
+  return out;
+}
+
+TEST(Corpus, WarmPoolIsInvisible) {
+  // Every compile of every corpus program runs each argument on a fresh
+  // thread, and again on a thread whose pool holds what the widest warm-up
+  // of another program parked there: the two runs must agree.
+  const auto programs = corpus_programs();
+  const auto warm = warmups(programs);
+  ASSERT_GE(warm.size(), 2u);
+  for (const auto& prog : programs) {
+    SCOPED_TRACE(prog.path);
+    const Job& before = (warm[0].first != prog.path ? warm[0] : warm[1]).second;
+    std::vector<ValueRef> batches, clean;
+    for (const auto& a : prog.args) {
+      batches.push_back(Value::seq({a}));
+      if (!eval_outcome(prog.main.fn, a).trapped) clean.push_back(a);
+    }
+    batches.push_back(Value::seq(clean));
+    batches.push_back(Value::empty_seq());
+    for (const bool lifted : {false, true}) {
+      const L::FuncRef f = lifted ? L::map_f(prog.main.fn) : prog.main.fn;
+      Job job;
+      job.dom = lifted ? Type::seq(prog.main.dom) : prog.main.dom;
+      job.cod = lifted ? Type::seq(prog.main.cod) : prog.main.cod;
+      for (const auto level : {opt::OptLevel::O0, opt::OptLevel::O2}) {
+        for (const auto& s : kSchedules) {
+          SCOPED_TRACE(std::string(lifted ? "lifted" : "unit") + " opt " +
+                       std::to_string(int(level)) + " sched " + s.name);
+          job.program = sa::compile_nsc(f, level, s.sched);
+          for (const ValueRef& arg : lifted ? batches : prog.args) {
+            job.arg = arg;
+            const RunRecord after = on_fresh_thread([&] {
+              record(before);
+              EXPECT_GT(bvram::thread_pool().spare_count(), 0u);
+              return record(job);
+            });
+            EXPECT_TRUE(record_on_fresh_thread(job) == after)
+                << "argument " << arg->show();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Corpus, RunAfterATrapOrFuelStopMatchesAFreshRun) {
+  const auto programs = corpus_programs();
+  // trap_division's trapping input, then each of its other inputs.
+  std::size_t traps = 0;
+  for (const auto& prog : programs) {
+    if (std::filesystem::path(prog.path).stem() != "trap_division") continue;
+    Job trapping{sa::compile_nsc(prog.main.fn), prog.main.dom, prog.main.cod,
+                 nullptr};
+    Job next = trapping;
+    for (const auto& bad : prog.args) {
+      if (!eval_outcome(prog.main.fn, bad).trapped) continue;
+      trapping.arg = bad;
+      for (const auto& a : prog.args) {
+        if (a == bad) continue;
+        next.arg = a;
+        const RunRecord after = on_fresh_thread([&] {
+          EXPECT_NE(record(trapping).trap, "");
+          return record(next);
+        });
+        EXPECT_TRUE(record_on_fresh_thread(next) == after) << a->show();
+        ++traps;
+      }
+    }
+  }
+  EXPECT_GT(traps, 0u);
+  // The widest warm-up run stopped by fuel at half its T, then run whole.
+  const Job job = warmups(programs)[0].second;
+  const RunRecord fresh = record_on_fresh_thread(job);
+  const RunRecord after = on_fresh_thread([&] {
+    EXPECT_NE(record(job, fresh.cost.time / 2).trap.find("FuelExhausted"),
+              std::string::npos);
+    return record(job);
+  });
+  EXPECT_TRUE(fresh == after);
 }
 
 }  // namespace

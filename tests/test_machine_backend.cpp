@@ -22,6 +22,7 @@
 
 #include <string>
 #include <typeinfo>
+#include <utility>
 #include <vector>
 
 #include "bvram/machine.hpp"
@@ -36,6 +37,7 @@
 #include "sa/layout.hpp"
 #include "support/error.hpp"
 #include "support/prng.hpp"
+#include "fresh_thread.hpp"
 
 namespace nsc::bvram {
 namespace {
@@ -1045,12 +1047,18 @@ Program release_chain(std::size_t k) {
   return p;
 }
 
+/// The allocations of one run on a fresh thread: a cold pool, so only
+/// the run's own releases can serve its acquires.
+std::uint64_t cold_misses(const Program& p, const std::vector<Vec>& in) {
+  return nsc::testing::on_fresh_thread([&] {
+    RunConfig cfg;
+    cfg.profile = true;
+    return run(p, in, cfg).engine.pool_misses;
+  });
+}
+
 std::uint64_t chain_misses(std::size_t k, std::size_t n) {
-  RunConfig cfg;
-  cfg.profile = true;
-  const RunResult r =
-      run(release_chain(k), {iota_mod(n, 1000), iota_mod(n, 60)}, cfg);
-  return r.engine.pool_misses;
+  return cold_misses(release_chain(k), {iota_mod(n, 1000), iota_mod(n, 60)});
 }
 
 /// Inputs bound, counts, data of n elements each; V0 <- data + counts is
@@ -1071,25 +1079,22 @@ Program certificate_program(bool certificate) {
 TEST(Release, UnreadCertificateAllocatesNothing) {
   const std::size_t n = 5000;  // past one page
   const std::vector<Vec> in = {Vec(n, 0), Vec(n, 1), iota_mod(n, 1000)};
-  RunConfig cfg;
-  cfg.profile = true;
-  const auto acquires = [&](const Program& p) {
-    const RunResult r = run(p, in, cfg);
-    return r.engine.pool_hits + r.engine.pool_misses;
+  // Each on a fresh thread: the acquires of a cold run, and the bytes it
+  // leaves in the pool once it parks its register file at Halt.
+  const auto cold_run = [&](const Program& p) {
+    return nsc::testing::on_fresh_thread([&] {
+      RunConfig cfg;
+      cfg.profile = true;
+      const RunResult r = run(p, in, cfg);
+      return std::pair(r.engine.pool_hits + r.engine.pool_misses,
+                       thread_pool().spare_bytes());
+    });
   };
   const Program with = certificate_program(true);
   const Program without = certificate_program(false);
-  EXPECT_EQ(acquires(with), acquires(without));
-  // Parked into a fresh arena, the register files hold the same bytes:
-  // the certificate left no buffer behind.
-  const auto spare = [&](const Program& p) {
-    BufferPool arena;
-    RunConfig acfg;
-    acfg.arena = &arena;
-    run(p, in, acfg);
-    return arena.spare_bytes();
-  };
-  EXPECT_EQ(spare(with), spare(without));
+  // The same acquires, and the same bytes parked: the certificate left no
+  // buffer behind.
+  EXPECT_EQ(cold_run(with), cold_run(without));
   EXPECT_EQ(run(with, in).outputs, run(without, in).outputs);
 }
 
@@ -1102,9 +1107,7 @@ std::uint64_t unread_result_misses(std::size_t k, std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   opt::annotate_last_use(p);
-  RunConfig cfg;
-  cfg.profile = true;
-  return run(p, {iota_mod(n, 1000)}, cfg).engine.pool_misses;
+  return cold_misses(p, {iota_mod(n, 1000)});
 }
 
 TEST(Release, UnreadResultFeedsThePool) {

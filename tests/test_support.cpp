@@ -3,7 +3,8 @@
 // the JSON reader, and the reader's nesting bound.  The Cli case drives
 // the nscc binary: values that would switch off a CI gate (a nan
 // percentage, a baseline nested past the reader's bound or missing a key
-// the comparison reads) exit 2.
+// the comparison reads) exit 2, and `nscc serve` answers a run that runs
+// out of memory as an error instead of aborting.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -166,17 +167,18 @@ TEST(Json, NestingDepthIsBounded) {
   EXPECT_THROW(json::parse(std::string(100000, '[')), Error);
 }
 
-/// Runs the nscc binary with `args` (already shell-quoted); returns its
-/// exit status and sets `err` to what it wrote to stderr and `out`, when
-/// given, to what it wrote to stdout.
+/// Runs the nscc binary with `args` (already shell-quoted), after the
+/// shell commands `before` (say, a ulimit); returns its exit status and
+/// sets `err` to what it wrote to stderr and `out`, when given, to what it
+/// wrote to stdout.
 int run_nscc(const std::string& args, std::string& err,
-             std::string* out = nullptr) {
+             std::string* out = nullptr, const std::string& before = "") {
   const std::string stem =
       (std::filesystem::temp_directory_path() /
        ("nscc-test-support-" + std::to_string(::getpid())))
           .string();
-  const std::string cmd = std::string("'") + NSCC_CLI + "' " + args +
-                          " > '" + stem + ".out' 2> '" + stem + ".err'";
+  const std::string cmd = before + "'" + NSCC_CLI + "' " + args + " > '" +
+                          stem + ".out' 2> '" + stem + ".err'";
   const int raw = std::system(cmd.c_str());
   const auto slurp = [](const std::string& path) {
     std::stringstream text;
@@ -267,6 +269,46 @@ TEST(Cli, UnwritableOutputExits2BeforeAnyWork) {
         << args << "\n" << err;
     EXPECT_EQ(out, "") << args;
   }
+}
+
+// gcc names the ASan and TSan builds with macros, clang with features.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NSCC_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NSCC_SHADOW_MEMORY 1
+#endif
+#endif
+
+TEST(Cli, ServeAnswersARunOutOfMemoryAsAnError) {
+#ifdef NSCC_SHADOW_MEMORY
+  GTEST_SKIP() << "the sanitizer's shadow memory needs the address space "
+                  "ulimit -v takes away";
+#endif
+  // Doubling [1] toward 4e9 elements outgrows a 1.5 GB address space; the
+  // request fails alone and its neighbour, batched with it or not, is
+  // still answered.
+  const std::filesystem::path file =
+      std::filesystem::temp_directory_path() /
+      ("nscc-test-support-" + std::to_string(::getpid()) + "-grow.nsc");
+  std::ofstream(file) << "fn main(x : nat * [nat]) : [nat] =\n"
+                         "  while s = snd(x); length(s) < fst(x); s ++ s\n"
+                         "input (8, [1])\n";
+  for (const char* batching : {"", " --max-batch 1"}) {
+    const std::string args = "serve '" + file.string() +
+                             "' --workers 1 --input '(4000000000, [1])'" +
+                             batching;
+    std::string err, out;
+    EXPECT_EQ(run_nscc(args, err, &out, "ulimit -v 1500000; "), 1)
+        << args << "\n" << err;
+    EXPECT_NE(out.find("request 0: [1, 1, 1, 1, 1, 1, 1, 1]"),
+              std::string::npos)
+        << args << "\n" << out;
+    EXPECT_NE(out.find("request 1: error (out of memory: "),
+              std::string::npos)
+        << args << "\n" << out;
+  }
+  std::filesystem::remove(file);
 }
 
 TEST(Table, AlignsAndCounts) {

@@ -8,7 +8,7 @@
 //   nscc bench FILE.nsc [options]       static + executed T/W as JSON
 //   nscc profile FILE.nsc [options]     source-attributed execution profile
 //   nscc serve FILE.nsc [options]       compile-once / run-many query
-//                                       service (cache + arenas + batching)
+//                                       service (cache + batching)
 //   nscc fmt   FILE.nsc                 canonical formatting (the printer)
 //   nscc doc                            the language reference markdown
 //
